@@ -68,11 +68,12 @@ bench-parallel:
 bench-field:
 	./scripts/bench_field.sh
 
-# Start accordiond with a small queue, drive it with its own load
-# generator (sweep, backpressure, determinism, graceful drain), and
-# record BENCH_service.json; mirrors the CI service-smoke job.
+# Drive the real accordiond over HTTP with the benchmark's serve
+# workload: it fails on any non-200 answer, a replay whose bytes differ,
+# or a SIGTERM that does not drain to exit 0. Mirrors the CI
+# service-smoke job.
 service-smoke:
-	P99_MAX=5s ./scripts/bench_service.sh
+	bash benchmark/run.sh --workload serve --seed 1 --seconds 3 --trace 0
 
 # Gate the newest record in the committed run-history store against
 # its baseline window (see README "Run history & regression gate");

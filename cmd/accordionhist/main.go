@@ -1,21 +1,24 @@
 // Command accordionhist is the run-history toolbelt: append records
 // to a store from artifacts other tools wrote (BENCH_*.json blobs,
 // provenance manifests, /telemetryz scrapes), run the noise-aware
-// regression gate, and render trend reports.
+// regression gate, and render text trend reports.
 //
 //	accordionhist append -dir HISTORY -tool bench_parallel -kind bench -bench BENCH_parallel.json
 //	accordionhist check  -dir HISTORY [-window 20] [-margin 0.10] [-min-baseline 3] [-json]
-//	accordionhist report -dir HISTORY [-format text|html] [-last 20] [-out FILE]
+//	accordionhist report -dir HISTORY [-last 20] [-metric GLOB] [-out FILE]
 //	accordionhist list   -dir HISTORY
 //
-// Exit codes from check: 0 pass, 1 confirmed regression, 2 usage or
-// I/O error — so CI gates on the exit status alone.
+// Exit codes: 0 success (check: pass), 1 a confirmed regression from
+// check, 2 a usage or I/O error — so CI gates on the exit status
+// alone.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/history"
@@ -24,44 +27,63 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "append":
-		err = cmdAppend(os.Args[2:])
-	case "check":
-		os.Exit(cmdCheck(os.Args[2:]))
-	case "report":
-		err = cmdReport(os.Args[2:])
-	case "list":
-		err = cmdList(os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "accordionhist: unknown subcommand %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "accordionhist:", err)
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `usage: accordionhist <append|check|report|list> [flags]
+// run executes one subcommand and returns the process exit status: 0
+// on success, 1 for a regression found by check, 2 for usage or I/O
+// errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		usage(stderr)
+		return 2
+	}
+	var err error
+	switch args[0] {
+	case "append":
+		err = cmdAppend(args[1:], stderr)
+	case "check":
+		return cmdCheck(args[1:], stdout, stderr)
+	case "report":
+		err = cmdReport(args[1:], stdout, stderr)
+	case "list":
+		err = cmdList(args[1:], stdout, stderr)
+	case "-h", "-help", "--help", "help":
+		usage(stdout)
+		return 0
+	default:
+		fmt.Fprintf(stderr, "accordionhist: unknown subcommand %q\n", args[0])
+		usage(stderr)
+		return 2
+	}
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "accordionhist:", err)
+		return 2
+	}
+	return 0
+}
+
+func usage(w io.Writer) {
+	fmt.Fprint(w, `usage: accordionhist <append|check|report|list> [flags]
 
 append  harvest artifacts into a new record and append it to the store
 check   gate the newest record against its baseline window (exit 1 on regression)
-report  render per-metric trends (text or standalone HTML)
+report  render per-metric trends as text
 list    one line per record in the store
 
 Run "accordionhist <subcommand> -h" for flags.
 `)
+}
+
+// newFlagSet returns a subcommand flag set that reports parse errors
+// to stderr and leaves the exit status to run.
+func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("accordionhist "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
 }
 
 // repeatedFlag collects a repeatable -flag value.
@@ -73,11 +95,11 @@ func (r *repeatedFlag) Set(v string) error {
 	return nil
 }
 
-func cmdAppend(args []string) error {
-	fs := flag.NewFlagSet("accordionhist append", flag.ExitOnError)
+func cmdAppend(args []string, stderr io.Writer) error {
+	fs := newFlagSet("append", stderr)
 	dir := fs.String("dir", "", "history store directory (required)")
 	tool := fs.String("tool", "", "record tool identity, e.g. bench_parallel (required)")
-	kind := fs.String("kind", "bench", "record kind: run, bench, or batch")
+	kind := fs.String("kind", "bench", "record kind, e.g. run or bench")
 	note := fs.String("note", "", "free-form note stored on the record")
 	var benches, manifests, scrapes repeatedFlag
 	fs.Var(&benches, "bench", "BENCH_*.json blob to harvest (repeatable)")
@@ -86,7 +108,9 @@ func cmdAppend(args []string) error {
 	revision := fs.String("revision", "", "override the VCS revision stamp")
 	dirty := fs.Bool("dirty", false, "override the VCS dirty flag (with -revision)")
 	gomaxprocs := fs.Int("gomaxprocs", 0, "override the GOMAXPROCS stamp")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *dir == "" || *tool == "" {
 		return fmt.Errorf("append: -dir and -tool are required")
 	}
@@ -133,44 +157,49 @@ func cmdAppend(args []string) error {
 	if err := st.Append(rec); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "accordionhist: appended %s record (%d metrics) to %s\n",
+	fmt.Fprintf(stderr, "accordionhist: appended %s record (%d metrics) to %s\n",
 		rec.CompatKey(), len(rec.Metrics), st.Path())
 	return nil
 }
 
-func cmdCheck(args []string) int {
-	fs := flag.NewFlagSet("accordionhist check", flag.ExitOnError)
+func cmdCheck(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("check", stderr)
 	dir := fs.String("dir", "", "history store directory (required)")
 	window := fs.Int("window", 0, "baseline window size (default 20)")
 	minBaseline := fs.Int("min-baseline", 0, "fewest baseline records before gating (default 3)")
 	margin := fs.Float64("margin", 0, "relative slack beyond the 95% band (default 0.10)")
 	asJSON := fs.Bool("json", false, "emit the gate report as JSON instead of text")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "accordionhist: check: -dir is required")
+		fmt.Fprintln(stderr, "accordionhist: check: -dir is required")
 		return 2
 	}
 	recs, err := history.Store{Dir: *dir}.Load()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "accordionhist:", err)
+		fmt.Fprintln(stderr, "accordionhist:", err)
 		return 2
 	}
 	rep, err := history.Check(recs, history.DefaultDirections(), history.GateConfig{
 		Window: *window, MinBaseline: *minBaseline, Margin: *margin,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "accordionhist:", err)
+		fmt.Fprintln(stderr, "accordionhist:", err)
 		return 2
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "accordionhist:", err)
+			fmt.Fprintln(stderr, "accordionhist:", err)
 			return 2
 		}
-	} else if err := rep.WriteText(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "accordionhist:", err)
+	} else if err := rep.WriteText(stdout); err != nil {
+		fmt.Fprintln(stderr, "accordionhist:", err)
 		return 2
 	}
 	if rep.Regressions() > 0 {
@@ -179,15 +208,16 @@ func cmdCheck(args []string) int {
 	return 0
 }
 
-func cmdReport(args []string) error {
-	fs := flag.NewFlagSet("accordionhist report", flag.ExitOnError)
+func cmdReport(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("report", stderr)
 	dir := fs.String("dir", "", "history store directory (required)")
-	format := fs.String("format", "text", "report format: text or html")
 	last := fs.Int("last", 0, "records to trend (default 20)")
 	out := fs.String("out", "", "write to this file instead of stdout")
 	var metrics repeatedFlag
 	fs.Var(&metrics, "metric", "glob selecting trended metrics (repeatable; default: gated set)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *dir == "" {
 		return fmt.Errorf("report: -dir is required")
 	}
@@ -195,30 +225,27 @@ func cmdReport(args []string) error {
 	if err != nil {
 		return err
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
 	opt := history.ReportOptions{LastK: *last, Metrics: metrics}
-	switch *format {
-	case "text":
-		return history.WriteTextReport(w, recs, opt)
-	case "html":
-		return history.WriteHTMLReport(w, recs, opt)
-	default:
-		return fmt.Errorf("report: unknown format %q (want text or html)", *format)
+	if *out == "" {
+		return history.WriteTextReport(stdout, recs, opt)
 	}
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	if err := history.WriteTextReport(f, recs, opt); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-func cmdList(args []string) error {
-	fs := flag.NewFlagSet("accordionhist list", flag.ExitOnError)
+func cmdList(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("list", stderr)
 	dir := fs.String("dir", "", "history store directory (required)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *dir == "" {
 		return fmt.Errorf("list: -dir is required")
 	}
@@ -238,7 +265,7 @@ func cmdList(args []string) error {
 		if r.VCSDirty {
 			dirty = "+"
 		}
-		fmt.Printf("%4d  %-28s %-13s %4d metrics  %s\n", i+1, r.CompatKey(), rev+dirty, len(r.Metrics), r.Note)
+		fmt.Fprintf(stdout, "%4d  %-28s %-13s %4d metrics  %s\n", i+1, r.CompatKey(), rev+dirty, len(r.Metrics), r.Note)
 	}
 	return nil
 }

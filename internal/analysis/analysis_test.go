@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"os"
 	"regexp"
 	"strconv"
@@ -162,19 +163,6 @@ func TestTelemetryNamesGolden(t *testing.T) {
 	runGolden(t, cfg, "./"+tdata+"/telemetrynames")
 }
 
-// TestWindowNamesGolden pins that the rolling-window constructors
-// (GetWindow / GetWindowWithUnit) are registration points too: an
-// unregistered rolling-metric name fires the same catalog diagnostic
-// as the scalar constructors.
-func TestWindowNamesGolden(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.Catalog = &Catalog{
-		Metrics:        set("service.latency_ns"),
-		MetricPrefixes: []string{"cache."},
-	}
-	runGolden(t, cfg, "./"+tdata+"/windownames")
-}
-
 // TestHistoryNamesGolden pins that the run-history tier's
 // self-accounting names (history.appends, history.gate.*, the
 // history.* event kinds) go through the same catalog audit as every
@@ -223,7 +211,10 @@ func TestSuppressionBudgetTrips(t *testing.T) {
 
 // TestCleanTree is the integration gate: the merged tree itself must
 // come out of the full analyzer suite with zero findings, exactly as
-// `go run ./cmd/accordionvet ./...` and the CI lint job see it.
+// `go run ./cmd/accordionvet ./...` and the CI lint job see it. It also
+// keeps the catalog honest in the other direction: every exact metric
+// and event name registered there must still have an emit site, so a
+// deleted surface cannot leave stale vocabulary behind.
 func TestCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-tree source type-check is slow; run without -short")
@@ -232,11 +223,48 @@ func TestCleanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg, []string{"./internal/...", "./cmd/..."})
+	pkgs, err := Load(cfg, []string{"./internal/...", "./cmd/..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range res.Diagnostics {
+	for _, d := range RunPackages(cfg, pkgs).Diagnostics {
 		t.Errorf("clean tree violated: %s", d)
 	}
+
+	emitted := emittedNames(cfg, pkgs)
+	for kind, names := range map[string]map[string]bool{"metric": cfg.Catalog.Metrics, "event": cfg.Catalog.Events} {
+		for name := range names {
+			if !emitted[kind+" "+name] {
+				t.Errorf("catalog %s %q has no emit site under ./internal/... or ./cmd/...", kind, name)
+			}
+		}
+	}
+}
+
+// emittedNames collects every statically resolved exact name handed to
+// a registration point in pkgs, keyed "metric <name>" or "event <name>".
+func emittedNames(cfg *Config, pkgs []*Package) map[string]bool {
+	seen := map[string]bool{}
+	for _, pkg := range pkgs {
+		pass := &Pass{Analyzer: TelemetryNamesAnalyzer, Cfg: cfg, Pkg: pkg, report: func(Diagnostic) {}}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				kind, ok := emitSite(pass, call)
+				if !ok {
+					return true
+				}
+				if lits, isPrefix, ok := resolveName(pass, call.Args[0]); ok && !isPrefix {
+					for _, lit := range lits {
+						seen[kind+" "+lit] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return seen
 }

@@ -51,9 +51,6 @@ func DefaultCatalog() *Catalog {
 			"service.inflight",
 			"service.latency_ns",
 			"service.run_ns",
-			// accordiond SLO burn gauges
-			"service.slo.p99_burn_milli",
-			"service.slo.error_burn_milli",
 			// run-history store and regression gate
 			"history.appends",
 			"history.gate.checks",

@@ -31,11 +31,10 @@ var TelemetryNamesAnalyzer = &Analyzer{
 
 var nameRe = regexp.MustCompile(`^[a-z0-9_.]+$`)
 
-// metricFuncs and eventFuncs name the registration points, by
-// module-relative defining package.
+// metricFuncs name the metric registration points in
+// internal/telemetry; events.New is the one event registration point.
 var metricFuncs = map[string]bool{
-	"GetCounter": true, "GetGauge": true, "GetHistogram": true,
-	"GetWindow": true, "GetWindowWithUnit": true, "StartSpan": true,
+	"GetCounter": true, "GetGauge": true, "GetHistogram": true, "StartSpan": true,
 }
 
 const (
@@ -50,78 +49,78 @@ func runTelemetryNames(pass *Pass) {
 			return
 		}
 	}
-	info := pass.Pkg.Info
-	telemetryPkg := pass.Cfg.ModulePath + "/" + telemetryPkgRel
-	eventsPkg := pass.Cfg.ModulePath + "/" + eventsPkgRel
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
+			if call, ok := n.(*ast.CallExpr); ok {
+				if kind, ok := emitSite(pass, call); ok {
+					checkName(pass, call.Args[0], kind)
+				}
 			}
-			fn := funcFor(info, call)
-			if fn == nil || fn.Pkg() == nil {
-				return true
-			}
-			var kind string
-			cat := pass.Cfg.Catalog
-			var exact map[string]bool
-			var prefixes []string
-			switch {
-			case fn.Pkg().Path() == telemetryPkg && metricFuncs[fn.Name()]:
-				kind, exact, prefixes = "metric", cat.Metrics, cat.MetricPrefixes
-			case fn.Pkg().Path() == eventsPkg && fn.Name() == "New":
-				kind, exact, prefixes = "event", cat.Events, cat.EventPrefixes
-			default:
-				return true
-			}
-			checkName(pass, call, call.Args[0], kind, exact, prefixes)
 			return true
 		})
 	}
 }
 
+// emitSite reports whether call hands a name to a registration point,
+// and whether that name is a "metric" or an "event".
+func emitSite(pass *Pass, call *ast.CallExpr) (kind string, ok bool) {
+	if len(call.Args) == 0 {
+		return "", false
+	}
+	fn := funcFor(pass.Pkg.Info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return "", false
+	}
+	switch fn.Pkg().Path() {
+	case pass.Cfg.ModulePath + "/" + telemetryPkgRel:
+		return "metric", metricFuncs[fn.Name()]
+	case pass.Cfg.ModulePath + "/" + eventsPkgRel:
+		return "event", fn.Name() == "New"
+	}
+	return "", false
+}
+
 // checkName validates one name argument against the catalog.
-func checkName(pass *Pass, call *ast.CallExpr, arg ast.Expr, kind string, exact map[string]bool, prefixes []string) {
-	lit, isPrefix, ok := resolveName(pass, arg)
+func checkName(pass *Pass, arg ast.Expr, kind string) {
+	cat := pass.Cfg.Catalog
+	exact, prefixes := cat.Metrics, cat.MetricPrefixes
+	if kind == "event" {
+		exact, prefixes = cat.Events, cat.EventPrefixes
+	}
+	lits, isPrefix, ok := resolveName(pass, arg)
 	if !ok {
 		pass.Reportf(arg.Pos(), "%s name must be a string literal (or a literal-prefixed concatenation); dynamic names cannot be audited against the catalog", kind)
 		return
 	}
-	if !nameRe.MatchString(lit) {
-		pass.Reportf(arg.Pos(), "%s name %q must match ^[a-z0-9_.]+$", kind, lit)
-		return
-	}
-	if isPrefix {
-		if !lookupPrefix(lit, prefixes) {
+	for _, lit := range lits {
+		switch {
+		case !nameRe.MatchString(lit):
+			pass.Reportf(arg.Pos(), "%s name %q must match ^[a-z0-9_.]+$", kind, lit)
+		case isPrefix && !lookupPrefix(lit, prefixes):
 			pass.Reportf(arg.Pos(), "%s name family %q* is not registered in internal/analysis/catalog.go", kind, lit)
+		case !isPrefix && !lookupExact(lit, exact, prefixes):
+			pass.Reportf(arg.Pos(), "%s name %q is not registered in internal/analysis/catalog.go", kind, lit)
 		}
-		return
-	}
-	if !lookupExact(lit, exact, prefixes) {
-		pass.Reportf(arg.Pos(), "%s name %q is not registered in internal/analysis/catalog.go", kind, lit)
 	}
 }
 
 // resolveName statically resolves arg to a literal (isPrefix=false) or
 // to the literal prefix of a concatenation (isPrefix=true). For a
-// plain identifier it requires every assignment to that variable to be
-// a string literal; the first is returned and the alternates are
-// validated in place by resolveIdent.
-func resolveName(pass *Pass, arg ast.Expr) (lit string, isPrefix, ok bool) {
+// plain identifier it returns every literal assigned to that variable.
+func resolveName(pass *Pass, arg ast.Expr) (lits []string, isPrefix, ok bool) {
 	switch e := ast.Unparen(arg).(type) {
 	case *ast.BasicLit:
 		if e.Kind.String() != "STRING" {
-			return "", false, false
+			return nil, false, false
 		}
 		s, err := strconv.Unquote(e.Value)
 		if err != nil {
-			return "", false, false
+			return nil, false, false
 		}
-		return s, false, true
+		return []string{s}, false, true
 	case *ast.BinaryExpr:
 		if e.Op.String() != "+" {
-			return "", false, false
+			return nil, false, false
 		}
 		// Leftmost operand of the concatenation chain must be literal.
 		left := ast.Unparen(e.X)
@@ -135,15 +134,15 @@ func resolveName(pass *Pass, arg ast.Expr) (lit string, isPrefix, ok bool) {
 		if bl, isLit := left.(*ast.BasicLit); isLit {
 			s, err := strconv.Unquote(bl.Value)
 			if err != nil {
-				return "", false, false
+				return nil, false, false
 			}
-			return s, true, true
+			return []string{s}, true, true
 		}
-		return "", false, false
+		return nil, false, false
 	case *ast.Ident:
 		return resolveIdent(pass, e)
 	}
-	return "", false, false
+	return nil, false, false
 }
 
 // resolveIdent handles the local-variable idiom
@@ -153,13 +152,12 @@ func resolveName(pass *Pass, arg ast.Expr) (lit string, isPrefix, ok bool) {
 //	events.New(kind)
 //
 // by requiring every assignment to the variable in its declaring
-// function to be a plain string literal; the first literal is returned
-// for charset checking and ALL of them must be cataloged, which the
-// caller verifies via the extra values in prefixAlts.
-func resolveIdent(pass *Pass, id *ast.Ident) (string, bool, bool) {
+// package to be a plain string literal, and returns all of them so the
+// caller checks each against the catalog.
+func resolveIdent(pass *Pass, id *ast.Ident) ([]string, bool, bool) {
 	obj := pass.Pkg.Info.Uses[id]
 	if obj == nil {
-		return "", false, false
+		return nil, false, false
 	}
 	v, isVar := obj.(*types.Var)
 	if !isVar {
@@ -167,10 +165,10 @@ func resolveIdent(pass *Pass, id *ast.Ident) (string, bool, bool) {
 		if c, isConst := obj.(*types.Const); isConst && c.Val() != nil {
 			s := c.Val().ExactString()
 			if unq, err := strconv.Unquote(s); err == nil {
-				return unq, false, true
+				return []string{unq}, false, true
 			}
 		}
-		return "", false, false
+		return nil, false, false
 	}
 	// Collect every assignment to v in the file set.
 	var lits []string
@@ -205,16 +203,7 @@ func resolveIdent(pass *Pass, id *ast.Ident) (string, bool, bool) {
 		})
 	}
 	if !complete || len(lits) == 0 {
-		return "", false, false
+		return nil, false, false
 	}
-	// Validate the alternates beyond the first here, so the caller's
-	// single-value check covers the whole set.
-	for _, alt := range lits[1:] {
-		if !nameRe.MatchString(alt) {
-			pass.Reportf(id.Pos(), "name %q (assigned to %s) must match ^[a-z0-9_.]+$", alt, id.Name)
-		} else if !lookupExact(alt, pass.Cfg.Catalog.Events, pass.Cfg.Catalog.EventPrefixes) && !lookupExact(alt, pass.Cfg.Catalog.Metrics, pass.Cfg.Catalog.MetricPrefixes) {
-			pass.Reportf(id.Pos(), "name %q (assigned to %s) is not registered in internal/analysis/catalog.go", alt, id.Name)
-		}
-	}
-	return lits[0], false, true
+	return lits, false, true
 }

@@ -42,9 +42,6 @@ func DefaultDirections() []Direction {
 		{"hist.*.p50", UpIsBad},
 		{"hist.*.p95", UpIsBad},
 		{"hist.*.p99", UpIsBad},
-		// Rolling-window readouts served by /telemetryz.
-		{"win.*.p99", UpIsBad},
-		{"win.*.error_rate", UpIsBad},
 		// Memo caches: a falling hit rate means recomputation.
 		{"cache.*.hit_rate", DownIsBad},
 		// Monte-Carlo noise: a wider CI at the same draw count means
@@ -57,7 +54,7 @@ func DefaultDirections() []Direction {
 		{"bench.*allocs_op", UpIsBad},
 		{"bench.*bytes_op", UpIsBad},
 		{"bench.*.speedup", DownIsBad},
-		// accordiond load-generator sweep results.
+		// Service request-sweep results (HISTORY's bench_service record).
 		{"bench.sweep.*_ms", UpIsBad},
 		{"bench.sweep.throughput_rps", DownIsBad},
 		{"bench.*hit_rate", DownIsBad},

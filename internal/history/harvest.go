@@ -18,7 +18,6 @@ import (
 //	counter.<name>                      telemetry counters
 //	gauge.<name>                        telemetry gauges
 //	hist.<name>.{count,mean,p50,p95,p99,max}
-//	win.<name>.<horizon>.{count,rate_per_sec,error_rate,p50,p95,p99}
 //	cache.<name>.hit_rate               derived from cache.<name>.{hits,misses}
 //	converge.<series>.{count,mean,std,ci95}
 //	runner.<id>.wall_ms                 provenance runner timings
@@ -47,20 +46,6 @@ func (r *Record) AddTelemetry(snap telemetry.Snapshot) {
 		r.Set(base+"p95", float64(h.P95))
 		r.Set(base+"p99", float64(h.P99))
 		r.Set(base+"max", float64(h.Max))
-	}
-	for _, w := range snap.Windows {
-		for _, h := range w.Horizons {
-			if h.Count == 0 {
-				continue
-			}
-			base := "win." + w.Name + "." + h.Label + "."
-			r.Set(base+"count", float64(h.Count))
-			r.Set(base+"rate_per_sec", h.RatePerSec)
-			r.Set(base+"error_rate", h.ErrorRate)
-			r.Set(base+"p50", float64(h.P50))
-			r.Set(base+"p95", float64(h.P95))
-			r.Set(base+"p99", float64(h.P99))
-		}
 	}
 	r.addCacheRates(snap)
 }

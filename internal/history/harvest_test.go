@@ -28,14 +28,6 @@ func sampleTelemetry() telemetry.Snapshot {
 				P50: 1_200_000, P95: 2_500_000, P99: 3_000_000, Max: 4_000_000},
 			{Name: "empty.histogram", Count: 0},
 		},
-		Windows: []telemetry.WindowSnapshot{{
-			Name: "service.latency_ns", Unit: "ns",
-			Horizons: []telemetry.WindowHorizonSnapshot{
-				{Label: "1m", Count: 50, RatePerSec: 0.8, ErrorRate: 0.02,
-					P50: 1_100_000, P95: 2_400_000, P99: 2_900_000},
-				{Label: "5m", Count: 0},
-			},
-		}},
 	}
 }
 
@@ -47,8 +39,6 @@ func TestAddTelemetry(t *testing.T) {
 		"gauge.service.inflight":                    3,
 		"hist.service.latency_ns.p99":               3_000_000,
 		"hist.service.latency_ns.mean":              1.5e6,
-		"win.service.latency_ns.1m.p99":             2_900_000,
-		"win.service.latency_ns.1m.error_rate":      0.02,
 		"cache.experiments.Kernels.hit_rate":        0.90,
 		"cache.experiments.MeasuredFronts.hit_rate": 0,
 	}
@@ -59,9 +49,6 @@ func TestAddTelemetry(t *testing.T) {
 	}
 	if _, ok := r.Metrics["hist.empty.histogram.count"]; ok {
 		t.Error("empty histogram harvested")
-	}
-	if _, ok := r.Metrics["win.service.latency_ns.5m.count"]; ok {
-		t.Error("empty window horizon harvested")
 	}
 }
 

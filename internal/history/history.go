@@ -20,9 +20,9 @@
 //     noise inside the band never pages anyone, and an identical
 //     re-run (zero band, value on the mean) is never a false
 //     positive.
-//   - WriteTextReport / WriteHTMLReport: per-metric trend lines
-//     (unicode and inline-SVG sparklines) over the last K comparable
-//     records, plus the newest record's profile hotspots.
+//   - WriteTextReport: per-metric trend lines (unicode sparklines)
+//     over the last K comparable records, plus the newest record's
+//     profile hotspots.
 //   - CaptureProfile: an opt-in pprof CPU+heap capture around a run
 //     whose top-N flat hotspots are summarized into the record, so
 //     hotspot drift diffs across runs without opening pprof.

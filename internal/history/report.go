@@ -43,8 +43,7 @@ type trend struct {
 	ok     []bool // value present in record i
 }
 
-// reportData is the renderer-agnostic shape both the text and the
-// HTML renderer consume.
+// reportData is the trended selection WriteTextReport renders.
 type reportData struct {
 	key     string // CompatKey trended
 	total   int    // records in the store

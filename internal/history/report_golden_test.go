@@ -44,46 +44,32 @@ func goldenRecords() []Record {
 	return recs
 }
 
-// TestGoldenReports pins the exact bytes of the text and HTML trend
-// reports for the fixed record set above, the same contract the atlas
-// exports live under. Regenerate with
-// UPDATE_GOLDEN=1 go test ./internal/history.
+// TestGoldenReports pins the exact bytes of the text trend report for
+// the fixed record set above, the same contract the atlas exports live
+// under. Regenerate with UPDATE_GOLDEN=1 go test ./internal/history.
 func TestGoldenReports(t *testing.T) {
-	recs := goldenRecords()
-	renders := map[string]func() ([]byte, error){
-		"golden_report.txt": func() ([]byte, error) {
-			var buf bytes.Buffer
-			err := WriteTextReport(&buf, recs, ReportOptions{})
-			return buf.Bytes(), err
-		},
-		"golden_report.html": func() ([]byte, error) {
-			var buf bytes.Buffer
-			err := WriteHTMLReport(&buf, recs, ReportOptions{})
-			return buf.Bytes(), err
-		},
-	}
-	for name, render := range renders {
-		t.Run(name, func(t *testing.T) {
-			got, err := render()
-			if err != nil {
+	const name = "golden_report.txt"
+	t.Run(name, func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := WriteTextReport(&buf, goldenRecords(), ReportOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		got := buf.Bytes()
+		path := filepath.Join("testdata", name)
+		if os.Getenv("UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", name)
-			if os.Getenv("UPDATE_GOLDEN") != "" {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s drifted from golden; rerun with UPDATE_GOLDEN=1 and review the diff\ngot:\n%s", name, got)
-			}
-		})
-	}
+			return
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s drifted from golden; rerun with UPDATE_GOLDEN=1 and review the diff\ngot:\n%s", name, got)
+		}
+	})
 }
 
 // TestReportStructure sanity-checks renderer behavior the goldens
@@ -119,17 +105,5 @@ func TestReportStructure(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "counter.service.requests") {
 		t.Errorf("explicit glob did not select the metric:\n%s", buf.String())
-	}
-
-	var html bytes.Buffer
-	if err := WriteHTMLReport(&html, goldenRecords(), ReportOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	h := html.String()
-	if !strings.Contains(h, "<svg") || !strings.Contains(h, "polyline") {
-		t.Errorf("HTML report lacks SVG sparklines:\n%s", h)
-	}
-	if !strings.Contains(h, "<!DOCTYPE html>") || strings.Contains(h, "<script") {
-		t.Error("HTML report must be standalone and script-free")
 	}
 }

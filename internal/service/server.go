@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -37,33 +35,15 @@ type Config struct {
 	// default of 64; negative retains nothing, so every identical
 	// request re-executes.
 	Retain int
-	// RetryAfter is the client backoff advertised on 429 and 503
-	// responses. Default 1s.
-	RetryAfter time.Duration
 	// Now supplies timestamps for job status, latency telemetry, and
 	// provenance manifests. Response bodies never depend on it. The
 	// default is the wall clock; tests inject fakes.
 	Now func() time.Time
-	// ReadyCheck, when set, gates /healthz readiness: a non-nil error
-	// reports the server degraded (HTTP 503 with the reason) without
-	// affecting admission. The daemon wires its SLO tracker here so
-	// load balancers stop routing to an instance burning its error
-	// budget. Nil means always ready.
-	ReadyCheck func() error
-	// OnJobDone, when set, is called once per worker-completed job
-	// (done or failed), after the job reaches its terminal state and
-	// outside the server lock. The daemon wires its run-history
-	// recorder here to batch records per completed work. Jobs failed
-	// administratively by a shutdown deadline — never picked up by a
-	// worker — do not fire it. Nil costs nothing on the completion
-	// path.
-	OnJobDone func()
 }
 
 const (
 	defaultQueueDepth = 16
 	defaultRetain     = 64
-	defaultRetryAfter = time.Second
 )
 
 // Job states, in lifecycle order.
@@ -135,8 +115,6 @@ type Server struct {
 	inflight  *telemetry.Gauge
 	latency   *telemetry.Histogram
 	runtime   *telemetry.Histogram
-	latWin    *telemetry.Window
-	runWin    *telemetry.Window
 }
 
 // New builds a Server from cfg, applying defaults.
@@ -151,9 +129,6 @@ func New(cfg Config) *Server {
 		cfg.Retain = defaultRetain
 	} else if cfg.Retain < 0 {
 		cfg.Retain = -1
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = defaultRetryAfter
 	}
 	if cfg.Now == nil {
 		// The wall clock feeds status, telemetry and manifests only;
@@ -171,8 +146,6 @@ func New(cfg Config) *Server {
 		inflight:   telemetry.GetGauge("service.inflight"),
 		latency:    telemetry.GetHistogram("service.latency_ns"),
 		runtime:    telemetry.GetHistogram("service.run_ns"),
-		latWin:     telemetry.GetWindow("service.latency_ns"),
-		runWin:     telemetry.GetWindow("service.run_ns"),
 	}
 }
 
@@ -274,9 +247,6 @@ func (s *Server) run(ctx context.Context, j *Job) {
 	addCacheStats(man, j.scope)
 	man.Finish()
 	s.finish(j, body, err, man)
-	if s.cfg.OnJobDone != nil {
-		s.cfg.OnJobDone()
-	}
 }
 
 // finish moves a job to its terminal state exactly once; late arrivals
@@ -299,20 +269,12 @@ func (s *Server) finish(j *Job, body []byte, err error, man *provenance.Manifest
 	}
 	s.inflightN--
 	s.inflight.Set(s.inflightN)
-	latNs := j.finished.Sub(j.enqueued).Nanoseconds()
-	s.latency.Observe(latNs)
+	s.latency.Observe(j.finished.Sub(j.enqueued).Nanoseconds())
 	var runNs int64
 	queued := j.finished.Sub(j.enqueued)
 	if !j.started.IsZero() {
 		runNs = j.finished.Sub(j.started).Nanoseconds()
 		queued = j.started.Sub(j.enqueued)
-	}
-	if err != nil {
-		s.latWin.ObserveErr(latNs)
-		s.runWin.ObserveErr(runNs)
-	} else {
-		s.latWin.Observe(latNs)
-		s.runWin.Observe(runNs)
 	}
 	s.runtime.Observe(runNs)
 	events.New("job.state").Str("job", j.id).Str("state", j.state).
@@ -405,94 +367,6 @@ func (s *Server) failPending(err error) {
 	s.inflight.Set(s.inflightN)
 }
 
-// JobSummary is one row of the dashboard's recent-jobs table.
-type JobSummary struct {
-	ID       string `json:"job_id"`
-	Kind     string `json:"kind"`
-	State    string `json:"state"`
-	QueuedMs int64  `json:"queued_ms"`
-	RunMs    int64  `json:"run_ms"`
-	Error    string `json:"error,omitempty"`
-}
-
-// Summary is the operational snapshot behind /statusz: live queue and
-// worker occupancy, the derived backoff, and the most recent jobs —
-// active ones first (newest admission first), then retained completed
-// ones (newest finish first).
-type Summary struct {
-	QueueLen  int          `json:"queue_len"`
-	QueueCap  int          `json:"queue_cap"`
-	Workers   int          `json:"workers"`
-	Inflight  int64        `json:"inflight"`
-	Draining  bool         `json:"draining"`
-	RetrySecs int64        `json:"retry_secs"`
-	Recent    []JobSummary `json:"recent,omitempty"`
-}
-
-// Summary snapshots the server's operational state; maxRecent bounds
-// the job list (non-positive means none).
-func (s *Server) Summary(maxRecent int) Summary {
-	sum := Summary{RetrySecs: s.retryAfterSecs()}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sum.QueueLen = len(s.queue)
-	sum.QueueCap = cap(s.queue)
-	sum.Workers = s.cfg.Workers
-	sum.Inflight = s.inflightN
-	sum.Draining = s.draining
-	if maxRecent <= 0 {
-		return sum
-	}
-	var active []*Job
-	for _, j := range s.jobs {
-		if j.state == StateQueued || j.state == StateRunning {
-			active = append(active, j)
-		}
-	}
-	sort.Slice(active, func(a, b int) bool {
-		if !active[a].enqueued.Equal(active[b].enqueued) {
-			return active[a].enqueued.After(active[b].enqueued)
-		}
-		return active[a].id < active[b].id // stable order for ties
-	})
-	for _, j := range active {
-		if len(sum.Recent) >= maxRecent {
-			return sum
-		}
-		sum.Recent = append(sum.Recent, s.summaryOfLocked(j))
-	}
-	for i := len(s.retained) - 1; i >= 0 && len(sum.Recent) < maxRecent; i-- {
-		if j, ok := s.jobs[s.retained[i]]; ok {
-			sum.Recent = append(sum.Recent, s.summaryOfLocked(j))
-		}
-	}
-	return sum
-}
-
-// summaryOfLocked condenses one job for the dashboard; the caller
-// holds s.mu.
-func (s *Server) summaryOfLocked(j *Job) JobSummary {
-	js := JobSummary{ID: j.id, Kind: j.req.Kind, State: j.state}
-	switch j.state {
-	case StateQueued:
-		js.QueuedMs = s.cfg.Now().Sub(j.enqueued).Milliseconds()
-	case StateRunning:
-		js.QueuedMs = j.started.Sub(j.enqueued).Milliseconds()
-		js.RunMs = s.cfg.Now().Sub(j.started).Milliseconds()
-	default:
-		if !j.started.IsZero() {
-			js.QueuedMs = j.started.Sub(j.enqueued).Milliseconds()
-			js.RunMs = j.finished.Sub(j.started).Milliseconds()
-		} else {
-			js.QueuedMs = j.finished.Sub(j.enqueued).Milliseconds()
-		}
-	}
-	if j.err != nil {
-		js.Error = j.err.Error()
-	}
-	return js
-}
-
 // Mux returns the service's HTTP surface:
 //
 //	POST /run             submit and wait; the body is the Response
@@ -531,10 +405,10 @@ func (s *Server) admitHTTP(w http.ResponseWriter, r *http.Request) (*Job, bool, 
 	var status int
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		s.setRetryAfter(w)
+		setRetryAfter(w)
 		status = http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
-		s.setRetryAfter(w)
+		setRetryAfter(w)
 		status = http.StatusServiceUnavailable
 	case err != nil:
 		status = http.StatusBadRequest
@@ -641,7 +515,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	state := j.state
 	s.mu.Unlock()
 	if state == StateQueued || state == StateRunning {
-		s.setRetryAfter(w)
+		setRetryAfter(w)
 		n := writeError(w, http.StatusAccepted, errors.New("service: job still "+state))
 		s.logRequest(r, j, false, http.StatusAccepted, n)
 		return
@@ -673,24 +547,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Status   string `json:"status"`
 		Inflight int64  `json:"inflight"`
 		Schema   int    `json:"schema"`
-		Reason   string `json:"reason,omitempty"`
 	}{Status: "ok", Inflight: s.inflightN, Schema: SchemaVersion}
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
 		doc.Status = "draining"
-		s.setRetryAfter(w)
+		setRetryAfter(w)
 		writeJSON(w, http.StatusServiceUnavailable, doc)
 		return
-	}
-	if s.cfg.ReadyCheck != nil {
-		if err := s.cfg.ReadyCheck(); err != nil {
-			doc.Status = "degraded"
-			doc.Reason = err.Error()
-			s.setRetryAfter(w)
-			writeJSON(w, http.StatusServiceUnavailable, doc)
-			return
-		}
 	}
 	writeJSON(w, http.StatusOK, doc)
 }
@@ -718,40 +582,10 @@ func (s *Server) logRequest(r *http.Request, j *Job, coalesced bool, status, byt
 	b.Emit()
 }
 
-// maxRetryAfter caps the derived backoff; beyond a minute the estimate
-// says more about a cold window than about the queue.
-const maxRetryAfter = 60 * time.Second
-
-// retryAfterSecs derives the client backoff from live state: with a
-// warm service-time window, the advertised wait is the time the queue
-// needs to drain one slot — mean run time × (queue length + 1) spread
-// over the worker pool — clamped to [Config.RetryAfter, 60s]. A cold
-// window (service just started, telemetry off, no traffic this past
-// minute) falls back to the configured constant.
-func (s *Server) retryAfterSecs() int64 {
-	minSecs := int64(s.cfg.RetryAfter / time.Second)
-	if minSecs < 1 {
-		minSecs = 1
-	}
-	st := s.runWin.Stats(time.Minute)
-	if st.Count == 0 {
-		return minSecs
-	}
-	waitNs := st.Mean * float64(len(s.queue)+1) / float64(s.cfg.Workers)
-	secs := int64(math.Ceil(waitNs / float64(time.Second)))
-	if secs < minSecs {
-		secs = minSecs
-	}
-	if max := int64(maxRetryAfter / time.Second); secs > max {
-		secs = max
-	}
-	return secs
-}
-
-// setRetryAfter advertises the derived client backoff (Retry-After has
-// whole-second resolution, so at least 1s).
-func (s *Server) setRetryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.FormatInt(s.retryAfterSecs(), 10))
+// setRetryAfter advertises the client backoff on 429, 503 and 202
+// answers: a constant second, Retry-After's smallest useful value.
+func setRetryAfter(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", "1")
 }
 
 func writeJSON(w http.ResponseWriter, status int, doc any) int {

@@ -78,7 +78,7 @@ func reqBody(seed int64) string {
 // while an identical request coalesces onto the queued job for free.
 func TestQueueFullBackpressure(t *testing.T) {
 	// No Worker loops are started: admitted jobs sit in the queue.
-	srv := New(Config{QueueDepth: 1, Workers: 1, RetryAfter: 3 * time.Second})
+	srv := New(Config{QueueDepth: 1, Workers: 1})
 	ts := httptest.NewServer(srv.Mux())
 	defer ts.Close()
 
@@ -91,8 +91,8 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: status %d, want 429 (body %s)", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "3" {
-		t.Errorf("overflow Retry-After = %q, want %q", got, "3")
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("overflow Retry-After = %q, want %q", got, "1")
 	}
 	if !strings.Contains(string(body), "queue full") {
 		t.Errorf("overflow body = %s, want a queue-full error", body)
@@ -266,40 +266,6 @@ func TestShutdownDeadline(t *testing.T) {
 	}
 	if _, ok := srv.Lookup(j.ID()); ok {
 		t.Error("failed job still addressable; failed jobs should be forgotten")
-	}
-}
-
-// TestOnJobDoneHook pins the run-history integration point: the hook
-// fires exactly once per worker-completed job (coalesced duplicates
-// share one execution, so one firing), and never for jobs a shutdown
-// deadline failed administratively.
-func TestOnJobDoneHook(t *testing.T) {
-	var mu sync.Mutex
-	done := 0
-	_, ts := startServer(t, Config{QueueDepth: 4, Workers: 1, OnJobDone: func() {
-		mu.Lock()
-		done++
-		mu.Unlock()
-	}})
-
-	postJSON(t, ts.URL+"/run", reqBody(41))
-	postJSON(t, ts.URL+"/run", reqBody(41)) // coalesces: same execution
-	postJSON(t, ts.URL+"/run", reqBody(42))
-
-	// The hook fires just after the synchronous responder unblocks;
-	// give the worker goroutine a beat to get there.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := done
-		mu.Unlock()
-		if n >= 2 || time.Now().After(deadline) {
-			if n != 2 {
-				t.Fatalf("OnJobDone fired %d time(s), want 2", n)
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

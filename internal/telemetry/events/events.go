@@ -200,7 +200,7 @@ var ring struct {
 }
 
 // record appends one event, overwriting the oldest once the ring is
-// full, then fans it out to live subscribers.
+// full.
 func record(e Event) {
 	ring.mu.Lock()
 	if ring.cap == 0 {
@@ -218,60 +218,6 @@ func record(e Event) {
 	}
 	telEmitted.Inc()
 	ring.mu.Unlock()
-	publish(e)
-}
-
-// subscribers is the live fan-out registry behind Subscribe. A
-// separate lock from the ring keeps the hot record path's critical
-// section small; publish runs after the ring append, so a subscriber
-// that joined before an event never sees it out of order with Collect.
-var subscribers struct {
-	mu   sync.Mutex
-	next int
-	m    map[int]chan Event
-}
-
-// Subscribe registers a live event listener: every event recorded
-// after the call is offered to the returned channel, which carries the
-// given buffer capacity (minimum 1). Delivery is non-blocking — a
-// subscriber that falls behind loses events rather than stalling
-// emitters; the ring (Collect, Dump) remains the lossless-within-
-// capacity record. cancel unregisters the channel and closes it;
-// it is safe to call more than once.
-func Subscribe(buf int) (ch <-chan Event, cancel func()) {
-	if buf < 1 {
-		buf = 1
-	}
-	c := make(chan Event, buf)
-	subscribers.mu.Lock()
-	if subscribers.m == nil {
-		subscribers.m = make(map[int]chan Event)
-	}
-	id := subscribers.next
-	subscribers.next++
-	subscribers.m[id] = c
-	subscribers.mu.Unlock()
-	var once sync.Once
-	return c, func() {
-		once.Do(func() {
-			subscribers.mu.Lock()
-			delete(subscribers.m, id)
-			subscribers.mu.Unlock()
-			close(c)
-		})
-	}
-}
-
-// publish offers e to every live subscriber without blocking.
-func publish(e Event) {
-	subscribers.mu.Lock()
-	for _, c := range subscribers.m {
-		select {
-		case c <- e:
-		default: // subscriber behind: drop rather than stall the emitter
-		}
-	}
-	subscribers.mu.Unlock()
 }
 
 // Dropped returns the number of events overwritten because the ring

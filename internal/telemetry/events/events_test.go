@@ -257,68 +257,3 @@ func TestSetEnabledRestore(t *testing.T) {
 		t.Fatal("restore did not disable")
 	}
 }
-
-// TestSubscribeFanout: a subscriber receives events recorded after it
-// joined, a slow subscriber drops rather than stalls the emitter, and
-// cancel closes the channel idempotently.
-func TestSubscribeFanout(t *testing.T) {
-	defer SetEnabled(true)()
-	Reset()
-
-	ch, cancel := Subscribe(4)
-	defer cancel()
-	New("sub.one").Int("n", 1).Emit()
-	New("sub.two").Int("n", 2).Emit()
-
-	for _, want := range []string{"sub.one", "sub.two"} {
-		select {
-		case e := <-ch:
-			if e.Kind != want {
-				t.Errorf("received %q, want %q", e.Kind, want)
-			}
-		default:
-			t.Fatalf("no %q event delivered", want)
-		}
-	}
-
-	// Overflow the buffer: emitters must not block, the tail is lost.
-	for i := 0; i < 10; i++ {
-		New("sub.burst").Int("n", int64(i)).Emit()
-	}
-	if got := len(ch); got != 4 {
-		t.Errorf("buffered events = %d, want the channel capacity 4", got)
-	}
-	// The ring kept everything regardless.
-	var burst int
-	for _, e := range Collect() {
-		if e.Kind == "sub.burst" {
-			burst++
-		}
-	}
-	if burst != 10 {
-		t.Errorf("ring holds %d burst events, want 10", burst)
-	}
-
-	cancel()
-	cancel() // idempotent
-	if _, ok := <-drain(ch); ok {
-		// after drain, the channel must be closed
-		t.Error("cancelled channel still open")
-	}
-	New("sub.after").Emit() // must not panic on the closed channel
-	Reset()
-}
-
-// drain empties ch of its buffered events and returns it.
-func drain(ch <-chan Event) <-chan Event {
-	for {
-		select {
-		case _, ok := <-ch:
-			if !ok {
-				return ch
-			}
-		default:
-			return ch
-		}
-	}
-}

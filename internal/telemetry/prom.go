@@ -69,31 +69,6 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 		fmt.Fprintf(&b, "%s_sum{unit=%q} %d\n", n, unit, h.Sum)
 		fmt.Fprintf(&b, "%s_count{unit=%q} %d\n", n, unit, h.Count)
 	}
-	for _, win := range s.Windows {
-		// Rolling windows render under a _window suffix so they never
-		// collide with the lifetime histogram of the same name; the
-		// horizon label distinguishes the readouts.
-		n := promName(win.Name) + "_window"
-		unit := win.Unit
-		if unit == "" {
-			unit = "ns"
-		}
-		fmt.Fprintf(&b, "# TYPE %s summary\n", n)
-		for _, h := range win.Horizons {
-			fmt.Fprintf(&b, "%s{unit=%q,horizon=%q,quantile=\"0.5\"} %d\n", n, unit, h.Label, h.P50)
-			fmt.Fprintf(&b, "%s{unit=%q,horizon=%q,quantile=\"0.95\"} %d\n", n, unit, h.Label, h.P95)
-			fmt.Fprintf(&b, "%s{unit=%q,horizon=%q,quantile=\"0.99\"} %d\n", n, unit, h.Label, h.P99)
-			fmt.Fprintf(&b, "%s_count{unit=%q,horizon=%q} %d\n", n, unit, h.Label, h.Count)
-		}
-		fmt.Fprintf(&b, "# TYPE %s_rate gauge\n", n)
-		for _, h := range win.Horizons {
-			fmt.Fprintf(&b, "%s_rate{horizon=%q} %g\n", n, h.Label, h.RatePerSec)
-		}
-		fmt.Fprintf(&b, "# TYPE %s_error_rate gauge\n", n)
-		for _, h := range win.Horizons {
-			fmt.Fprintf(&b, "%s_error_rate{horizon=%q} %g\n", n, h.Label, h.ErrorRate)
-		}
-	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }

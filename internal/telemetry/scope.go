@@ -7,12 +7,11 @@ import (
 
 // Scope attributes recordings to one unit of work — the accordiond
 // server opens one per job — so concurrent jobs can each report their
-// own cache hits and stage timings instead of reading the shared
-// process-wide totals. A scoped recording always lands in the global
-// metric first (the process totals stay authoritative) and then
-// tallies into the scope, so for any counter the global delta over an
-// interval equals the sum of the scoped tallies plus whatever
-// unscoped call sites recorded.
+// own cache hits instead of reading the shared process-wide totals. A
+// scoped recording always lands in the global counter first (the
+// process totals stay authoritative) and then tallies into the scope,
+// so for any counter the global delta over an interval equals the sum
+// of the scoped tallies plus whatever unscoped call sites recorded.
 //
 // Scope methods are safe for concurrent use: the work a scope covers
 // typically fans out across the parallel pool's goroutines. A nil
@@ -21,17 +20,6 @@ import (
 type Scope struct {
 	mu       sync.Mutex
 	counters map[string]int64
-	hists    map[string]*scopeHist
-}
-
-// scopeHist mirrors a Histogram's accumulation for one scope.
-type scopeHist struct {
-	unit   string
-	count  int64
-	sum    int64
-	min    int64
-	max    int64
-	counts [histBuckets]int64
 }
 
 // NewScope returns an empty scope ready to receive attributions.
@@ -44,32 +32,6 @@ func (sc *Scope) addCounter(name string, n int64) {
 		sc.counters = make(map[string]int64)
 	}
 	sc.counters[name] += n
-	sc.mu.Unlock()
-}
-
-// observe tallies one histogram observation inside the scope.
-func (sc *Scope) observe(name, unit string, v int64) {
-	if v < 0 {
-		v = 0
-	}
-	sc.mu.Lock()
-	if sc.hists == nil {
-		sc.hists = make(map[string]*scopeHist)
-	}
-	h, ok := sc.hists[name]
-	if !ok {
-		h = &scopeHist{unit: unit}
-		sc.hists[name] = h
-	}
-	h.count++
-	h.sum += v
-	if h.count == 1 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.counts[bucketOf(v)]++
 	sc.mu.Unlock()
 }
 
@@ -99,39 +61,6 @@ func (sc *Scope) Counters() []CounterSnapshot {
 	return out
 }
 
-// Histograms returns the scope's histogram tallies sorted by name,
-// with the same interpolated quantiles a registry snapshot carries.
-// Nil-safe.
-func (sc *Scope) Histograms() []HistogramSnapshot {
-	if sc == nil {
-		return nil
-	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	out := make([]HistogramSnapshot, 0, len(sc.hists))
-	for _, n := range sortedNames(sc.hists) {
-		h := sc.hists[n]
-		s := HistogramSnapshot{
-			Name:    n,
-			Unit:    h.unit,
-			Count:   h.count,
-			Sum:     h.sum,
-			Min:     h.min,
-			Max:     h.max,
-			Buckets: h.counts,
-		}
-		if h.count > 0 {
-			s.Mean = float64(h.sum) / float64(h.count)
-			counts := h.counts
-			s.P50 = quantile(&counts, h.count, 0.50, h.min, h.max)
-			s.P95 = quantile(&counts, h.count, 0.95, h.min, h.max)
-			s.P99 = quantile(&counts, h.count, 0.99, h.min, h.max)
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // AddScoped increments the counter globally and tallies the increment
 // into sc. Both receiver and scope are nil-safe; a disabled switch
 // records nowhere.
@@ -147,19 +76,6 @@ func (c *Counter) AddScoped(sc *Scope, n int64) {
 
 // IncScoped is AddScoped by one.
 func (c *Counter) IncScoped(sc *Scope) { c.AddScoped(sc, 1) }
-
-// ObserveScoped records the value globally and tallies it into sc.
-// Both receiver and scope are nil-safe; a disabled switch records
-// nowhere.
-func (h *Histogram) ObserveScoped(sc *Scope, v int64) {
-	if h == nil || !enabled.Load() {
-		return
-	}
-	h.observe(v)
-	if sc != nil {
-		sc.observe(h.name, h.unit, v)
-	}
-}
 
 // scopeKey is the context key carrying the active scope.
 type scopeKey struct{}
@@ -182,89 +98,4 @@ func ScopeFrom(ctx context.Context) *Scope {
 	}
 	sc, _ := ctx.Value(scopeKey{}).(*Scope)
 	return sc
-}
-
-// Sub returns the per-metric delta cur − prev, the windowless way to
-// answer "what happened between these two captures": fleet pollers and
-// per-interval controllers diff snapshots instead of tracking lifetime
-// totals. Counters subtract and clamp at the current value when the
-// previous reading is larger (a Reset between captures restarts the
-// count, so the delta since the reset is everything current). Gauges
-// are levels, not totals — the current reading carries over. Histogram
-// deltas subtract bucket-by-bucket and recompute the quantiles over
-// only the new observations; a shrunken count likewise reads as a
-// reset. Windows are already time-local deltas and carry over as-is.
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	out := Snapshot{
-		Enabled:    s.Enabled,
-		Counters:   make([]CounterSnapshot, len(s.Counters)),
-		Gauges:     append([]GaugeSnapshot(nil), s.Gauges...),
-		Histograms: make([]HistogramSnapshot, len(s.Histograms)),
-		Windows:    append([]WindowSnapshot(nil), s.Windows...),
-	}
-	prevC := make(map[string]int64, len(prev.Counters))
-	for _, c := range prev.Counters {
-		prevC[c.Name] = c.Value
-	}
-	for i, c := range s.Counters {
-		d := c.Value - prevC[c.Name]
-		if d < 0 {
-			d = c.Value
-		}
-		out.Counters[i] = CounterSnapshot{Name: c.Name, Value: d}
-	}
-	prevH := make(map[string]HistogramSnapshot, len(prev.Histograms))
-	for _, h := range prev.Histograms {
-		prevH[h.Name] = h
-	}
-	for i, h := range s.Histograms {
-		out.Histograms[i] = subHistogram(h, prevH[h.Name])
-	}
-	return out
-}
-
-// subHistogram computes one histogram's delta. The missing-prev case
-// falls out naturally: a zero HistogramSnapshot subtracts nothing.
-func subHistogram(cur, prev HistogramSnapshot) HistogramSnapshot {
-	if cur.Count < prev.Count {
-		// Reset between captures: everything current is new.
-		return cur
-	}
-	d := HistogramSnapshot{
-		Name:  cur.Name,
-		Unit:  cur.Unit,
-		Count: cur.Count - prev.Count,
-		Sum:   cur.Sum - prev.Sum,
-	}
-	if d.Count == 0 {
-		// Empty delta: no new observations, so no distribution. Sum
-		// can only be stale skew; clamp it.
-		d.Sum = 0
-		return d
-	}
-	var total int64
-	for i := range cur.Buckets {
-		db := cur.Buckets[i] - prev.Buckets[i]
-		if db < 0 {
-			// Concurrent-recording skew between the bucket reads of
-			// the two captures; a bucket never truly shrinks.
-			db = 0
-		}
-		d.Buckets[i] = db
-		total += db
-	}
-	if d.Sum < 0 {
-		d.Sum = 0
-	}
-	d.Mean = float64(d.Sum) / float64(d.Count)
-	// The delta's envelope is not recoverable from the moments; the
-	// current envelope is the tightest safe clamp.
-	d.Min = cur.Min
-	d.Max = cur.Max
-	if total > 0 {
-		d.P50 = quantile(&d.Buckets, total, 0.50, d.Min, d.Max)
-		d.P95 = quantile(&d.Buckets, total, 0.95, d.Min, d.Max)
-		d.P99 = quantile(&d.Buckets, total, 0.99, d.Min, d.Max)
-	}
-	return d
 }

@@ -35,37 +35,6 @@ func TestScopedCounterAttribution(t *testing.T) {
 	}
 }
 
-// TestScopedHistogram checks scoped observations accumulate a private
-// distribution beside the global one.
-func TestScopedHistogram(t *testing.T) {
-	defer SetEnabled(true)()
-	h := GetHistogramWithUnit("test.scope.hist", "bytes")
-	h.reset()
-	sc := NewScope()
-	for i := int64(1); i <= 100; i++ {
-		h.ObserveScoped(sc, i)
-	}
-	h.Observe(1 << 30) // global-only outlier
-
-	hs := sc.Histograms()
-	if len(hs) != 1 {
-		t.Fatalf("scope histograms = %d, want 1", len(hs))
-	}
-	s := hs[0]
-	if s.Name != "test.scope.hist" || s.Unit != "bytes" {
-		t.Errorf("name/unit = %s/%s", s.Name, s.Unit)
-	}
-	if s.Count != 100 || s.Min != 1 || s.Max != 100 {
-		t.Errorf("scope distribution = %+v, want count 100 in [1,100]", s)
-	}
-	if s.Max >= 1<<30 {
-		t.Error("global-only outlier leaked into the scope")
-	}
-	if h.Count() != 101 {
-		t.Errorf("global count = %d, want 101", h.Count())
-	}
-}
-
 // TestScopeDisabledAndNil: with the switch off nothing records
 // anywhere, and nil scopes/handles are no-ops.
 func TestScopeDisabledAndNil(t *testing.T) {
@@ -85,10 +54,8 @@ func TestScopeDisabledAndNil(t *testing.T) {
 	}
 	var nilC *Counter
 	nilC.AddScoped(sc, 1)
-	var nilH *Histogram
-	nilH.ObserveScoped(sc, 1)
 	var nilScope *Scope
-	if nilScope.CounterValue("x") != 0 || nilScope.Counters() != nil || nilScope.Histograms() != nil {
+	if nilScope.CounterValue("x") != 0 || nilScope.Counters() != nil {
 		t.Error("nil scope readouts are not zero")
 	}
 
@@ -149,113 +116,5 @@ func TestScopeConcurrentAttribution(t *testing.T) {
 	}
 	if got := c.Value(); got != sum {
 		t.Errorf("global %d != sum of scopes %d", got, sum)
-	}
-}
-
-// captureByName pulls one counter/histogram pair out of a snapshot.
-func histByName(s Snapshot, name string) (HistogramSnapshot, bool) {
-	for _, h := range s.Histograms {
-		if h.Name == name {
-			return h, true
-		}
-	}
-	return HistogramSnapshot{}, false
-}
-
-func counterByName(s Snapshot, name string) int64 {
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
-}
-
-// TestSnapshotSubCounters pins delta semantics including the
-// reset-between-captures clamp.
-func TestSnapshotSubCounters(t *testing.T) {
-	defer SetEnabled(true)()
-	c := GetCounter("test.sub.counter")
-	c.reset()
-	c.Add(10)
-	prev := Capture()
-	c.Add(7)
-	d := Capture().Sub(prev)
-	if got := counterByName(d, "test.sub.counter"); got != 7 {
-		t.Errorf("delta = %d, want 7", got)
-	}
-
-	// A reset between captures: the counter restarted, so the delta is
-	// everything current, never negative.
-	c.reset()
-	c.Add(3)
-	d = Capture().Sub(prev)
-	if got := counterByName(d, "test.sub.counter"); got != 3 {
-		t.Errorf("post-reset delta = %d, want 3 (clamped to current)", got)
-	}
-}
-
-// TestSnapshotSubHistograms pins the three histogram delta cases: a
-// real delta recomputes quantiles over only the new observations, an
-// empty delta reads as zeros, and a reset reads as "everything
-// current".
-func TestSnapshotSubHistograms(t *testing.T) {
-	defer SetEnabled(true)()
-	h := GetHistogram("test.sub.hist")
-	h.reset()
-	for i := 0; i < 100; i++ {
-		h.Observe(100) // old regime: fast
-	}
-	prev := Capture()
-
-	// Empty delta first: no new observations.
-	empty, ok := histByName(Capture().Sub(prev), "test.sub.hist")
-	if !ok {
-		t.Fatal("delta snapshot misses the histogram")
-	}
-	if empty.Count != 0 || empty.Sum != 0 || empty.P50 != 0 || empty.P99 != 0 {
-		t.Errorf("empty delta = %+v, want all-zero moments", empty)
-	}
-
-	// Real delta: the new observations are ~1000x slower; the delta's
-	// p50 must reflect only them, not the cumulative distribution.
-	for i := 0; i < 100; i++ {
-		h.Observe(100_000)
-	}
-	d, _ := histByName(Capture().Sub(prev), "test.sub.hist")
-	if d.Count != 100 {
-		t.Fatalf("delta count = %d, want 100", d.Count)
-	}
-	if d.P50 < 50_000 {
-		t.Errorf("delta p50 = %d, want ~100000 (cumulative p50 would be ~100)", d.P50)
-	}
-	if d.Mean != 100_000 {
-		t.Errorf("delta mean = %g, want 100000", d.Mean)
-	}
-
-	// Reset between captures: current count < previous count, so the
-	// whole current distribution is the delta.
-	h.reset()
-	h.Observe(40)
-	r, _ := histByName(Capture().Sub(prev), "test.sub.hist")
-	if r.Count != 1 || r.Max != 40 {
-		t.Errorf("post-reset delta = %+v, want the single current observation", r)
-	}
-}
-
-// TestSnapshotSubGauges: gauges are levels, not totals — Sub carries
-// the current reading.
-func TestSnapshotSubGauges(t *testing.T) {
-	defer SetEnabled(true)()
-	g := GetGauge("test.sub.gauge")
-	g.reset()
-	g.Set(5)
-	prev := Capture()
-	g.Set(9)
-	d := Capture().Sub(prev)
-	for _, gs := range d.Gauges {
-		if gs.Name == "test.sub.gauge" && gs.Value != 9 {
-			t.Errorf("gauge in delta = %d, want current level 9", gs.Value)
-		}
 	}
 }

@@ -36,56 +36,6 @@ type HistogramSnapshot struct {
 	P50   int64   `json:"p50"`
 	P95   int64   `json:"p95"`
 	P99   int64   `json:"p99"`
-	// Buckets carries the raw power-of-two bucket counts so Sub can
-	// recompute quantiles over a delta. It stays out of the JSON
-	// rendering: the wire shape of /telemetryz is unchanged.
-	Buckets [histBuckets]int64 `json:"-"`
-}
-
-// WindowHorizonSnapshot is one horizon's readout of a rolling window:
-// the last-1m/5m rates and quantiles the live ops surface serves.
-type WindowHorizonSnapshot struct {
-	Label      string  `json:"label"`
-	Count      int64   `json:"count"`
-	Errors     int64   `json:"errors"`
-	RatePerSec float64 `json:"rate_per_sec"`
-	ErrorRate  float64 `json:"error_rate"`
-	Mean       float64 `json:"mean"`
-	Min        int64   `json:"min"`
-	Max        int64   `json:"max"`
-	P50        int64   `json:"p50"`
-	P95        int64   `json:"p95"`
-	P99        int64   `json:"p99"`
-}
-
-// WindowSnapshot is one rolling window's point-in-time reading across
-// the standard horizons.
-type WindowSnapshot struct {
-	Name     string                  `json:"name"`
-	Unit     string                  `json:"unit"`
-	Horizons []WindowHorizonSnapshot `json:"horizons"`
-}
-
-// snapshot reads the window across the standard horizons.
-func (w *Window) snapshot() WindowSnapshot {
-	s := WindowSnapshot{Name: w.name, Unit: w.unit}
-	for _, h := range windowHorizons {
-		st := w.Stats(h.d)
-		s.Horizons = append(s.Horizons, WindowHorizonSnapshot{
-			Label:      h.label,
-			Count:      st.Count,
-			Errors:     st.Errors,
-			RatePerSec: st.RatePerSec,
-			ErrorRate:  st.ErrorRate,
-			Mean:       st.Mean,
-			Min:        st.Min,
-			Max:        st.Max,
-			P50:        st.P50,
-			P95:        st.P95,
-			P99:        st.P99,
-		})
-	}
-	return s
 }
 
 // Snapshot is a consistent-enough point-in-time view of every
@@ -97,7 +47,6 @@ type Snapshot struct {
 	Counters   []CounterSnapshot   `json:"counters"`
 	Gauges     []GaugeSnapshot     `json:"gauges"`
 	Histograms []HistogramSnapshot `json:"histograms"`
-	Windows    []WindowSnapshot    `json:"windows,omitempty"`
 }
 
 // Capture reads every registered metric. It is cheap enough to call
@@ -116,10 +65,6 @@ func Capture() Snapshot {
 	for _, n := range sortedNames(reg.histograms) {
 		hists = append(hists, reg.histograms[n])
 	}
-	windows := make([]*Window, 0, len(reg.windows))
-	for _, n := range sortedNames(reg.windows) {
-		windows = append(windows, reg.windows[n])
-	}
 	reg.mu.Unlock()
 
 	s := Snapshot{
@@ -136,9 +81,6 @@ func Capture() Snapshot {
 	}
 	for _, h := range hists {
 		s.Histograms = append(s.Histograms, h.snapshot())
-	}
-	for _, w := range windows {
-		s.Windows = append(s.Windows, w.snapshot())
 	}
 	return s
 }
@@ -207,22 +149,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 				width, h.Name, h.Count, fmtUnit(int64(h.Mean), h.Unit),
 				fmtUnit(h.P50, h.Unit), fmtUnit(h.P95, h.Unit),
 				fmtUnit(h.P99, h.Unit), fmtUnit(h.Max, h.Unit))
-		}
-	}
-	if len(s.Windows) > 0 {
-		width := 0
-		for _, win := range s.Windows {
-			if len(win.Name) > width {
-				width = len(win.Name)
-			}
-		}
-		b.WriteString("-- windows (horizon: n rate err p50 p99)\n")
-		for _, win := range s.Windows {
-			for _, h := range win.Horizons {
-				fmt.Fprintf(&b, "%-*s  %s: n=%d  rate=%.2f/s  err=%.4f  p50=%s  p99=%s\n",
-					width, win.Name, h.Label, h.Count, h.RatePerSec, h.ErrorRate,
-					fmtUnit(h.P50, win.Unit), fmtUnit(h.P99, win.Unit))
-			}
 		}
 	}
 	_, err := io.WriteString(w, b.String())

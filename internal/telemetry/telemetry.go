@@ -214,7 +214,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 		counts[i] = h.buckets[i].Load()
 		total += counts[i]
 	}
-	s.Buckets = counts
 	if total == 0 {
 		return s
 	}
@@ -299,7 +298,6 @@ var reg struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	windows    map[string]*Window
 }
 
 // GetCounter returns the process-wide counter registered under name,
@@ -374,9 +372,6 @@ func Reset() {
 	}
 	for _, h := range reg.histograms {
 		h.reset()
-	}
-	for _, w := range reg.windows {
-		w.reset()
 	}
 }
 
