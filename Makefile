@@ -70,10 +70,12 @@ bench-field:
 
 # Drive the real accordiond over HTTP with the benchmark's serve
 # workload: it fails on any non-200 answer, a replay whose bytes differ,
-# or a SIGTERM that does not drain to exit 0. Mirrors the CI
-# service-smoke job.
+# or a SIGTERM that does not drain to exit 0. Then run the benchmark
+# module's own tests, which `go test ./...` does not reach. Mirrors the
+# CI service-smoke job.
 service-smoke:
 	bash benchmark/run.sh --workload serve --seed 1 --seconds 3 --trace 0
+	cd benchmark && go test .
 
 # Gate the newest record in the committed run-history store against
 # its baseline window (see README "Run history & regression gate");
@@ -84,4 +86,4 @@ history-check:
 
 # Regenerate the pinned golden artifacts after an intentional model change.
 golden:
-	UPDATE_GOLDEN=1 go test ./internal/experiments
+	UPDATE_GOLDEN=1 go test ./internal/experiments ./internal/rms/canneal

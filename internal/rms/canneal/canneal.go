@@ -104,107 +104,99 @@ func (b *Benchmark) Profile() sim.WorkProfile {
 	}
 }
 
-// placement maps element -> grid slot and slot -> element (or -1).
+// placement holds each element's grid coordinates and a cache of every
+// net's HPWL. deltaCost scores a swap into pending and scratch, and
+// swap commits it, so each attempted swap costs one bounding-box pass
+// per touching net.
 type placement struct {
-	slotOf []int
-	elemAt []int
-	w      int
+	x, y    []int32
+	cost    []int32  // cached HPWL of each net
+	stamp   []uint32 // the deltaCost generation that last scored each net
+	gen     uint32
+	pending []int   // nets the last deltaCost scored, each once
+	scratch []int32 // their HPWL with that swap applied
 }
 
 func (b *Benchmark) initialPlacement() *placement {
+	nl := b.netlist
 	p := &placement{
-		slotOf: make([]int, b.netlist.Elements),
-		elemAt: make([]int, b.netlist.GridW*b.netlist.GridH),
-		w:      b.netlist.GridW,
-	}
-	for i := range p.elemAt {
-		p.elemAt[i] = -1
+		x:     make([]int32, nl.Elements),
+		y:     make([]int32, nl.Elements),
+		cost:  make([]int32, len(nl.Nets)),
+		stamp: make([]uint32, len(nl.Nets)),
 	}
 	// Scatter elements deterministically: a fixed permutation of slots.
-	perm := mathx.NewRNG(b.seed).Perm(len(p.elemAt))
-	for e := 0; e < b.netlist.Elements; e++ {
-		p.slotOf[e] = perm[e]
-		p.elemAt[perm[e]] = e
+	perm := mathx.NewRNG(b.seed).Perm(nl.GridW * nl.GridH)
+	for e := range p.x {
+		p.x[e], p.y[e] = int32(perm[e]%nl.GridW), int32(perm[e]/nl.GridW)
+	}
+	for i := range p.cost {
+		p.cost[i] = b.netCost(p, i)
 	}
 	return p
 }
 
 // netCost returns the half-perimeter wirelength (HPWL) of net i: the
-// semi-perimeter of the bounding box of its pins' slots.
-func (b *Benchmark) netCost(p *placement, i int) float64 {
+// semi-perimeter of the bounding box of its pins.
+func (b *Benchmark) netCost(p *placement, i int) int32 {
 	pins := b.netlist.Nets[i]
-	s0 := p.slotOf[pins[0]]
-	minX, maxX := s0%p.w, s0%p.w
-	minY, maxY := s0/p.w, s0/p.w
+	minX, minY := p.x[pins[0]], p.y[pins[0]]
+	maxX, maxY := minX, minY
 	for _, e := range pins[1:] {
-		slot := p.slotOf[e]
-		x, y := slot%p.w, slot/p.w
-		if x < minX {
-			minX = x
-		}
-		if x > maxX {
-			maxX = x
-		}
-		if y < minY {
-			minY = y
-		}
-		if y > maxY {
-			maxY = y
-		}
+		x, y := p.x[e], p.y[e]
+		minX, maxX = min(minX, x), max(maxX, x)
+		minY, maxY = min(minY, y), max(maxY, y)
 	}
-	return float64(maxX-minX) + float64(maxY-minY)
+	return maxX - minX + maxY - minY
 }
 
-// totalCost returns the routing cost of the placement.
-func (b *Benchmark) totalCost(p *placement) float64 {
-	c := 0.0
-	for i := range b.netlist.Nets {
-		c += b.netCost(p, i)
+// totalCost returns the routing cost of the placement. HPWLs are small
+// integers, so every sum of them is exact in any order.
+func (p *placement) totalCost() float64 {
+	c := 0
+	for _, v := range p.cost {
+		c += int(v)
 	}
-	return c
+	return float64(c)
 }
 
-// netTouches reports whether net ni contains element e.
-func (b *Benchmark) netTouches(ni, e int) bool {
-	for _, pin := range b.netlist.Nets[ni] {
-		if pin == e {
-			return true
-		}
-	}
-	return false
-}
-
-// deltaCost returns the routing-cost change of swapping elements a and b.
+// deltaCost returns the routing-cost change of swapping elements ea and
+// eb and leaves the touching nets' new HPWLs pending for swap.
 func (b *Benchmark) deltaCost(p *placement, ea, eb int) float64 {
-	before := 0.0
-	for _, ni := range b.byElem[ea] {
-		before += b.netCost(p, ni)
+	if p.gen++; p.gen == 0 { // wrapped: forget every old stamp
+		clear(p.stamp)
+		p.gen = 1
 	}
-	for _, ni := range b.byElem[eb] {
-		if b.netTouches(ni, ea) {
-			continue // shared net already counted
+	p.exchange(ea, eb)
+	p.pending, p.scratch = p.pending[:0], p.scratch[:0]
+	d := int32(0)
+	for _, e := range [2]int{ea, eb} {
+		for _, ni := range b.byElem[e] {
+			if p.stamp[ni] == p.gen {
+				continue // a net on both elements is scored once
+			}
+			p.stamp[ni] = p.gen
+			c := b.netCost(p, ni)
+			p.pending, p.scratch = append(p.pending, ni), append(p.scratch, c)
+			d += c - p.cost[ni]
 		}
-		before += b.netCost(p, ni)
 	}
-	p.slotOf[ea], p.slotOf[eb] = p.slotOf[eb], p.slotOf[ea]
-	after := 0.0
-	for _, ni := range b.byElem[ea] {
-		after += b.netCost(p, ni)
-	}
-	for _, ni := range b.byElem[eb] {
-		if b.netTouches(ni, ea) {
-			continue
-		}
-		after += b.netCost(p, ni)
-	}
-	p.slotOf[ea], p.slotOf[eb] = p.slotOf[eb], p.slotOf[ea]
-	return after - before
+	p.exchange(ea, eb)
+	return float64(d)
 }
 
+// swap commits the swap of ea and eb that deltaCost last scored.
 func (p *placement) swap(ea, eb int) {
-	sa, sb := p.slotOf[ea], p.slotOf[eb]
-	p.slotOf[ea], p.slotOf[eb] = sb, sa
-	p.elemAt[sa], p.elemAt[sb] = eb, ea
+	p.exchange(ea, eb)
+	for k, ni := range p.pending {
+		p.cost[ni] = p.scratch[k]
+	}
+}
+
+// exchange swaps the coordinates of elements ea and eb.
+func (p *placement) exchange(ea, eb int) {
+	p.x[ea], p.x[eb] = p.x[eb], p.x[ea]
+	p.y[ea], p.y[eb] = p.y[eb], p.y[ea]
 }
 
 // Run implements rms.Benchmark. The output is the single routing-cost
@@ -261,7 +253,7 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 		}
 		temp *= b.tDecay
 	}
-	return rms.Result{Output: []float64{b.totalCost(p)}, Ops: ops}, nil
+	return rms.Result{Output: []float64{p.totalCost()}, Ops: ops}, nil
 }
 
 // Quality implements rms.Benchmark: the relative routing cost, the

@@ -1,9 +1,11 @@
 package canneal
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/mathx"
 	"repro/internal/rms"
 	"repro/internal/rms/rmstest"
 )
@@ -24,7 +26,7 @@ func TestConformance(t *testing.T) {
 func TestAnnealingReducesCost(t *testing.T) {
 	b := newBench(t)
 	p := b.initialPlacement()
-	initial := b.totalCost(p)
+	initial := p.totalCost()
 	res, err := b.Run(b.DefaultInput(), 16, fault.Plan{}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -37,28 +39,117 @@ func TestAnnealingReducesCost(t *testing.T) {
 	}
 }
 
+// freshTotal recomputes the routing cost from the coordinates alone,
+// summing in float64 as the pre-cache kernel did.
+func freshTotal(b *Benchmark, p *placement) float64 {
+	c := 0.0
+	for i := range b.netlist.Nets {
+		c += float64(b.netCost(p, i))
+	}
+	return c
+}
+
+// Every scored delta, applied in sequence, must carry the exact bits
+// of the true change in total cost, and must have scored each touching
+// net exactly once. Pairs on a common net exercise the shared-net
+// dedupe; starting near the top of the generation counter makes the
+// sequence cross its wrap.
 func TestDeltaCostMatchesTotal(t *testing.T) {
 	b := newBench(t)
 	p := b.initialPlacement()
-	before := b.totalCost(p)
-	ea, eb := 3, 997
-	delta := b.deltaCost(p, ea, eb)
-	p.swap(ea, eb)
-	after := b.totalCost(p)
-	if diff := after - before - delta; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("incremental delta %.3f vs true delta %.3f", delta, after-before)
+	p.gen = math.MaxUint32 - 150
+	pairs := [][2]int{{3, 997}}
+	for i := 0; i < 50; i++ {
+		pins := b.netlist.Nets[i*37]
+		pairs = append(pairs, [2]int{pins[0], pins[len(pins)-1]})
+	}
+	rng := mathx.NewRNG(5)
+	for len(pairs) < 300 {
+		pairs = append(pairs, [2]int{rng.Intn(b.netlist.Elements), rng.Intn(b.netlist.Elements)})
+	}
+	before := freshTotal(b, p)
+	for _, pr := range pairs {
+		delta := b.deltaCost(p, pr[0], pr[1])
+		touching := map[int]bool{}
+		for _, e := range pr {
+			for _, ni := range b.byElem[e] {
+				touching[ni] = true
+			}
+		}
+		for _, ni := range p.pending {
+			if !touching[ni] {
+				t.Fatalf("swap %v: net %d scored twice or not touching", pr, ni)
+			}
+			delete(touching, ni)
+		}
+		if len(touching) != 0 {
+			t.Fatalf("swap %v: %d touching nets left unscored", pr, len(touching))
+		}
+		p.swap(pr[0], pr[1])
+		after := freshTotal(b, p)
+		if math.Float64bits(delta) != math.Float64bits(after-before) {
+			t.Fatalf("swap %v: incremental delta %g vs true delta %g", pr, delta, after-before)
+		}
+		before = after
+	}
+	if got := p.totalCost(); math.Float64bits(got) != math.Float64bits(before) {
+		t.Errorf("cached total %g vs recomputed %g", got, before)
 	}
 }
 
+// Scored swaps with about half accepted must keep one element per slot
+// and every cached net cost equal to a fresh computation.
 func TestSwapMaintainsInvariants(t *testing.T) {
 	b := newBench(t)
 	p := b.initialPlacement()
-	p.swap(10, 20)
-	p.swap(10, 30)
-	for e := 0; e < b.netlist.Elements; e++ {
-		if p.elemAt[p.slotOf[e]] != e {
-			t.Fatalf("slot table inconsistent for element %d", e)
+	rng := mathx.NewRNG(7)
+	n := b.netlist.Elements
+	for k := 0; k < 400; k++ {
+		ea, eb := rng.Intn(n), rng.Intn(n)
+		b.deltaCost(p, ea, eb)
+		if rng.Intn(2) == 0 {
+			p.swap(ea, eb)
 		}
+	}
+	w, h := b.netlist.GridW, b.netlist.GridH
+	occupant := make([]int, w*h)
+	for e := 0; e < n; e++ {
+		x, y := int(p.x[e]), int(p.y[e])
+		if x < 0 || x >= w || y < 0 || y >= h {
+			t.Fatalf("element %d off the grid at (%d,%d)", e, x, y)
+		}
+		if other := occupant[y*w+x]; other != 0 {
+			t.Fatalf("elements %d and %d share slot (%d,%d)", other-1, e, x, y)
+		}
+		occupant[y*w+x] = e + 1
+	}
+	for i, c := range p.cost {
+		if fresh := b.netCost(p, i); c != fresh {
+			t.Fatalf("net %d: cached cost %d, fresh %d", i, c, fresh)
+		}
+	}
+}
+
+// Scoring and committing a swap is the annealing inner loop; once the
+// pending and scratch slices have grown to the largest pair seen, it
+// must not allocate.
+func TestSwapStepAllocatesNothing(t *testing.T) {
+	b := newBench(t)
+	p := b.initialPlacement()
+	rng := mathx.NewRNG(9)
+	n := b.netlist.Elements
+	step := func() {
+		ea, eb := rng.Intn(n), rng.Intn(n)
+		if b.deltaCost(p, ea, eb) <= 0 {
+			p.swap(ea, eb)
+		}
+	}
+	for k := 0; k < 500; k++ {
+		step()
+	}
+	allocs := testing.AllocsPerRun(500, step)
+	if allocs != 0 {
+		t.Errorf("deltaCost+swap allocated %.1f times per step", allocs)
 	}
 }
 

@@ -155,10 +155,10 @@ func ReferenceCtx(ctx context.Context, b Benchmark, seed int64) (Result, error) 
 // exists for benchmarks that need to measure cold-cache behavior.
 func ResetReferenceCache() { refCache.Reset() }
 
-// ValidateInput rejects non-positive knob values on behalf of kernels.
+// ValidateInput rejects non-positive, NaN and infinite knob values.
 func ValidateInput(name string, input float64) error {
-	if input <= 0 {
-		return fmt.Errorf("rms: %s input must be positive, got %g", name, input)
+	if input <= 0 || math.IsNaN(input) || math.IsInf(input, 1) {
+		return fmt.Errorf("rms: %s input must be positive and finite, got %g", name, input)
 	}
 	return nil
 }

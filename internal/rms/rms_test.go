@@ -1,6 +1,9 @@
 package rms
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestDependenceString(t *testing.T) {
 	if Linear.String() != "linear" || Complex.String() != "complex" {
@@ -12,11 +15,10 @@ func TestValidateHelpers(t *testing.T) {
 	if err := ValidateInput("x", 1); err != nil {
 		t.Error(err)
 	}
-	if err := ValidateInput("x", 0); err == nil {
-		t.Error("zero input accepted")
-	}
-	if err := ValidateInput("x", -1); err == nil {
-		t.Error("negative input accepted")
+	for _, v := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := ValidateInput("x", v); err == nil {
+			t.Errorf("input %g accepted", v)
+		}
 	}
 	if err := ValidateThreads("x", 4); err != nil {
 		t.Error(err)

@@ -5,6 +5,7 @@
 package rmstest
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/fault"
@@ -188,11 +189,10 @@ func dropDegrades(t *testing.T, b rms.Benchmark) {
 }
 
 func inputValidation(t *testing.T, b rms.Benchmark) {
-	if _, err := b.Run(0, 8, fault.Plan{}, 1); err == nil {
-		t.Error("zero input accepted")
-	}
-	if _, err := b.Run(-3, 8, fault.Plan{}, 1); err == nil {
-		t.Error("negative input accepted")
+	for _, input := range []float64{0, -3, math.NaN(), math.Inf(1)} {
+		if _, err := b.Run(input, 8, fault.Plan{}, 1); err == nil {
+			t.Errorf("input %g accepted", input)
+		}
 	}
 	if _, err := b.Run(b.DefaultInput(), 0, fault.Plan{}, 1); err == nil {
 		t.Error("zero threads accepted")
