@@ -131,6 +131,11 @@ type Chip struct {
 
 	clusterVddMIN []float64
 	vddNTV        float64
+
+	// Device-model constants that depend on Cfg.Tech alone, derived
+	// once with the voltages: the frequency and leakage calibration
+	// constants and the error-free path-delay quantile.
+	freqK, staticK, zSafe float64
 }
 
 // layout returns the sampling points: for each cluster, CoresPer core
@@ -288,7 +293,13 @@ func New(cfg Config, seed int64) (*Chip, error) {
 	return f.Sample(seed), nil
 }
 
+// deriveVoltages derives everything a Chip holds beyond its sampled
+// variation: the per-cluster VddMIN, VddNTV, and the device-model
+// constants of Cfg.Tech. Sample and Load both call it.
 func (ch *Chip) deriveVoltages() {
+	tp := ch.Cfg.Tech
+	ch.freqK, ch.staticK = tp.FreqK(), tp.StaticK()
+	ch.zSafe = tp.PerrQuantile(tech.ErrorFreePerr)
 	ch.clusterVddMIN = make([]float64, ch.Cfg.Clusters)
 	for _, b := range ch.Blocks {
 		if b.VddMIN > ch.clusterVddMIN[b.Cluster] {
@@ -323,21 +334,34 @@ func (ch *Chip) VddNTV() float64 { return ch.vddNTV }
 // threshold, scaled by its channel-length deviation (longer channels
 // are slower).
 func (ch *Chip) CoreFmax(i int, vdd float64) float64 {
-	co := ch.Cores[i]
-	return ch.Cfg.Tech.Freq(vdd, co.Vth(ch.Cfg.Tech)) / (1 + co.LeffDev)
+	return ch.timing(i, vdd).Fmax / (1 + ch.Cores[i].LeffDev)
+}
+
+// timing returns core i's critical-path delay distribution at vdd.
+func (ch *Chip) timing(i int, vdd float64) tech.Timing {
+	return ch.Cfg.Tech.Timing(ch.freqK, vdd, ch.Cores[i].Vth(ch.Cfg.Tech))
 }
 
 // CoreSafeFreq returns core i's highest error-free frequency at vdd.
 func (ch *Chip) CoreSafeFreq(i int, vdd float64) float64 {
-	co := ch.Cores[i]
-	return ch.Cfg.Tech.SafeFreq(vdd, co.Vth(ch.Cfg.Tech)) / (1 + co.LeffDev)
+	return ch.timing(i, vdd).FreqAt(ch.zSafe) / (1 + ch.Cores[i].LeffDev)
 }
 
 // CoreFreqAtPerr returns the highest frequency at which core i's
 // per-cycle timing-error probability stays at or below perr.
 func (ch *Chip) CoreFreqAtPerr(i int, vdd, perr float64) float64 {
-	co := ch.Cores[i]
-	return ch.Cfg.Tech.FreqAtPerr(vdd, co.Vth(ch.Cfg.Tech), perr) / (1 + co.LeffDev)
+	return ch.timing(i, vdd).FreqAt(ch.Cfg.Tech.PerrQuantile(perr)) / (1 + ch.Cores[i].LeffDev)
+}
+
+// CoreFreqsAt writes core i's highest frequency at vdd for each
+// path-delay quantile zs[g] (tech.Params.PerrQuantile of an error-rate
+// target) into out[g]. It evaluates the core's timing once; each entry
+// equals CoreFreqAtPerr at the quantile's target bit for bit.
+func (ch *Chip) CoreFreqsAt(i int, vdd float64, zs, out []float64) {
+	t, leff := ch.timing(i, vdd), 1+ch.Cores[i].LeffDev
+	for g, z := range zs {
+		out[g] = t.FreqAt(z) / leff
+	}
 }
 
 // CorePerr returns core i's per-cycle timing error probability when
@@ -362,7 +386,7 @@ const (
 func (ch *Chip) CoreStaticPower(i int, vdd float64) float64 {
 	co := ch.Cores[i]
 	vthLeak := ch.Cfg.Tech.VthNom * (1 + leakVthDamp*co.VthDev)
-	return ch.Cfg.Tech.StaticPower(vdd, vthLeak) * math.Exp(-leakLeffCoeff*co.LeffDev)
+	return ch.Cfg.Tech.StaticPowerK(ch.staticK, vdd, vthLeak) * math.Exp(-leakLeffCoeff*co.LeffDev)
 }
 
 // CorePower returns core i's power in W at supply vdd and frequency f,
@@ -431,9 +455,11 @@ func (ch *Chip) SelectCores(n int, vdd float64, policy SelectPolicy) []int {
 	}
 	switch policy {
 	case SelectFastest:
-		sort.Slice(ids, func(a, b int) bool {
-			return ch.CoreSafeFreq(ids[a], vdd) > ch.CoreSafeFreq(ids[b], vdd)
-		})
+		safe := make([]float64, len(ch.Cores))
+		for i := range safe {
+			safe[i] = ch.CoreSafeFreq(i, vdd)
+		}
+		sort.Slice(ids, func(a, b int) bool { return safe[ids[a]] > safe[ids[b]] })
 	case SelectEfficient:
 		// Greedy per-core performance-per-Watt at the core's own safe
 		// frequency, the paper's "most energy-efficient NNTV cores".

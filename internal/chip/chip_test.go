@@ -1,6 +1,7 @@
 package chip
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -274,5 +275,61 @@ func TestPopulationDistinct(t *testing.T) {
 			chips[i].Cores[0].VthDev == chips[0].Cores[0].VthDev {
 			t.Fatal("population chips look identical")
 		}
+	}
+}
+
+// TestCoreModelMatchesTechFormulas pins the chip's hoisted per-core
+// model to the per-call tech.Params formulas, bit for bit, on sampled
+// chips and on a chip returned by Load (whose constants the persist
+// path derives): fmax, safe and speculative frequencies (one target at
+// a time and several from one timing), and leakage, at VddNTV and above.
+func TestCoreModelMatchesTechFormulas(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	perrs := []float64{tech.ErrorFreePerr, 1e-12, 1e-8, 1e-4, 1e-2, 1}
+	check := func(name string, ch *Chip) {
+		tp := ch.Cfg.Tech
+		zs := make([]float64, len(perrs))
+		for g, perr := range perrs {
+			zs[g] = tp.PerrQuantile(perr)
+		}
+		row := make([]float64, len(perrs))
+		for _, vdd := range []float64{ch.VddNTV(), ch.VddNTV() + 0.1, tp.VddNomSTV} {
+			for i, co := range ch.Cores {
+				vth, leff := co.Vth(tp), 1+co.LeffDev
+				if got, want := ch.CoreFmax(i, vdd), tp.Freq(vdd, vth)/leff; !same(got, want) {
+					t.Fatalf("%s core %d vdd %.3f: CoreFmax %v, want %v", name, i, vdd, got, want)
+				}
+				if got, want := ch.CoreSafeFreq(i, vdd), tp.SafeFreq(vdd, vth)/leff; !same(got, want) {
+					t.Fatalf("%s core %d vdd %.3f: CoreSafeFreq %v, want %v", name, i, vdd, got, want)
+				}
+				vthLeak := tp.VthNom * (1 + leakVthDamp*co.VthDev)
+				if got, want := ch.CoreStaticPower(i, vdd), tp.StaticPower(vdd, vthLeak)*math.Exp(-leakLeffCoeff*co.LeffDev); !same(got, want) {
+					t.Fatalf("%s core %d vdd %.3f: CoreStaticPower %v, want %v", name, i, vdd, got, want)
+				}
+				ch.CoreFreqsAt(i, vdd, zs, row)
+				for g, perr := range perrs {
+					want := tp.FreqAtPerr(vdd, vth, perr) / leff
+					if got := ch.CoreFreqAtPerr(i, vdd, perr); !same(got, want) {
+						t.Fatalf("%s core %d vdd %.3f perr %g: CoreFreqAtPerr %v, want %v", name, i, vdd, perr, got, want)
+					}
+					if !same(row[g], want) {
+						t.Fatalf("%s core %d vdd %.3f perr %g: CoreFreqsAt %v, want %v", name, i, vdd, perr, row[g], want)
+					}
+				}
+			}
+		}
+	}
+	for _, seed := range []int64{3, 2014} {
+		ch := testChip(t, seed)
+		check("sampled", ch)
+		var buf bytes.Buffer
+		if err := ch.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("loaded", loaded)
 	}
 }

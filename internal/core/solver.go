@@ -192,36 +192,43 @@ func (s *Solver) STVTime() float64 {
 // prefix minima across the grid approximates min-of-interpolations
 // exactly whenever one slowest core dominates the prefix, which is the
 // regime the chip operates in.
+//
+// Each core's timing is evaluated once and each grid target's quantile
+// once per build (Chip.CoreFreqsAt), in the same pass that finds the
+// control-core frequency.
 func (s *Solver) buildFreqTable() {
-	s.perrGrid = []float64{1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}
-	s.logPerr = make([]float64, len(s.perrGrid))
-	for g, p := range s.perrGrid {
-		s.logPerr[g] = math.Log10(p)
+	s.perrGrid = []float64{tech.ErrorFreePerr, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}
+	g := len(s.perrGrid)
+	s.logPerr = make([]float64, g)
+	zs := make([]float64, g)
+	for k, p := range s.perrGrid {
+		s.logPerr[k] = math.Log10(p)
+		zs[k] = s.Chip.Cfg.Tech.PerrQuantile(p)
 	}
 	n := len(s.order)
 	s.prefixMin = make([][]float64, n)
-	running := make([]float64, len(s.perrGrid))
-	for g := range running {
-		running[g] = math.Inf(1)
-	}
-	for i, id := range s.order {
-		row := make([]float64, len(s.perrGrid))
-		for g, perr := range s.perrGrid {
-			f := s.Chip.CoreFreqAtPerr(id, s.vdd, perr)
-			if f < running[g] {
-				running[g] = f
-			}
-			row[g] = running[g]
-		}
-		s.prefixMin[i] = row
+	rows := make([]float64, n*g)
+	running := make([]float64, g)
+	for k := range running {
+		running[k] = math.Inf(1)
 	}
 	// Control cores are the chip's fastest, most reliable cores; they
-	// run error-free.
+	// run error-free. The order visits every core, and its first grid
+	// column is the error-free target, so fCC is that column's maximum.
 	s.fCC = 0
-	for i := range s.Chip.Cores {
-		if f := s.Chip.CoreSafeFreq(i, s.vdd); f > s.fCC {
-			s.fCC = f
+	for i, id := range s.order {
+		row := rows[i*g : (i+1)*g]
+		s.Chip.CoreFreqsAt(id, s.vdd, zs, row)
+		if row[0] > s.fCC {
+			s.fCC = row[0]
 		}
+		for k, f := range row {
+			if f < running[k] {
+				running[k] = f
+			}
+			row[k] = running[k]
+		}
+		s.prefixMin[i] = row
 	}
 }
 

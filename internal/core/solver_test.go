@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -396,6 +397,63 @@ func TestSolverTracksClosedFormN(t *testing.T) {
 		}
 		if float64(op.N) < bound/ipcAdvantage-1 {
 			t.Errorf("input %g: N=%d below the IPC-adjusted bound %.1f", in, op.N, bound/ipcAdvantage)
+		}
+	}
+}
+
+// TestFreqTableMatchesPerCallModel pins the one-pass frequency table to
+// the per-call chip model, bit for bit: every prefix-minimum entry is
+// the running minimum of CoreFreqAtPerr over its prefix of the
+// engagement order, and fCC is the largest CoreSafeFreq on the chip.
+// It covers several chips, every policy, both engagement
+// granularities, and the chip's VddNTV and a raised supply.
+func TestFreqTableMatchesPerCallModel(t *testing.T) {
+	_, _, b, qm := fixtures(t)
+	f, err := chip.NewFactory(chip.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, seed := range []int64{1, 2, 2014} {
+		ch := f.Sample(seed)
+		s, err := NewSolver(ch, power.NewModel(ch), b, qm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vdd := range []float64{ch.VddNTV(), ch.VddNTV() + 0.1} {
+			if err := s.SetVdd(vdd); err != nil {
+				t.Fatal(err)
+			}
+			for _, policy := range []chip.SelectPolicy{chip.SelectEfficient, chip.SelectFastest, chip.SelectSequential} {
+				s.SetPolicy(policy)
+				for _, cluster := range []bool{false, true} {
+					s.SetClusterGranular(cluster)
+					name := fmt.Sprintf("seed %d vdd %.3f %s cluster=%v", seed, vdd, policy, cluster)
+					if len(s.order) != len(ch.Cores) || len(s.prefixMin) != len(s.order) {
+						t.Fatalf("%s: order %d, table %d rows, want %d", name, len(s.order), len(s.prefixMin), len(ch.Cores))
+					}
+					for g, perr := range s.perrGrid {
+						running := math.Inf(1)
+						for n, id := range s.order {
+							if fi := ch.CoreFreqAtPerr(id, vdd, perr); fi < running {
+								running = fi
+							}
+							if !same(s.prefixMin[n][g], running) {
+								t.Fatalf("%s: prefixMin[%d][%d] = %v, want %v", name, n, g, s.prefixMin[n][g], running)
+							}
+						}
+					}
+					fCC := 0.0
+					for i := range ch.Cores {
+						if fi := ch.CoreSafeFreq(i, vdd); fi > fCC {
+							fCC = fi
+						}
+					}
+					if !same(s.fCC, fCC) {
+						t.Fatalf("%s: fCC = %v, want %v", name, s.fCC, fCC)
+					}
+				}
+			}
 		}
 	}
 }

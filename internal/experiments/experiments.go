@@ -165,8 +165,15 @@ func BenchmarkByName(name string) (rms.Benchmark, error) {
 // repChips shares one sampled chip per seed across all runners: a Chip
 // is immutable after construction, so concurrent experiments read it
 // freely, and no runner pays the factory's covariance factorization
-// twice.
-var repChips = parallel.Cache[int64, *chip.Chip]{Name: "experiments.RepresentativeChip"}
+// twice. It keeps the repChipsMax most recently inserted seeds, so a
+// long-running service asked for ever new chip seeds holds a bounded
+// number of chips.
+var repChips = parallel.Cache[int64, *chip.Chip]{Name: "experiments.RepresentativeChip", Max: repChipsMax}
+
+// repChipsMax bounds repChips. One run asks for a single chip seed; the
+// bound leaves room for the seeds of concurrently running service jobs,
+// so each job's runners keep sharing their chip.
+const repChipsMax = 8
 
 // RepresentativeChip returns the chip sample all single-chip
 // experiments use. The sample is memoized per ChipSeed and shared

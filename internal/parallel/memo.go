@@ -17,16 +17,23 @@ import (
 // cache only immutable results, or have callers copy before mutating.
 //
 // A cache constructed with a Name reports telemetry: Do hits and misses
-// plus evictions (failed computations dropped, Reset discards) under
-// cache.<Name>.{hits,misses,evictions}. Unnamed caches report nothing.
+// plus evictions (failed computations dropped, entries pushed out by
+// Max, Reset discards) under cache.<Name>.{hits,misses,evictions}.
+// Unnamed caches report nothing.
 type Cache[K comparable, V any] struct {
 	// Name, when non-empty, registers the cache's telemetry counters on
 	// first use. Set it in the composite literal; it must not change
 	// after the first Do.
 	Name string
+	// Max, when positive, bounds the number of entries: inserting one
+	// more evicts the oldest inserted entry first. Waiters on an
+	// evicted in-flight entry still receive its value. Set it in the
+	// composite literal; zero means unbounded.
+	Max int
 
 	mu      sync.Mutex
 	entries map[K]*cacheEntry[V]
+	order   []K // keys of entries, oldest insertion first; kept only when Max > 0
 	hits    *telemetry.Counter
 	misses  *telemetry.Counter
 	evicted *telemetry.Counter
@@ -87,7 +94,19 @@ func (c *Cache[K, V]) do(sc *telemetry.Scope, key K, fn func() (V, error)) (V, e
 	}
 	e := &cacheEntry[V]{done: make(chan struct{})}
 	c.entries[key] = e
+	evicted := 0
+	if c.Max > 0 {
+		c.order = append(c.order, key)
+		for len(c.order) > c.Max {
+			delete(c.entries, c.order[0])
+			c.order = c.order[1:]
+			evicted++
+		}
+	}
 	c.mu.Unlock()
+	if evicted > 0 {
+		c.evicted.Add(int64(evicted))
+	}
 	c.misses.IncScoped(sc)
 
 	func() {
@@ -104,15 +123,33 @@ func (c *Cache[K, V]) do(sc *telemetry.Scope, key K, fn func() (V, error)) (V, e
 	}()
 	if e.err != nil || e.caught != nil {
 		c.mu.Lock()
-		delete(c.entries, key)
+		// The entry may already be gone (evicted or Reset), and key
+		// may now hold a newer entry that must stay.
+		dropped := c.entries[key] == e
+		if dropped {
+			delete(c.entries, key)
+			c.forget(key)
+		}
 		c.mu.Unlock()
-		c.evicted.Inc()
+		if dropped {
+			c.evicted.Inc()
+		}
 	}
 	close(e.done)
 	if e.caught != nil {
 		panic(e.caught)
 	}
 	return e.val, e.err
+}
+
+// forget removes key from the insertion order; called under mu.
+func (c *Cache[K, V]) forget(key K) {
+	for i, k := range c.order {
+		if k == key {
+			c.order = append(c.order[:i], c.order[i+1:]...)
+			return
+		}
+	}
 }
 
 // Get returns the cached value for key without computing anything; ok
@@ -148,7 +185,7 @@ func (c *Cache[K, V]) Len() int {
 func (c *Cache[K, V]) Reset() {
 	c.mu.Lock()
 	n := len(c.entries)
-	c.entries = nil
+	c.entries, c.order = nil, nil
 	c.mu.Unlock()
 	if n > 0 {
 		c.evicted.Add(int64(n))

@@ -188,6 +188,13 @@ func ForEachCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) 
 					tasks++
 					telTasksCompleted.Inc()
 				}
+				// Pass through the scheduler between tasks. A worker
+				// that never does keeps its P until sysmon's 10 ms
+				// forced preemption, and with few Ps the GC's
+				// fractional background mark worker waits that long to
+				// run, so concurrent marks stretch out while the heap
+				// overshoots its goal.
+				runtime.Gosched()
 			}
 		}(k)
 	}

@@ -282,3 +282,68 @@ func TestCacheReset(t *testing.T) {
 		t.Fatalf("compute ran %d times across a Reset, want 2", n)
 	}
 }
+
+// TestForEachYieldsBetweenTasks pins that a pool worker passes through
+// the scheduler after every task: on one P, a goroutine that only
+// yields must get to run between consecutive short tasks. Without the
+// yield the worker holds the P until forced preemption, which starves
+// the GC's fractional mark worker the same way.
+func TestForEachYieldsBetweenTasks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer SetWorkers(1)()
+	var spins atomic.Int64
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			spins.Add(1)
+			runtime.Gosched()
+		}
+	}()
+	for spins.Load() == 0 {
+		runtime.Gosched()
+	}
+	const tasks = 100
+	var last int64
+	advanced := 0
+	if err := ForEach(context.Background(), tasks, func(int) error {
+		if n := spins.Load(); n != last {
+			advanced++
+			last = n
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stop.Store(true)
+	<-done
+	if advanced < tasks/2 {
+		t.Fatalf("the spinning goroutine ran between %d of %d tasks, want at least %d", advanced, tasks, tasks/2)
+	}
+}
+
+// TestCacheStaleFailureKeepsNewerEntry: when a computation fails after
+// its entry was already dropped (here by Reset) and its key recomputed,
+// the failure must not delete the newer entry.
+func TestCacheStaleFailureKeepsNewerEntry(t *testing.T) {
+	var c Cache[int, int]
+	started, release := make(chan struct{}), make(chan struct{})
+	failed := make(chan error, 1)
+	go func() {
+		_, err := c.Do(1, func() (int, error) { close(started); <-release; return 0, errors.New("stale") })
+		failed <- err
+	}()
+	<-started
+	c.Reset()
+	if v, err := c.Do(1, func() (int, error) { return 5, nil }); err != nil || v != 5 {
+		t.Fatalf("Do after Reset = (%d, %v)", v, err)
+	}
+	close(release)
+	if err := <-failed; err == nil {
+		t.Fatal("stale computation's error was lost")
+	}
+	if v, ok := c.Get(1); !ok || v != 5 {
+		t.Fatalf("Get after the stale failure = (%d, %v), want the newer entry 5", v, ok)
+	}
+}

@@ -3,6 +3,8 @@ package parallel
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -186,5 +188,82 @@ func TestCacheDoCtxScopeAttribution(t *testing.T) {
 	scoped := scA.CounterValue("cache.test.memo.scoped.hits") + scB.CounterValue("cache.test.memo.scoped.hits")
 	if unattributed := hits.Value() - scoped; unattributed != 1 {
 		t.Errorf("unattributed hits = %d, want exactly the scopeless call", unattributed)
+	}
+}
+
+// TestCacheMaxBound: a bounded cache holds at most Max entries, evicts
+// the oldest inserted first (counted as evictions), recomputes an
+// evicted key on its next call, and still delivers an evicted in-flight
+// entry's value to the callers already waiting on it.
+func TestCacheMaxBound(t *testing.T) {
+	defer telemetry.SetEnabled(true)()
+	telemetry.Reset()
+	const bound = 3
+	c := Cache[int, int]{Name: "test.bounded", Max: bound}
+	hits := telemetry.GetCounter("cache.test.bounded.hits")
+	evictions := telemetry.GetCounter("cache.test.bounded.evictions")
+	var calls atomic.Int64
+	square := func(k int) func() (int, error) {
+		return func() (int, error) { calls.Add(1); return k * k, nil }
+	}
+
+	for k := 0; k < 10; k++ {
+		if v, err := c.Do(k, square(k)); err != nil || v != k*k {
+			t.Fatalf("Do(%d) = (%d, %v)", k, v, err)
+		}
+		if want := min(k+1, bound); c.Len() != want {
+			t.Fatalf("after %d inserts Len = %d, want %d", k+1, c.Len(), want)
+		}
+	}
+	if evictions.Value() != 10-bound {
+		t.Errorf("evictions = %d, want %d", evictions.Value(), 10-bound)
+	}
+	for k := 0; k < 10; k++ {
+		if _, ok := c.Get(k); ok != (k >= 10-bound) {
+			t.Errorf("Get(%d) ok = %v: want only the %d newest keys kept", k, ok, bound)
+		}
+	}
+	before := calls.Load()
+	if v, err := c.Do(0, square(0)); err != nil || v != 0 || calls.Load() != before+1 {
+		t.Fatalf("evicted key: Do = (%d, %v) after %d computes, want a fresh compute", v, err, calls.Load()-before)
+	}
+	if c.Len() != bound {
+		t.Fatalf("Len = %d after re-inserting an evicted key, want %d", c.Len(), bound)
+	}
+
+	// Evict an entry while it is in flight, with a second caller
+	// already waiting on it.
+	c.Reset()
+	telemetry.Reset()
+	started, release := make(chan struct{}), make(chan struct{})
+	got := make(chan int, 2)
+	go func() {
+		v, _ := c.Do(-1, func() (int, error) { close(started); <-release; return 7, nil })
+		got <- v
+	}()
+	<-started
+	go func() {
+		v, _ := c.Do(-1, func() (int, error) { t.Error("waiter recomputed"); return 0, nil })
+		got <- v
+	}()
+	for hits.Value() == 0 {
+		runtime.Gosched()
+	}
+	for k := 0; k < bound; k++ {
+		if _, err := c.Do(k, square(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := c.Get(-1); ok || c.Len() != bound {
+		t.Fatalf("in-flight entry not evicted: Len = %d", c.Len())
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if v := <-got; v != 7 {
+			t.Fatalf("caller of the evicted in-flight entry got %d, want 7", v)
+		}
+	}
+	if _, ok := c.Get(-1); ok {
+		t.Fatal("evicted in-flight entry came back after it completed")
 	}
 }

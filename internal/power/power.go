@@ -118,8 +118,11 @@ func (m *Model) Budget() float64 { return m.Chip.Cfg.PowerBudget }
 
 // WithinBudget reports whether the operating point fits PMAX.
 func (m *Model) WithinBudget(cores []int, vdd, f float64) bool {
-	return m.Engaged(cores, vdd, f).Total() <= m.Budget()+1e-9
+	return m.fits(m.Engaged(cores, vdd, f))
 }
+
+// fits reports whether a priced operating point fits PMAX.
+func (m *Model) fits(b Breakdown) bool { return b.Total() <= m.Budget()+1e-9 }
 
 // STVBaseline characterizes the paper's super-threshold reference
 // operating point.
@@ -135,22 +138,41 @@ type STVBaseline struct {
 // most efficient cores running at the STV nominal voltage and nominal
 // frequency fit PMAX. Following Section 6.3, STV operation neglects
 // variation, so all cores run at the nominal fSTV.
+//
+// Each prefix is priced by extending the previous prefix's Breakdown
+// with one core, adding in the same order Engaged would, so N and Power
+// are exactly those of pricing every prefix from scratch.
 func (m *Model) Baseline() STVBaseline {
 	tp := m.Chip.Cfg.Tech
 	vdd := tp.VddNomSTV
 	f := tp.FSTV()
 	all := m.Chip.SelectCores(len(m.Chip.Cores), vdd, chip.SelectEfficient)
+	dyn := tp.DynPower(vdd, f)
+	memLeakNom := tp.StaticPower(vdd, tp.VthNom) * m.ClusterMemLeakFactor
+	active := make([]bool, m.Chip.Cfg.Clusters)
+	clusters := 0
+	var b Breakdown
 	n := 0
-	for n < len(all) && m.WithinBudget(all[:n+1], vdd, f) {
-		n++
+	for ; n < len(all); n++ { // b grows to Engaged(all[:n+1])
+		i := all[n]
+		if c := m.Chip.Cores[i].Cluster; !active[c] {
+			active[c] = true
+			clusters++
+		}
+		b.CoreDynamic += dyn
+		b.CoreStatic += m.Chip.CoreStaticPower(i, vdd)
+		b.Memory = float64(clusters) * memLeakNom
+		b.Network = b.CoreDynamic * m.NetworkFracDyn
+		if !m.fits(b) {
+			break
+		}
 	}
-	cores := all[:n]
 	return STVBaseline{
 		N:     n,
-		Cores: cores,
+		Cores: all[:n],
 		Vdd:   vdd,
 		Freq:  f,
-		Power: m.Engaged(cores, vdd, f).Total(),
+		Power: m.Engaged(all[:n], vdd, f).Total(),
 	}
 }
 

@@ -171,3 +171,43 @@ func TestThermalCalibrationAtBudget(t *testing.T) {
 		t.Errorf("budget-level temperature %.1f C far from the 80 C calibration point", temp)
 	}
 }
+
+// prefixBaseline is Baseline's original search, kept as the reference:
+// it prices every prefix of the efficiency order from scratch.
+func prefixBaseline(m *Model) (int, float64) {
+	tp := m.Chip.Cfg.Tech
+	vdd, f := tp.VddNomSTV, tp.FSTV()
+	all := m.Chip.SelectCores(len(m.Chip.Cores), vdd, chip.SelectEfficient)
+	n := 0
+	for n < len(all) && m.WithinBudget(all[:n+1], vdd, f) {
+		n++
+	}
+	return n, m.Engaged(all[:n], vdd, f).Total()
+}
+
+// TestBaselineMatchesPrefixSearch: the incremental Baseline finds the
+// same N and prices it to the same bits as the from-scratch prefix
+// search, on several chips, for budgets from none to every core, and
+// with cluster-memory leakage that makes new clusters costly.
+func TestBaselineMatchesPrefixSearch(t *testing.T) {
+	f, err := chip.NewFactory(chip.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{1, 2, 2014} {
+		for _, budget := range []float64{1, 37, 100, 250, 5000} {
+			for _, memLeak := range []float64{0, 0.6, 8} {
+				ch := f.Sample(seed)
+				ch.Cfg.PowerBudget = budget
+				m := NewModel(ch)
+				m.ClusterMemLeakFactor = memLeak
+				wantN, wantP := prefixBaseline(m)
+				bl := m.Baseline()
+				if bl.N != wantN || math.Float64bits(bl.Power) != math.Float64bits(wantP) || len(bl.Cores) != wantN {
+					t.Fatalf("seed %d budget %g memLeak %g: Baseline N=%d P=%v (%d cores), want N=%d P=%v",
+						seed, budget, memLeak, bl.N, bl.Power, len(bl.Cores), wantN, wantP)
+				}
+			}
+		}
+	}
+}

@@ -141,22 +141,29 @@ func (p Params) softPlusSlope(u float64) float64 {
 
 // freqRaw is the uncalibrated frequency shape S(Vdd-Vth)^alpha / Vdd.
 func (p Params) freqRaw(vdd, vth float64) float64 {
+	return p.freqShape(vdd, p.softPlus(vdd-vth))
+}
+
+// freqShape is freqRaw given s = S(Vdd-Vth).
+func (p Params) freqShape(vdd, s float64) float64 {
 	if vdd <= 0 {
 		return 0
 	}
-	return math.Pow(p.softPlus(vdd-vth), p.Alpha) / vdd
+	return math.Pow(s, p.Alpha) / vdd
 }
 
-// freqK returns the calibration constant mapping freqRaw to GHz such
-// that Freq(VddNomNTV, VthNom) == FNomNTV.
-func (p Params) freqK() float64 {
+// FreqK returns the calibration constant mapping freqRaw to GHz such
+// that Freq(VddNomNTV, VthNom) == FNomNTV. It depends on p alone, so
+// callers that evaluate many cores derive it once and pass it to
+// Timing.
+func (p Params) FreqK() float64 {
 	return p.FNomNTV / p.freqRaw(p.VddNomNTV, p.VthNom)
 }
 
 // Freq returns the maximum operating frequency in GHz of a core with
 // threshold voltage vth at supply vdd, absent any timing margin.
 func (p Params) Freq(vdd, vth float64) float64 {
-	return p.freqK() * p.freqRaw(vdd, vth)
+	return p.FreqK() * p.freqRaw(vdd, vth)
 }
 
 // FSTV returns the super-threshold nominal frequency implied by the
@@ -169,9 +176,10 @@ func (p Params) DynPower(vdd, f float64) float64 {
 	return p.CEff * vdd * vdd * f * 1e9
 }
 
-// staticK returns the leakage calibration constant such that the static
+// StaticK returns the leakage calibration constant such that the static
 // share of core power at the STV nominal point equals StaticFracSTV.
-func (p Params) staticK() float64 {
+// Like FreqK it depends on p alone; StaticPowerK takes it as given.
+func (p Params) StaticK() float64 {
 	dynNom := p.DynPower(p.VddNomSTV, p.FSTV())
 	statNom := dynNom * p.StaticFracSTV / (1 - p.StaticFracSTV)
 	return statNom / p.staticRaw(p.VddNomSTV, p.VthNom)
@@ -186,7 +194,13 @@ func (p Params) staticRaw(vdd, vth float64) float64 {
 // StaticPower returns the leakage power in W of one core with threshold
 // vth at supply vdd, at the calibration temperature TNom.
 func (p Params) StaticPower(vdd, vth float64) float64 {
-	return p.staticK() * p.staticRaw(vdd, vth)
+	return p.StaticPowerK(p.StaticK(), vdd, vth)
+}
+
+// StaticPowerK is StaticPower with the calibration constant k =
+// StaticK() supplied by the caller.
+func (p Params) StaticPowerK(k, vdd, vth float64) float64 {
+	return k * p.staticRaw(vdd, vth)
 }
 
 // StaticPowerAt returns the leakage power at temperature tempC, scaling
@@ -218,7 +232,11 @@ func (p Params) EnergyPerOp(vdd, vth float64) float64 {
 // variation.
 func (p Params) DelaySens(vdd, vth float64) float64 {
 	u := vdd - vth
-	s := p.softPlus(u)
+	return p.delaySens(u, p.softPlus(u))
+}
+
+// delaySens is DelaySens given u = Vdd-Vth and s = S(u).
+func (p Params) delaySens(u, s float64) float64 {
 	if s <= 0 {
 		return math.Inf(1)
 	}
@@ -272,27 +290,62 @@ func (p Params) PerrPerCycle(f, vdd, vth float64) float64 {
 // perr at the error-free target (e.g. 1e-16) this is the safe
 // frequency fNTV,Safe; larger perr values yield the speculative
 // frequencies of Accordion's Speculative modes.
+//
+// It is Timing at the core's operating point followed by FreqAt at the
+// target's PerrQuantile. The first half depends only on the core, the
+// second only on perr, so callers pricing many cores or many targets
+// evaluate each half once.
 func (p Params) FreqAtPerr(vdd, vth, perr float64) float64 {
-	fmax := p.Freq(vdd, vth)
+	return p.Timing(p.FreqK(), vdd, vth).FreqAt(p.PerrQuantile(perr))
+}
+
+// Timing is a core's critical-path delay distribution at one operating
+// point: NPaths paths of Gaussian delay with mean Mu = 1/Fmax (ns) and
+// standard deviation Sigma. A core with Fmax <= 0 cannot switch.
+type Timing struct {
+	Fmax, Mu, Sigma float64
+}
+
+// Timing returns the delay distribution of a core with threshold vth at
+// supply vdd. k is the calibration constant FreqK(); Fmax equals
+// Freq(vdd, vth) bit for bit. One soft-plus evaluation serves both the
+// frequency and its delay sensitivity.
+func (p Params) Timing(k, vdd, vth float64) Timing {
+	u := vdd - vth
+	s := p.softPlus(u)
+	fmax := k * p.freqShape(vdd, s)
 	if fmax <= 0 {
+		return Timing{Fmax: fmax}
+	}
+	mu := 1 / fmax
+	return Timing{Fmax: fmax, Mu: mu, Sigma: p.delaySens(u, s) * p.SigmaVthPath * mu}
+}
+
+// FreqAt returns the highest frequency in GHz at which the slowest of
+// the paths meets timing at the standard-normal quantile z, the
+// PerrQuantile of an error-rate target.
+func (t Timing) FreqAt(z float64) float64 {
+	if t.Fmax <= 0 {
 		return 0
 	}
+	return 1 / (t.Mu + z*t.Sigma)
+}
+
+// PerrQuantile returns the path-delay quantile z, in standard
+// deviations above the mean, at which NPaths independent paths fail
+// with per-cycle probability perr. It depends on perr and NPaths alone.
+func (p Params) PerrQuantile(perr float64) float64 {
 	if perr >= 1 {
 		// The delay distribution is unbounded; cap at the point where
 		// half the cycles fail.
 		perr = 0.5
 	}
-	mu := 1 / fmax
-	sigma := p.delaySpread(vdd, vth) * mu
 	n := float64(p.NPaths)
-	var z float64
 	if perr < 1e-6 {
-		z = mathx.StdNormalTailQuantile(perr / n)
-	} else {
-		// Solve 1 - CDF(z)^n = perr.
-		z = mathx.StdNormalTailQuantile(-math.Log1p(-perr) / n)
+		return mathx.StdNormalTailQuantile(perr / n)
 	}
-	return 1 / (mu + z*sigma)
+	// Solve 1 - CDF(z)^n = perr.
+	return mathx.StdNormalTailQuantile(-math.Log1p(-perr) / n)
 }
 
 // ErrorFreePerr is the per-cycle error probability the paper treats as

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mathx"
 )
 
 func TestDefaultValidates(t *testing.T) {
@@ -286,5 +288,60 @@ func TestEnergyPerOpInfiniteBelowCutoff(t *testing.T) {
 	p := Default11nm()
 	if !math.IsInf(p.EnergyPerOp(0, p.VthNom), 1) {
 		t.Error("zero-Vdd energy should be infinite")
+	}
+}
+
+// unsplitFreqAtPerr is FreqAtPerr as one function, before its split
+// into Timing and PerrQuantile; it is the reference the split must
+// match bit for bit.
+func unsplitFreqAtPerr(p Params, vdd, vth, perr float64) float64 {
+	fmax := p.Freq(vdd, vth)
+	if fmax <= 0 {
+		return 0
+	}
+	if perr >= 1 {
+		perr = 0.5
+	}
+	mu := 1 / fmax
+	sigma := p.DelaySens(vdd, vth) * p.SigmaVthPath * mu
+	n := float64(p.NPaths)
+	var z float64
+	if perr < 1e-6 {
+		z = mathx.StdNormalTailQuantile(perr / n)
+	} else {
+		z = mathx.StdNormalTailQuantile(-math.Log1p(-perr) / n)
+	}
+	return 1 / (mu + z*sigma)
+}
+
+// TestTimingSplitIsExact: Timing's Fmax is Freq, FreqAt at a target's
+// PerrQuantile is the unsplit FreqAtPerr, and StaticPowerK at StaticK
+// is StaticPower, all bit for bit, across the sub-, near- and
+// super-threshold regions, both nodes, and the perr >= 1 and vdd <= 0
+// edges.
+func TestTimingSplitIsExact(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, p := range []Params{Default11nm(), Default22nm()} {
+		k := p.FreqK()
+		for _, vdd := range []float64{-0.1, 0, 0.2, 0.35, 0.45, 0.55, 0.58, 0.7, 1.0} {
+			for _, vth := range []float64{0.25, 0.30, 0.33, 0.37, 0.42} {
+				tm := p.Timing(k, vdd, vth)
+				if !same(tm.Fmax, p.Freq(vdd, vth)) {
+					t.Errorf("vdd=%g vth=%g: Timing.Fmax %v, Freq %v", vdd, vth, tm.Fmax, p.Freq(vdd, vth))
+				}
+				if got, want := p.StaticPowerK(p.StaticK(), vdd, vth), p.StaticPower(vdd, vth); !same(got, want) {
+					t.Errorf("vdd=%g vth=%g: StaticPowerK %v, StaticPower %v", vdd, vth, got, want)
+				}
+				for _, perr := range []float64{1e-16, 1e-12, 3e-9, 1e-6, 1e-4, 1e-2, 0.5, 1, 2} {
+					want := unsplitFreqAtPerr(p, vdd, vth, perr)
+					if got := tm.FreqAt(p.PerrQuantile(perr)); !same(got, want) {
+						t.Errorf("vdd=%g vth=%g perr=%g: FreqAt %v, unsplit %v", vdd, vth, perr, got, want)
+					}
+					if got := p.FreqAtPerr(vdd, vth, perr); !same(got, want) {
+						t.Errorf("vdd=%g vth=%g perr=%g: FreqAtPerr %v, unsplit %v", vdd, vth, perr, got, want)
+					}
+				}
+			}
+		}
 	}
 }
