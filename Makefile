@@ -2,7 +2,7 @@
 # mandatory since the worker pool and the memoized model caches put
 # goroutines on shared chips, fronts, and Cholesky factors. `make ci`
 # mirrors .github/workflows/ci.yml locally, job for job.
-.PHONY: tier1 race bench-parallel bench-field golden ci fmt-check cover lint fuzz service-smoke history-check
+.PHONY: tier1 race golden ci fmt-check cover lint fuzz service-smoke history-check
 
 tier1:
 	go build ./... && go test ./...
@@ -46,6 +46,9 @@ fuzz:
 	go test ./internal/telemetry/events -run '^$$' -fuzz FuzzEventsNDJSONRoundTrip -fuzztime $(FUZZTIME)
 	go test ./internal/experiments -run '^$$' -fuzz FuzzFirstFloat -fuzztime $(FUZZTIME)
 	go test ./internal/mathx -run '^$$' -fuzz FuzzFFTSizes -fuzztime $(FUZZTIME)
+	go test ./internal/chip -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME)
+	go test ./internal/fault -run '^$$' -fuzz FuzzPlanInfected -fuzztime $(FUZZTIME)
+	go test ./internal/fault -run '^$$' -fuzz FuzzCorruptValue -fuzztime $(FUZZTIME)
 
 # Fail if any file needs gofmt, listing the offenders.
 fmt-check:
@@ -59,14 +62,6 @@ fmt-check:
 # Full-suite coverage with a minimum-total floor (COVER_MIN to adjust).
 cover:
 	./scripts/coverage.sh
-
-# Measure the parallel engine's speedup and record BENCH_parallel.json.
-bench-parallel:
-	./scripts/bench_parallel.sh
-
-# Measure dense vs circulant field sampling and record BENCH_field.json.
-bench-field:
-	./scripts/bench_field.sh
 
 # Drive the real accordiond over HTTP with the benchmark's serve
 # workload: it fails on any non-200 answer, a replay whose bytes differ,

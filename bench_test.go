@@ -342,10 +342,11 @@ func BenchmarkPopulation(b *testing.B) { runExperiment(b, "population") }
 //
 // The Sequential/Parallel pairs measure the worker pool's speedup on
 // the two headline paths: Monte-Carlo population regeneration and the
-// all-experiments driver. scripts/bench_parallel.sh runs both pairs and
-// records the ratios in BENCH_parallel.json; the parallel variants
-// target >= 3x on a 4+-core machine. Caches are reset every iteration
-// so each run pays the full cold-cache cost the pool is hiding.
+// all-experiments driver. `go test -run '^$' -bench
+// 'Population(Sequential|Parallel)$|RunAll' .` runs both pairs; the
+// parallel variants target >= 3x on a 4+-core machine. Caches are
+// reset every iteration so each run pays the full cold-cache cost the
+// pool is hiding.
 
 // benchPopulation draws the paper's 100-chip sample from a prebuilt
 // factory under the given pool width.

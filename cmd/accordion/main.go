@@ -23,9 +23,10 @@
 // telemetry layer (pool utilization, cache hit rates, chip-draw
 // latency, per-runner stage timings) and dumps the report to stderr
 // after the run, so stdout stays a clean artifact stream. -trace FILE
-// records hierarchical spans (run → runner → worker → chip draw /
-// front measurement / solver sweep) and exports them as Chrome
-// trace-event JSON loadable in Perfetto (https://ui.perfetto.dev).
+// turns telemetry on, records every stage of the run as a hierarchy
+// (run → runner → worker → chip draw / front measurement / solver
+// sweep) and exports it as Chrome trace-event JSON loadable in
+// Perfetto (https://ui.perfetto.dev).
 // -manifest FILE writes a run-provenance manifest: the full flag set,
 // toolchain versions, per-runner wall times, cache hit rates, and a
 // SHA-256 of every artifact the run wrote; -verify-manifest FILE
@@ -82,8 +83,10 @@ import (
 	"repro/internal/provenance"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/events"
-	"repro/internal/telemetry/trace"
 )
+
+// stRun is the whole run's stage: the root of a -trace file.
+var stRun = telemetry.NewStage("run")
 
 func main() {
 	var (
@@ -104,7 +107,6 @@ func main() {
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, /telemetryz and /metricsz on this address (e.g. localhost:6060)")
 		histDir    = flag.String("history", "", "append a run record (telemetry, convergence, runner timings) to this run-history store")
 		histCheck  = flag.Bool("history-check", false, "after appending, gate the record against its baseline window; exit 1 on regression (requires -history)")
-		histMargin = flag.Float64("history-margin", 0, "gate slack relative to the baseline mean (default 0.10; with -history-check)")
 		selfProf   = flag.Bool("selfprofile", false, "capture CPU+heap pprof around the run and store top hotspots in the history record (requires -history)")
 	)
 	flag.Parse()
@@ -149,14 +151,12 @@ func main() {
 	if err != nil {
 		fail(2, "%v", err)
 	}
-	// The manifest and the history record report cache hit rates,
-	// which live in telemetry counters, so recording must be on even
-	// without a -telemetry dump.
-	if *pprofAddr != "" || *maniPath != "" || *histDir != "" {
+	// The manifest and the history record report cache hit rates and
+	// runner times, and a trace is made of stage calls, all of which
+	// telemetry records, so recording must be on even without a
+	// -telemetry dump.
+	if *pprofAddr != "" || *maniPath != "" || *histDir != "" || *tracePath != "" {
 		telemetry.SetEnabled(true)
-	}
-	if *tracePath != "" {
-		trace.SetEnabled(true)
 	}
 	finishEvents, err := events.StartPath(*eventsPath)
 	if err != nil {
@@ -203,11 +203,11 @@ func main() {
 	}
 
 	ctx := context.Background()
-	var root *trace.Span
-	if trace.On() {
-		root = trace.StartRoot("run").Arg("experiments", int64(len(args)))
-		ctx = trace.NewContext(ctx, root)
+	if *tracePath != "" {
+		ctx = telemetry.TraceContext(ctx)
 	}
+	run := stRun.Begin(ctx).Int("experiments", int64(len(args)))
+	ctx = run.Context(ctx)
 
 	start := time.Now()
 	stopProgress := func() {}
@@ -234,15 +234,13 @@ func main() {
 		}
 	}
 
-	// finishObservability closes the run span and writes every enabled
+	// finishObservability ends the run stage and writes every enabled
 	// observability artifact; called on the error path too, so a failed
 	// run still leaves its trace, convergence report and manifest (with
 	// the error recorded) behind.
 	finishObservability := func(results []experiments.RunResult) {
 		stopProgress()
-		if root != nil {
-			root.End()
-		}
+		run.End()
 		if *tracePath != "" {
 			if err := writeTrace(*tracePath); err != nil {
 				fmt.Fprintf(os.Stderr, "accordion: trace: %v\n", err)
@@ -401,8 +399,7 @@ func main() {
 			if err != nil {
 				fail(1, "%v", err)
 			}
-			rep, err := history.Check(recs, history.DefaultDirections(),
-				history.GateConfig{Margin: *histMargin})
+			rep, err := history.Check(recs, history.DefaultDirections(), history.GateConfig{})
 			if err != nil {
 				fail(1, "%v", err)
 			}
@@ -434,19 +431,19 @@ func buildHistoryRecord(results []experiments.RunResult, wall time.Duration, pro
 	return rec
 }
 
-// writeTrace exports everything the span arena recorded as Chrome
-// trace-event JSON.
+// writeTrace exports every recorded trace event as Chrome trace-event
+// JSON.
 func writeTrace(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := trace.Dump(f); err != nil {
+	if err := telemetry.WriteTrace(f); err != nil {
 		f.Close()
 		return err
 	}
-	if n := trace.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "accordion: trace: arena overflow dropped %d events\n", n)
+	if n := telemetry.GetGauge("trace.dropped").Value(); n > 0 {
+		fmt.Fprintf(os.Stderr, "accordion: trace: buffer overflow dropped %d events\n", n)
 	}
 	return f.Close()
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
 )
 
 func main() {
@@ -32,7 +31,6 @@ func main() {
 		freq      = flag.Float64("f", 1.0, "core frequency in GHz")
 		n         = flag.Int64("n", 500000, "dynamic instructions to simulate")
 		telemMode = telemetry.ModeFlag(flag.CommandLine)
-		eventsTo  = events.PathFlag(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -45,18 +43,6 @@ func main() {
 		fail(err)
 	}
 	defer reportTelemetry(os.Stderr)
-	// tracesim drives no chip or benchmark run, so the event log only
-	// fills when future sim-level events land; the shared flag keeps the
-	// observability surface uniform across the cmd binaries.
-	finishEvents, err := events.StartPath(*eventsTo)
-	if err != nil {
-		fail(err)
-	}
-	defer func() {
-		if err := finishEvents(); err != nil {
-			fmt.Fprintf(os.Stderr, "tracesim: %v\n", err)
-		}
-	}()
 
 	var spec sim.TraceSpec
 	if *benchName != "" {

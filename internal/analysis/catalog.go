@@ -4,7 +4,7 @@ import "strings"
 
 // Catalog is the checked-in vocabulary of telemetry metric names and
 // domain event kinds. The telemetrynames analyzer refuses any
-// GetCounter/GetGauge/GetHistogram/StartSpan or events.New call whose
+// GetCounter/GetGauge/GetHistogram/NewStage or events.New call whose
 // name is not (a) a string literal matching ^[a-z0-9_.]+$ registered
 // here, or (b) a concatenation whose literal prefix is registered
 // here. That keeps the /metricsz namespace and the event-kind
@@ -12,7 +12,7 @@ import "strings"
 // drifting or colliding one emit site at a time: adding a name means
 // touching this file, which means the diff shows the vocabulary grew.
 type Catalog struct {
-	// Metrics are exact telemetry counter/gauge/histogram/span names.
+	// Metrics are exact telemetry counter/gauge/histogram/stage names.
 	Metrics map[string]bool
 	// MetricPrefixes cover families with a dynamic tail, e.g. the
 	// per-cache counters "cache.<Name>.hits".
@@ -37,9 +37,18 @@ func DefaultCatalog() *Catalog {
 			"parallel.worker.busy_ns",
 			// chip factory
 			"chip.factory.chips_drawn",
-			"chip.factory.draw_ns",
-			// field sampling (dense + circulant share one histogram)
-			"variation.sample_ns",
+			// stages, each named once for its histogram and its trace
+			// events (plus experiments.run.<id> below)
+			"run",
+			"parallel.worker",
+			"chip.draw",
+			"variation.sample_ns", // dense + circulant field sampling
+			"core.front",
+			"core.front.reference",
+			"core.front.cell",
+			"core.solver.front",
+			"core.solver.solve",
+			"experiments.attribution",
 			// observability tiers' self-accounting
 			"events.emitted",
 			"events.dropped",

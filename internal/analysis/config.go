@@ -108,14 +108,13 @@ func DefaultConfig(startDir string) (*Config, error) {
 		AllowedDeps: map[string][]string{
 			"mathx":            {},
 			"telemetry":        {},
-			"telemetry/trace":  {"telemetry"},
 			"telemetry/events": {"telemetry"},
 			"converge":         {"telemetry"},
 			"provenance":       {},
-			"parallel":         {"telemetry", "telemetry/trace"},
+			"parallel":         {"telemetry"},
 			"tech":             {"mathx"},
 			"variation":        {"mathx", "parallel", "telemetry", "telemetry/events"},
-			"chip":             {"converge", "mathx", "parallel", "tech", "telemetry", "telemetry/events", "telemetry/trace", "variation"},
+			"chip":             {"converge", "mathx", "parallel", "tech", "telemetry", "telemetry/events", "variation"},
 			"power":            {"chip"},
 			"sim":              {"mathx"},
 			"quality":          {},
@@ -130,13 +129,13 @@ func DefaultConfig(startDir string) (*Config, error) {
 			"rms/srad":         {"fault", "mathx", "quality", "rms", "sim", "workload"},
 			"rms/btcmine":      {"fault", "rms", "sim"},
 			"rms/rmstest":      {"fault", "rms", "sim"},
-			"core":             {"chip", "fault", "mathx", "parallel", "power", "rms", "sim", "tech", "telemetry/events", "telemetry/trace"},
+			"core":             {"chip", "fault", "mathx", "parallel", "power", "rms", "sim", "tech", "telemetry", "telemetry/events"},
 			"atlas":            {"chip", "fault", "telemetry/events"},
 			"baseline":         {"chip", "power"},
 			"analysis":         {},
 			"experiments": {"baseline", "chip", "core", "fault", "mathx", "parallel", "power",
 				"rms", "rms/bodytrack", "rms/btcmine", "rms/canneal", "rms/ferret",
-				"rms/hotspot", "rms/srad", "rms/xh264", "sim", "tech", "telemetry", "telemetry/trace", "variation"},
+				"rms/hotspot", "rms/srad", "rms/xh264", "sim", "tech", "telemetry", "variation"},
 			"service": {"experiments", "provenance", "telemetry", "telemetry/events"},
 			"history": {"converge", "provenance", "telemetry", "telemetry/events"},
 		},
@@ -165,9 +164,8 @@ func DefaultConfig(startDir string) (*Config, error) {
 
 		Catalog: DefaultCatalog(),
 
-		// Every suppression is a justified debt. The tree carries a
-		// small number today (wall-clock provenance timing); leave a
-		// little headroom, not an open door.
+		// Every suppression is a justified debt. The tree carries
+		// none today; leave a little headroom, not an open door.
 		SuppressionBudget: 8,
 	}, nil
 }

@@ -11,7 +11,7 @@ import (
 // the configured simulation packages it forbids
 //
 //   - time.Now / time.Since — wall-clock reads make runs
-//     unrepeatable; timing belongs to telemetry.StartTimer (whose
+//     unrepeatable; timing belongs to a telemetry.Stage (whose
 //     disabled path never touches the clock) or to callers passing
 //     times in,
 //   - the global math/rand top-level functions — the process-wide
@@ -46,7 +46,7 @@ func runDeterminism(pass *Pass) {
 				switch fn.Pkg().Path() {
 				case "time":
 					if fn.Name() == "Now" || fn.Name() == "Since" {
-						pass.Reportf(n.Pos(), "time.%s in simulation package %s; wall clocks break run repeatability — use telemetry.StartTimer or take times as inputs", fn.Name(), pass.Pkg.Path)
+						pass.Reportf(n.Pos(), "time.%s in simulation package %s; wall clocks break run repeatability — time it with a telemetry.Stage or take times as inputs", fn.Name(), pass.Pkg.Path)
 					}
 				case "math/rand", "math/rand/v2":
 					// Constructors (New, NewSource, ...) build local,

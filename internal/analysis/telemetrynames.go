@@ -9,7 +9,7 @@ import (
 
 // TelemetryNamesAnalyzer keeps the observability vocabulary closed and
 // greppable. Every name handed to telemetry.GetCounter / GetGauge /
-// GetHistogram / StartSpan and every kind handed to events.New must
+// GetHistogram / NewStage and every kind handed to events.New must
 //
 //   - resolve statically: a string literal, a concatenation with a
 //     literal prefix ("cache." + name + ".hits"), or a local variable
@@ -34,7 +34,7 @@ var nameRe = regexp.MustCompile(`^[a-z0-9_.]+$`)
 // metricFuncs name the metric registration points in
 // internal/telemetry; events.New is the one event registration point.
 var metricFuncs = map[string]bool{
-	"GetCounter": true, "GetGauge": true, "GetHistogram": true, "StartSpan": true,
+	"GetCounter": true, "GetGauge": true, "GetHistogram": true, "NewStage": true,
 }
 
 const (

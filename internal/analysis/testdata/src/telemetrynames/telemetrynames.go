@@ -20,6 +20,10 @@ func Unregistered() {
 	telemetry.GetCounter("phantom.metric").Add(1) // want `metric name "phantom.metric" is not registered`
 }
 
+// UnregisteredStage declares a stage under a name the catalog has
+// never heard of.
+var UnregisteredStage = telemetry.NewStage("phantom.stage") // want `metric name "phantom.stage" is not registered`
+
 // BadCharset uses a name outside the [a-z0-9_.] alphabet.
 func BadCharset() {
 	telemetry.GetGauge("Bad-Name").Set(0) // want `must match`

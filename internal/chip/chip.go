@@ -23,7 +23,6 @@ import (
 	"repro/internal/tech"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/events"
-	"repro/internal/telemetry/trace"
 	"repro/internal/variation"
 )
 
@@ -32,7 +31,7 @@ import (
 // derivation; the factory's Cholesky cost is paid once at NewFactory).
 var (
 	telChipsDrawn = telemetry.GetCounter("chip.factory.chips_drawn")
-	telDrawNs     = telemetry.GetHistogram("chip.factory.draw_ns")
+	stDraw        = telemetry.NewStage("chip.draw")
 )
 
 // Config describes the chip organization and its variation environment.
@@ -197,7 +196,13 @@ func (f *Factory) Config() Config { return f.cfg }
 
 // Sample draws one chip. The same seed always yields the same chip.
 func (f *Factory) Sample(seed int64) *Chip {
-	timer := telemetry.StartTimer()
+	return f.sample(context.Background(), seed)
+}
+
+// sample is one chip.draw stage: the draw Sample and SampleCtx share.
+func (f *Factory) sample(ctx context.Context, seed int64) *Chip {
+	st := stDraw.Begin(ctx).Int("seed", seed)
+	defer st.End()
 	cfg := f.cfg
 	rng := mathx.NewRNG(seed)
 	vthDev := f.vthSampler.Sample(rng.Split(1))
@@ -246,20 +251,17 @@ func (f *Factory) Sample(seed int64) *Chip {
 		Int("cores", int64(len(ch.Cores))).
 		Float("vddntv", ch.vddNTV).
 		Emit()
-	timer.ObserveIn(telDrawNs)
 	return ch
 }
 
-// SampleCtx is Sample under the observability tier: while tracing is
-// enabled it records a chip.draw span (a child of ctx's current span,
-// so population draws nest under their pool worker), and while
-// convergence monitoring is enabled it streams the drawn chip's
-// summary metrics into the Monte-Carlo convergence estimators. The
-// chip returned is bit-identical to Sample(seed) regardless.
+// SampleCtx is Sample under the observability tier: in a traced
+// context the chip.draw stage records a trace event under ctx's
+// current stage, so population draws nest under their pool worker,
+// and while convergence monitoring is enabled it streams the drawn
+// chip's summary metrics into the Monte-Carlo convergence estimators.
+// The chip returned is bit-identical to Sample(seed) regardless.
 func (f *Factory) SampleCtx(ctx context.Context, seed int64) *Chip {
-	sp := trace.StartFrom(ctx, "chip.draw").Arg("seed", seed)
-	ch := f.Sample(seed)
-	sp.End()
+	ch := f.sample(ctx, seed)
 	ch.ObserveConvergence()
 	return ch
 }
@@ -275,7 +277,7 @@ func (f *Factory) Population(seed int64, n int) []*Chip {
 
 // PopulationCtx is Population with cancellation: it returns early with
 // the context's error if ctx is cancelled mid-draw. Each draw goes
-// through SampleCtx, so a traced run shows one chip.draw span per chip
+// through SampleCtx, so a traced run shows one chip.draw event per chip
 // under the pool worker that drew it, and an enabled convergence
 // monitor sees every chip of the population.
 func (f *Factory) PopulationCtx(ctx context.Context, seed int64, n int) ([]*Chip, error) {

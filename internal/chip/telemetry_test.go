@@ -1,13 +1,15 @@
 package chip
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/telemetry"
 )
 
 // TestSampleTelemetry: every Monte-Carlo draw lands in the factory's
-// chips_drawn counter and draw-latency histogram.
+// chips_drawn counter and the chip.draw stage's histogram, whether or
+// not it is drawn under a context.
 func TestSampleTelemetry(t *testing.T) {
 	f, err := NewFactory(DefaultConfig())
 	if err != nil {
@@ -19,10 +21,11 @@ func TestSampleTelemetry(t *testing.T) {
 	for i := 0; i < n; i++ {
 		f.Sample(int64(100 + i))
 	}
-	if got := telChipsDrawn.Value(); got != n {
-		t.Errorf("chips_drawn = %d, want %d", got, n)
+	f.SampleCtx(context.Background(), 200)
+	if got := telChipsDrawn.Value(); got != n+1 {
+		t.Errorf("chips_drawn = %d, want %d", got, n+1)
 	}
-	if got := telDrawNs.Count(); got != n {
-		t.Errorf("draw_ns observations = %d, want %d", got, n)
+	if got := telemetry.GetHistogram("chip.draw").Count(); got != n+1 {
+		t.Errorf("chip.draw observations = %d, want %d", got, n+1)
 	}
 }

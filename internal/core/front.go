@@ -9,8 +9,16 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/parallel"
 	"repro/internal/rms"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/events"
-	"repro/internal/telemetry/trace"
+)
+
+// Front measurement stages: the whole measurement, its reference run,
+// and each (scenario, input) profiling cell.
+var (
+	stFront    = telemetry.NewStage("core.front")
+	stFrontRef = telemetry.NewStage("core.front.reference")
+	stCell     = telemetry.NewStage("core.front.cell")
 )
 
 // QualityFront is the measured quality-vs-problem-size characteristic
@@ -50,19 +58,18 @@ func MeasureFronts(b rms.Benchmark, seed int64) (*QualityModel, error) {
 	return MeasureFrontsCtx(context.Background(), b, seed)
 }
 
-// MeasureFrontsCtx is MeasureFronts under the tracing tier: the whole
-// measurement records a core.front span (child of ctx's span), the
-// reference execution a core.front.reference stage, and every
-// (scenario, input) profiling cell its own core.front.cell span under
-// the pool worker that ran it.
+// MeasureFrontsCtx is MeasureFronts with ctx's stages as parents: the
+// whole measurement is a core.front stage, the reference execution a
+// core.front.reference stage, and every (scenario, input) profiling
+// cell a core.front.cell stage under the pool worker that ran it.
 func MeasureFrontsCtx(ctx context.Context, b rms.Benchmark, seed int64) (*QualityModel, error) {
-	fsp := trace.StartFrom(ctx, "core.front").ArgStr("bench", b.Name())
-	defer fsp.End()
-	ctx = trace.NewContext(ctx, fsp)
+	st := stFront.Begin(ctx).Str("bench", b.Name())
+	defer st.End()
+	ctx = st.Context(ctx)
 
-	rsp := trace.Child(fsp, "core.front.reference")
+	rst := stFrontRef.Begin(ctx)
 	ref, err := rms.ReferenceCtx(ctx, b, seed)
-	rsp.End()
+	rst.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: reference run: %w", err)
 	}
@@ -77,8 +84,7 @@ func MeasureFrontsCtx(ctx context.Context, b rms.Benchmark, seed int64) (*Qualit
 	sweep := b.Sweep()
 	qualities, err := parallel.MapCtx(ctx, len(scenarios)*len(sweep), func(wctx context.Context, i int) (float64, error) {
 		sc, in := scenarios[i/len(sweep)], sweep[i%len(sweep)]
-		csp := trace.StartFrom(wctx, "core.front.cell").ArgStr("scenario", sc.name)
-		defer csp.End()
+		defer stCell.Begin(wctx).Str("scenario", sc.name).End()
 		res, err := b.Run(in, b.DefaultThreads(), sc.plan, seed)
 		if err != nil {
 			return 0, fmt.Errorf("core: %s %s at input %g: %w", b.Name(), sc.name, in, err)

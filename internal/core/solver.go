@@ -13,7 +13,7 @@ import (
 	"repro/internal/rms"
 	"repro/internal/sim"
 	"repro/internal/tech"
-	"repro/internal/telemetry/trace"
+	"repro/internal/telemetry"
 )
 
 // OperatingPoint is one point of an iso-execution-time pareto front
@@ -300,18 +300,22 @@ func (s *Solver) Front(flavor Flavor) ([]OperatingPoint, error) {
 	return s.FrontCtx(context.Background(), flavor)
 }
 
-// FrontCtx is Front under the tracing tier: the sweep records a
-// core.solver.front span and each solved input a core.solver.solve
-// span under the pool worker that ran it.
+// Solver sweep stages: one front, and each input solved on it.
+var (
+	stSolverFront = telemetry.NewStage("core.solver.front")
+	stSolve       = telemetry.NewStage("core.solver.solve")
+)
+
+// FrontCtx is Front with ctx's stages as parents: the sweep is a
+// core.solver.front stage and each solved input a core.solver.solve
+// stage under the pool worker that ran it.
 func (s *Solver) FrontCtx(ctx context.Context, flavor Flavor) ([]OperatingPoint, error) {
-	fsp := trace.StartFrom(ctx, "core.solver.front").
-		ArgStr("bench", s.Bench.Name()).ArgStr("flavor", flavor.String())
-	defer fsp.End()
-	ctx = trace.NewContext(ctx, fsp)
+	st := stSolverFront.Begin(ctx).Str("bench", s.Bench.Name()).Str("flavor", flavor.String())
+	defer st.End()
+	ctx = st.Context(ctx)
 	sweep := s.Bench.Sweep()
 	return parallel.MapCtx(ctx, len(sweep), func(wctx context.Context, i int) (OperatingPoint, error) {
-		ssp := trace.StartFrom(wctx, "core.solver.solve")
-		defer ssp.End()
+		defer stSolve.Begin(wctx).End()
 		return s.Solve(sweep[i], flavor)
 	})
 }

@@ -7,8 +7,10 @@ import (
 	"repro/internal/chip"
 	"repro/internal/fault"
 	"repro/internal/rms"
-	"repro/internal/telemetry/trace"
+	"repro/internal/telemetry"
 )
+
+var stAttribution = telemetry.NewStage("experiments.attribution")
 
 // AttributionResult bundles one attributed benchmark run: the chip it
 // executed on and the fault ledger's aggregated report.
@@ -36,8 +38,7 @@ type AttributionResult struct {
 // for the -atlas export path, and the default `all` run's stdout must
 // not change.
 func RunAttribution(ctx context.Context, cfg Config) (AttributionResult, error) {
-	sp := trace.StartFrom(ctx, "experiments.attribution")
-	defer sp.End()
+	defer stAttribution.Begin(ctx).End()
 	// Like RunMany: a concurrent ResetCaches waits for this run.
 	defer holdCaches()()
 

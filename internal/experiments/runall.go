@@ -8,18 +8,30 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/trace"
 )
 
 // RunResult is one experiment's outcome under RunMany: the tables it
 // produced, or the error that stopped it, plus the runner's wall time
 // (for the provenance manifest's per-runner accounting).
 type RunResult struct {
-	ID      string
-	Tables  []*Table
-	Err     error
+	ID     string
+	Tables []*Table
+	Err    error
+	// Elapsed is the runner's experiments.run.<id> stage time. It is
+	// zero while telemetry is off; the -manifest and -history paths and
+	// accordiond, which read it, all run with telemetry on.
 	Elapsed time.Duration
 }
+
+// runStages holds one experiments.run.<id> stage per registered
+// experiment.
+var runStages = func() map[string]*telemetry.Stage {
+	m := make(map[string]*telemetry.Stage)
+	for id := range Registry() {
+		m[id] = telemetry.NewStage("experiments.run." + id)
+	}
+	return m
+}()
 
 // RunMany executes the named experiments concurrently on the parallel
 // pool (bounded by parallel.Workers(), the -j flag) and returns their
@@ -29,10 +41,10 @@ type RunResult struct {
 // siblings; the returned error is non-nil only for an unknown id or a
 // context cancellation.
 //
-// Under the tracing tier each runner records an experiments.run.<id>
-// span (child of the ctx span, in the worker's lane) and passes it
-// down through its context, so chip draws, front measurements and
-// solver sweeps nest run → runner → stage in the exported trace.
+// Each runner is an experiments.run.<id> stage begun under the pool
+// worker's context and handed down through the runner's, so in a
+// traced context chip draws, front measurements and solver sweeps nest
+// run → runner → stage in the exported trace.
 func RunMany(ctx context.Context, cfg Config, ids []string) ([]RunResult, error) {
 	reg := Registry()
 	for _, id := range ids {
@@ -44,29 +56,9 @@ func RunMany(ctx context.Context, cfg Config, ids []string) ([]RunResult, error)
 	// ResetCaches cannot interleave with the memo layers mid-flight.
 	defer holdCaches()()
 	return parallel.MapCtx(ctx, len(ids), func(wctx context.Context, i int) (RunResult, error) {
-		// Per-runner stage timing lands in experiments.run.<id>; the
-		// span name is only built while telemetry records.
-		var sp telemetry.Span
-		if telemetry.On() {
-			sp = telemetry.StartSpan("experiments.run." + ids[i])
-		}
-		rctx := wctx
-		var tsp *trace.Span
-		if trace.On() {
-			tsp = trace.StartFrom(wctx, "experiments.run."+ids[i])
-			rctx = trace.NewContext(wctx, tsp)
-		}
-		// Per-runner wall time is reporting, not simulation: it feeds
-		// RunResult.Elapsed and the provenance manifest, and no model
-		// output depends on it.
-		//lint:ignore determinism wall-clock runner timing feeds the provenance manifest only
-		start := time.Now()
-		tables, err := reg[ids[i]](rctx, cfg)
-		//lint:ignore determinism wall-clock runner timing feeds the provenance manifest only
-		elapsed := time.Since(start)
-		tsp.End()
-		sp.End()
-		return RunResult{ID: ids[i], Tables: tables, Err: err, Elapsed: elapsed}, nil
+		st := runStages[ids[i]].Begin(wctx)
+		tables, err := reg[ids[i]](st.Context(wctx), cfg)
+		return RunResult{ID: ids[i], Tables: tables, Err: err, Elapsed: st.End()}, nil
 	})
 }
 

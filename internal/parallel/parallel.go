@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/trace"
 )
 
 // Pool telemetry. Counters are self-gating (a disabled Add is one
@@ -37,6 +36,7 @@ var (
 	telPoolWidth      = telemetry.GetGauge("parallel.pool.width")
 	telQueueWait      = telemetry.GetHistogram("parallel.queue.wait_ns")
 	telWorkerBusy     = telemetry.GetHistogram("parallel.worker.busy_ns")
+	stWorker          = telemetry.NewStage("parallel.worker")
 )
 
 // workerOverride holds the explicit width set by SetWorkers; zero means
@@ -88,12 +88,11 @@ func ForEach(ctx context.Context, n int, fn func(i int) error) error {
 }
 
 // ForEachCtx is ForEach for work that wants the pool's per-worker
-// context: fn receives a context derived from ctx that, while tracing
-// is enabled, carries the worker's trace span (a parallel.worker lane
-// under the caller's current span), so spans opened inside fn nest
-// under the worker that actually ran the task — the trace's worker
-// attribution. With tracing disabled the worker context is ctx itself
-// and the path adds nothing.
+// context: each worker runs a parallel.worker stage, and in a traced
+// context fn receives a context carrying it (a fresh lane under the
+// caller's current stage), so stages begun inside fn nest under the
+// worker that actually ran the task — the trace's worker attribution.
+// Untraced, the worker context is ctx itself.
 func ForEachCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -152,20 +151,15 @@ func ForEachCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) 
 		}()
 		return fn(wctx, i), true
 	}
-	parent := trace.FromContext(ctx)
 	for k := 0; k < w; k++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
 			// Worker attribution: every worker records its own lane so
-			// the trace shows which goroutine ran which task spans.
-			wctx, tasks := ctx, int64(0)
-			var ws *trace.Span
-			if trace.On() {
-				ws = trace.ChildLane(parent, "parallel.worker").Arg("worker", int64(worker))
-				wctx = trace.NewContext(ctx, ws)
-				defer func() { ws.Arg("tasks", tasks).End() }()
-			}
+			// the trace shows which goroutine ran which task stages.
+			st := stWorker.BeginLane(ctx).Int("worker", int64(worker))
+			wctx, tasks := st.Context(ctx), int64(0)
+			defer func() { st.Int("tasks", tasks).End() }()
 			for {
 				i := int(next.Add(1))
 				if i >= n || poolCtx.Err() != nil {
@@ -218,8 +212,8 @@ func Map[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, err
 	return MapCtx(ctx, n, func(_ context.Context, i int) (T, error) { return fn(i) })
 }
 
-// MapCtx is Map with ForEachCtx's per-worker context: fn's ctx carries
-// the running worker's trace span while tracing is enabled.
+// MapCtx is Map with ForEachCtx's per-worker context: in a traced
+// context fn's ctx carries the running worker's stage.
 func MapCtx[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := ForEachCtx(ctx, n, func(wctx context.Context, i int) error {

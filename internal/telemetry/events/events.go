@@ -3,9 +3,9 @@
 // Monte-Carlo factory, a quality front measured, a fault injected into
 // a task, a Drop plan suppressing a task's contribution, an output
 // scored against its reference — where internal/telemetry aggregates
-// runtime counters and internal/telemetry/trace records runtime spans.
+// runtime counters and traces runtime stages.
 //
-// Design constraints, mirroring the other two tiers:
+// Design constraints, mirroring internal/telemetry:
 //
 //  1. Near-zero cost when off. Event construction is gated on one
 //     atomic load of the package switch; while disabled New returns a

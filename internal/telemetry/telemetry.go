@@ -1,28 +1,30 @@
 // Package telemetry is the repository's zero-dependency observability
 // substrate: atomic counters, gauges, bounded log-scale histograms
-// (with p50/p95/p99 readouts), and span-style stage timers, all hanging
-// off one process-wide registry that Snapshot() reads without stopping
-// the world.
+// (with p50/p95/p99 readouts), all hanging off one process-wide
+// registry that Snapshot() reads without stopping the world, and the
+// Stage, the one timing primitive: each stage call feeds its histogram
+// and, under a traced context, a Chrome trace event.
 //
 // Design constraints, in order:
 //
 //  1. Near-zero cost when off. Recording is gated on one atomic load of
 //     the package-wide Enabled switch; a disabled Counter.Add,
-//     Histogram.Observe, Gauge.Set, or StartSpan performs no allocation
+//     Histogram.Observe, Gauge.Set, or Stage.Begin performs no allocation
 //     and no time.Now call. Hot layers (the parallel pool, the memo
 //     caches, the chip factory) therefore instrument unconditionally
 //     and let the switch decide.
 //  2. Race-free under fire. Every metric is a fixed set of atomics;
-//     there is no per-record locking anywhere. The registry lock is
-//     taken only on first registration of a name, never on the record
-//     path — callers hold the returned pointer.
+//     only a traced stage call takes a lock, to append its event. The
+//     registry lock is taken only on first registration of a name,
+//     never on the record path — callers hold the returned pointer.
 //  3. Bounded memory. A Histogram is 64 power-of-two buckets plus five
 //     scalars no matter how many observations land in it; quantiles are
 //     interpolated within the winning bucket and clamped to the
-//     observed min/max.
+//     observed min/max. The trace buffer holds at most 524,288 events
+//     and counts the rest in the trace.dropped gauge.
 //
-// Metric handles are nil-safe: calling Add/Set/Observe/End on a nil
-// metric (or the zero Span) is a no-op, so optional instrumentation
+// Metric handles are nil-safe: calling Add/Set/Observe on a nil metric
+// (or End on the zero Timing) is a no-op, so optional instrumentation
 // needs no guards.
 package telemetry
 
@@ -32,7 +34,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // enabled is the process-wide switch. All recording paths check it
@@ -153,8 +154,8 @@ func (h *Histogram) Observe(v int64) {
 	h.observe(v)
 }
 
-// observe records unconditionally; used by Span.End so a span started
-// while enabled still lands if the switch flips mid-flight.
+// observe records unconditionally; used by Timing.End so a stage call
+// begun while enabled still lands if the switch flips mid-flight.
 func (h *Histogram) observe(v int64) {
 	if v < 0 {
 		v = 0
@@ -263,34 +264,6 @@ func quantile(counts *[histBuckets]int64, total int64, q float64, min, max int64
 	return max
 }
 
-// Span measures one stage: StartSpan captures the clock, End records
-// the elapsed nanoseconds into the named histogram. The zero Span is a
-// no-op, which is what StartSpan returns while telemetry is off — so
-// the disabled path never reads the clock.
-type Span struct {
-	h     *Histogram
-	start time.Time
-}
-
-// StartSpan begins timing a stage against the named histogram. While
-// telemetry is disabled it returns the zero Span without touching the
-// clock or the registry; note the name argument itself is evaluated by
-// the caller, so gate expensive name construction on On().
-func StartSpan(name string) Span {
-	if !enabled.Load() {
-		return Span{}
-	}
-	return Span{h: GetHistogram(name), start: time.Now()}
-}
-
-// End records the span's elapsed time. Safe on the zero Span.
-func (s Span) End() {
-	if s.h == nil {
-		return
-	}
-	s.h.observe(time.Since(s.start).Nanoseconds())
-}
-
 // registry is the process-wide name -> metric table. It is locked only
 // on registration; the record path never touches it.
 var reg struct {
@@ -358,10 +331,12 @@ func GetHistogramWithUnit(name, unit string) *Histogram {
 	return h
 }
 
-// Reset zeroes every registered metric in place. Metric identities are
-// preserved — pointers held by instrumented packages stay valid — so it
-// is safe to call between runs or tests.
+// Reset zeroes every registered metric in place and discards the
+// recorded trace events. Metric identities are preserved — pointers
+// held by instrumented packages stay valid — so it is safe to call
+// between runs or tests.
 func Reset() {
+	traceBuf.reset()
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	for _, c := range reg.counters {

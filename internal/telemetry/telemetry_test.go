@@ -2,12 +2,14 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestEnabledSwitch pins the core contract: nothing records while the
@@ -268,24 +270,32 @@ func TestSnapshotUnderFire(t *testing.T) {
 
 // TestTelemetryDisabledOverhead guards the Enabled contract: the
 // disabled record path allocates nothing — not for counters, gauges,
-// histograms, or spans.
+// histograms, or stages, traced context or not — and a disabled stage
+// reports no elapsed time.
 func TestTelemetryDisabledOverhead(t *testing.T) {
 	defer SetEnabled(false)()
 	c := GetCounter("test.overhead.counter")
 	g := GetGauge("test.overhead.gauge")
 	h := GetHistogram("test.overhead.hist")
+	st := NewStage("test.overhead.stage")
+	ctx := context.Background()
+	traced := TraceContext(ctx)
+	var elapsed time.Duration
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(3)
 		c.Inc()
 		g.Set(9)
 		h.Observe(123)
-		sp := StartSpan("test.overhead.span")
-		sp.End()
+		tm := st.Begin(ctx).Int("k", 1).Str("s", "v")
+		elapsed += tm.End()
+		tm = st.BeginLane(traced)
+		_ = tm.Context(traced)
+		elapsed += tm.End()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled telemetry allocates %.1f objects per op, want 0", allocs)
 	}
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || st.h.Count() != 0 || elapsed != 0 {
 		t.Fatal("disabled telemetry recorded values")
 	}
 }
@@ -333,7 +343,7 @@ func TestRegistryIdentity(t *testing.T) {
 	}
 }
 
-// TestNilSafety: nil metric handles and the zero Span are no-ops.
+// TestNilSafety: nil metric handles and the zero Timing are no-ops.
 func TestNilSafety(t *testing.T) {
 	defer SetEnabled(true)()
 	var c *Counter
@@ -346,19 +356,9 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil metrics returned nonzero values")
 	}
-	var s Span
-	s.End() // must not panic
-}
-
-// TestSpanRecords: a span lands one observation in its histogram.
-func TestSpanRecords(t *testing.T) {
-	defer SetEnabled(true)()
-	h := GetHistogram("test.span.hist")
-	h.reset()
-	sp := StartSpan("test.span.hist")
-	sp.End()
-	if h.Count() != 1 {
-		t.Fatalf("span recorded %d observations, want 1", h.Count())
+	var tm Timing
+	if tm.Int("k", 1).Str("s", "v").End() != 0 {
+		t.Fatal("the zero Timing reported elapsed time")
 	}
 }
 

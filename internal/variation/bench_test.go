@@ -10,9 +10,9 @@ import (
 // Each benchmark's sampler is built lazily and exactly once per
 // process, and only when its own benchmark runs: the dense 64x64
 // factorization alone is a 4096-point O(n^3) Cholesky (tens of
-// seconds), which must be paid neither per iteration nor by processes
-// benchmarking only the circulant path (scripts/bench_field.sh runs
-// one benchmark per process).
+// seconds), which must be paid neither per iteration nor by a process
+// benchmarking only the circulant path (`go test -run '^$' -bench
+// BenchmarkFieldCirculant -benchmem ./internal/variation`).
 type lazyDense struct {
 	once sync.Once
 	s    *Sampler

@@ -18,6 +18,7 @@
 package variation
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -46,9 +47,10 @@ type circulantEigen struct {
 // are constructed concurrently.
 var eigenCache = parallel.Cache[string, *circulantEigen]{Name: "variation.CirculantEigen"}
 
-// telSampleNs tracks the wall time of every correlated-field draw
-// (both the dense-Cholesky and the circulant path).
-var telSampleNs = telemetry.GetHistogram("variation.sample_ns")
+// stSample times every correlated-field draw (both the dense-Cholesky
+// and the circulant path). The samplers take no context, so the stage
+// feeds its histogram only and never a trace.
+var stSample = telemetry.NewStage("variation.sample_ns")
 
 // eigenKey encodes the exact bit patterns of the grid dims and field
 // parameters, so distinct inputs can never collide.
@@ -249,7 +251,7 @@ func (s *CirculantSampler) SampleTo(dst []float64, rng *mathx.RNG) {
 	if len(dst) != s.w*s.h {
 		panic("variation: SampleTo buffer length mismatch")
 	}
-	timer := telemetry.StartTimer()
+	st := stSample.Begin(context.Background())
 	s.mu.Lock()
 	if s.eig != nil {
 		// Spectrally-shaped complex white noise: with Z1 + i*Z2 per
@@ -277,7 +279,7 @@ func (s *CirculantSampler) SampleTo(dst []float64, rng *mathx.RNG) {
 			dst[i] += s.sigmaRnd * rng.StdNormal()
 		}
 	}
-	timer.ObserveIn(telSampleNs)
+	st.End()
 }
 
 // emitFieldSampled records the domain event for one SampleField call.

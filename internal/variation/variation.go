@@ -41,13 +41,13 @@
 package variation
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 
 	"repro/internal/mathx"
 	"repro/internal/parallel"
-	"repro/internal/telemetry"
 )
 
 // Point is a location on the die in normalized coordinates: the chip
@@ -255,7 +255,7 @@ func (s *Sampler) Params() FieldParams { return s.params }
 // fractional deviation of the parameter at point i, so the actual
 // parameter value is nominal * (1 + dev[i]).
 func (s *Sampler) Sample(rng *mathx.RNG) []float64 {
-	timer := telemetry.StartTimer()
+	st := stSample.Begin(context.Background())
 	dev := make([]float64, s.n)
 	if s.chol != nil {
 		z := make([]float64, s.n)
@@ -270,7 +270,7 @@ func (s *Sampler) Sample(rng *mathx.RNG) []float64 {
 			dev[i] += s.sigmaRnd * rng.StdNormal()
 		}
 	}
-	timer.ObserveIn(telSampleNs)
+	st.End()
 	return dev
 }
 
