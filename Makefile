@@ -43,7 +43,7 @@ lint:
 # checked-in corpus; mirrors the CI fuzz-smoke job.
 FUZZTIME ?= 30s
 fuzz:
-	go test ./internal/telemetry/events -run '^$$' -fuzz FuzzEventsNDJSONRoundTrip -fuzztime $(FUZZTIME)
+	go test ./internal/telemetry -run '^$$' -fuzz FuzzEventsNDJSONRoundTrip -fuzztime $(FUZZTIME)
 	go test ./internal/experiments -run '^$$' -fuzz FuzzFirstFloat -fuzztime $(FUZZTIME)
 	go test ./internal/mathx -run '^$$' -fuzz FuzzFFTSizes -fuzztime $(FUZZTIME)
 	go test ./internal/chip -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME)

@@ -19,35 +19,34 @@
 // output is byte-identical to a sequential -j 1 run, in the order the
 // ids were given.
 //
-// Observability: -telemetry text|json enables the process-wide
-// telemetry layer (pool utilization, cache hit rates, chip-draw
-// latency, per-runner stage timings) and dumps the report to stderr
-// after the run, so stdout stays a clean artifact stream. -trace FILE
-// turns telemetry on, records every stage of the run as a hierarchy
-// (run → runner → worker → chip draw / front measurement / solver
-// sweep) and exports it as Chrome trace-event JSON loadable in
-// Perfetto (https://ui.perfetto.dev).
+// Observability: telemetry has one switch, which -telemetry, -events,
+// -trace, -manifest, -history and -pprof each turn on. -telemetry
+// text|json dumps the report (pool utilization, cache hit rates,
+// fault counts, chip-draw latency, per-runner stage timings) to stderr
+// after the run, so stdout stays a clean artifact stream. -events FILE
+// writes the simulation-domain event log (chip drawn, front measured,
+// quality scored, atlas built, ledger-attributed faults) as NDJSON.
+// -trace FILE records every stage of the run as a hierarchy (run →
+// runner → worker → chip draw / front measurement / solver sweep) and
+// exports it as Chrome trace-event JSON loadable in Perfetto
+// (https://ui.perfetto.dev).
 // -manifest FILE writes a run-provenance manifest: the full flag set,
 // toolchain versions, per-runner wall times, cache hit rates, and a
 // SHA-256 of every artifact the run wrote; -verify-manifest FILE
 // re-hashes a manifest's artifacts and exits non-zero on any mismatch
 // (paths resolve relative to the current directory, as recorded).
-// -convergence FILE enables the Monte-Carlo convergence monitor and
-// dumps streaming mean/CI95 statistics for the per-chip metrics;
-// -progress additionally prints a chips-done/ETA/CI line to stderr
-// every two seconds.
-//
-// Domain observability: -events FILE records simulation-domain events
-// (chip drawn, front measured, fault injected, Drop triggered, quality
-// scored) and writes them as NDJSON. -atlas DIR runs the hotspot
-// fault-attribution pass on the representative chip and writes the
-// per-chip spatial export set — atlas.json, atlas.csv, one
-// atlas_<metric>.svg heatmap per metric, and ledger.json with the
-// per-core distortion breakdown. -pprof <addr> serves net/http/pprof
-// plus the /telemetryz JSON endpoint, the /metricsz Prometheus text
-// endpoint, and the /eventsz NDJSON event-log endpoint for live
-// scraping. With all of these off, the run is byte-identical to one
-// without the observability tier.
+// -convergence FILE runs the experiments under a Monte-Carlo
+// convergence monitor and dumps streaming mean/CI95 statistics for the
+// per-chip metrics; -progress additionally prints a chips-done/ETA/CI
+// line to stderr every two seconds.
+// -atlas DIR runs the hotspot fault-attribution pass on the
+// representative chip and writes the per-chip spatial export set —
+// atlas.json, atlas.csv, one atlas_<metric>.svg heatmap per metric,
+// and ledger.json with the per-core distortion breakdown. -pprof
+// <addr> serves net/http/pprof plus the /telemetryz JSON endpoint, the
+// /metricsz Prometheus text endpoint, and the /eventsz NDJSON
+// event-log endpoint for live scraping. With all of these off, the run
+// is byte-identical to one without the observability tier.
 //
 // Run history: -history DIR appends one record per completed run to
 // the store's records.ndjson — runner wall times, telemetry counters
@@ -71,8 +70,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/atlas"
@@ -82,7 +79,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/provenance"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
 )
 
 // stRun is the whole run's stage: the root of a -trace file.
@@ -96,10 +92,8 @@ func main() {
 		workers    = flag.Int("j", 0, "worker-pool width for experiments and model sweeps (0 = GOMAXPROCS)")
 		format     = flag.String("format", "text", "output format: text or csv")
 		outDir     = flag.String("out", "", "also write each experiment to <out>/<id>.<ext>")
-		telemMode  = telemetry.ModeFlag(flag.CommandLine)
+		obs        = telemetry.RegisterFlags(flag.CommandLine)
 		tracePath  = flag.String("trace", "", "record spans and write a Chrome trace-event JSON file (open in Perfetto)")
-		eventsPath = events.PathFlag(flag.CommandLine)
-		atlasDir   = atlas.DirFlag(flag.CommandLine)
 		maniPath   = flag.String("manifest", "", "write a run-provenance manifest (flags, versions, wall times, artifact SHA-256s)")
 		convPath   = flag.String("convergence", "", "monitor Monte-Carlo convergence and write the statistics as JSON")
 		progress   = flag.Bool("progress", false, "print chips-done/ETA/CI-width progress lines to stderr during the run")
@@ -147,7 +141,7 @@ func main() {
 	}
 	parallel.SetWorkers(*workers)
 
-	reportTelemetry, err := telemetry.StartMode(*telemMode)
+	finishObs, err := obs.Start()
 	if err != nil {
 		fail(2, "%v", err)
 	}
@@ -158,29 +152,17 @@ func main() {
 	if *pprofAddr != "" || *maniPath != "" || *histDir != "" || *tracePath != "" {
 		telemetry.SetEnabled(true)
 	}
-	finishEvents, err := events.StartPath(*eventsPath)
-	if err != nil {
-		fail(2, "%v", err)
-	}
-	if *convPath != "" || *progress || *histDir != "" {
-		converge.SetEnabled(true)
-	}
 	if *pprofAddr != "" {
 		// net/http/pprof registered its handlers on the default mux at
 		// import; /telemetryz, /metricsz and /eventsz join them there.
 		http.Handle("/telemetryz", telemetry.Handler())
 		http.Handle("/metricsz", telemetry.MetricsHandler())
-		http.Handle("/eventsz", events.Handler())
+		http.Handle("/eventsz", telemetry.EventsHandler())
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "accordion: pprof server: %v\n", err)
 			}
 		}()
-	}
-	dumpTelemetry := func() {
-		if err := reportTelemetry(os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "accordion: telemetry: %v\n", err)
-		}
 	}
 
 	var man *provenance.Manifest
@@ -205,6 +187,9 @@ func main() {
 	ctx := context.Background()
 	if *tracePath != "" {
 		ctx = telemetry.TraceContext(ctx)
+	}
+	if *convPath != "" || *progress || *histDir != "" {
+		ctx = converge.MonitorContext(ctx)
 	}
 	run := stRun.Begin(ctx).Int("experiments", int64(len(args)))
 	ctx = run.Context(ctx)
@@ -235,9 +220,9 @@ func main() {
 	}
 
 	// finishObservability ends the run stage and writes every enabled
-	// observability artifact; called on the error path too, so a failed
-	// run still leaves its trace, convergence report and manifest (with
-	// the error recorded) behind.
+	// observability artifact and the -telemetry report; called on the
+	// error path too, so a failed run still leaves its trace,
+	// convergence report and manifest (with the error recorded) behind.
 	finishObservability := func(results []experiments.RunResult) {
 		stopProgress()
 		run.End()
@@ -261,8 +246,8 @@ func main() {
 		}
 		// The atlas export runs before the event dump so its atlas.built
 		// and fault-provenance events land in events.ndjson too.
-		if *atlasDir != "" {
-			paths, err := writeAtlas(ctx, *atlasDir, cfg)
+		if obs.Atlas != "" {
+			paths, err := writeAtlas(ctx, obs.Atlas, cfg)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "accordion: atlas: %v\n", err)
 			} else if man != nil {
@@ -273,20 +258,20 @@ func main() {
 				}
 			}
 		}
-		if *eventsPath != "" {
-			if err := finishEvents(); err != nil {
-				fmt.Fprintf(os.Stderr, "accordion: %v\n", err)
-			} else if man != nil {
-				if err := man.AddArtifactFile("events.ndjson", *eventsPath); err != nil {
-					fmt.Fprintf(os.Stderr, "accordion: manifest: %v\n", err)
-				}
+		if err := finishObs(os.Stderr); err != nil {
+			fmt.Fprintf(os.Stderr, "accordion: %v\n", err)
+		} else if man != nil && obs.Events != "" {
+			if err := man.AddArtifactFile("events.ndjson", obs.Events); err != nil {
+				fmt.Fprintf(os.Stderr, "accordion: manifest: %v\n", err)
 			}
 		}
 		if man != nil {
 			for _, r := range results {
 				man.AddRunner(r.ID, r.Elapsed, r.Err)
 			}
-			addCacheStats(man)
+			for _, c := range telemetry.Caches(telemetry.Capture().Counters) {
+				man.AddCache(c.Name, c.Hits, c.Misses)
+			}
 			man.Finish()
 			if err := man.WriteFile(*maniPath); err != nil {
 				fmt.Fprintf(os.Stderr, "accordion: manifest: %v\n", err)
@@ -321,7 +306,6 @@ func main() {
 		// A partial run still has useful observability (which stage
 		// died, what the caches did first); emit before exiting.
 		finishObservability(results)
-		dumpTelemetry()
 		fail(1, "%v", err)
 	}
 	render := func(w io.Writer, tables []*experiments.Table) error {
@@ -384,7 +368,6 @@ func main() {
 		}
 	}
 	finishObservability(results)
-	dumpTelemetry()
 
 	if *histDir != "" {
 		rec := buildHistoryRecord(results, time.Since(start), prof)
@@ -489,35 +472,4 @@ func writeConvergence(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// addCacheStats harvests the memo caches' hit/miss counters from the
-// telemetry registry (cache.<name>.{hits,misses}) into the manifest.
-func addCacheStats(man *provenance.Manifest) {
-	snap := telemetry.Capture()
-	hits := map[string]int64{}
-	misses := map[string]int64{}
-	for _, c := range snap.Counters {
-		if name, ok := strings.CutPrefix(c.Name, "cache."); ok {
-			switch {
-			case strings.HasSuffix(name, ".hits"):
-				hits[strings.TrimSuffix(name, ".hits")] = c.Value
-			case strings.HasSuffix(name, ".misses"):
-				misses[strings.TrimSuffix(name, ".misses")] = c.Value
-			}
-		}
-	}
-	names := make([]string, 0, len(hits))
-	for name := range hits {
-		names = append(names, name)
-	}
-	for name := range misses {
-		if _, ok := hits[name]; !ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		man.AddCache(name, hits[name], misses[name])
-	}
 }

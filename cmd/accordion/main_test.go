@@ -87,35 +87,63 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestObservabilityKeepsStdout: -trace, -telemetry and -manifest leave
-// stdout byte-identical; the trace is one tree under the run stage with
-// worker lanes and chip draws under fig5a; and the manifest verifies.
+// TestObservabilityKeepsStdout: -trace, -telemetry, -manifest, -events
+// and -convergence leave stdout byte-identical; the trace is one tree
+// under the run stage with worker lanes and chip draws under fig5a;
+// -telemetry alone records domain events, since the event log follows
+// the one switch; and the manifest verifies.
 func TestObservabilityKeepsStdout(t *testing.T) {
 	dir := t.TempDir()
 	ids := []string{"fig1a", "fig5a", "table2"}
-	run := func(flags ...string) []byte {
+	run := func(flags ...string) (stdout, stderr []byte) {
 		t.Helper()
 		stdout, stderr, code := accordion(t, dir, append(append([]string{"-j", "2"}, flags...), ids...)...)
 		if code != 0 {
 			t.Fatalf("accordion %q exited %d:\n%s", flags, code, stderr)
 		}
-		return stdout
+		return stdout, stderr
 	}
-	plain := run()
+	plain, _ := run()
 	if len(plain) == 0 {
 		t.Fatal("plain run printed nothing")
 	}
+	var report []byte
 	for _, flags := range [][]string{
 		{"-trace", "trace.json"},
 		{"-telemetry", "json"},
 		{"-manifest", "manifest.json"},
+		{"-events", "events.ndjson"},
+		{"-convergence", "convergence.json"},
 	} {
-		if got := run(flags...); !bytes.Equal(got, plain) {
+		got, stderr := run(flags...)
+		if !bytes.Equal(got, plain) {
 			t.Errorf("stdout with %q differs from the plain run", flags)
+		}
+		if flags[0] == "-telemetry" {
+			report = stderr
 		}
 	}
 
 	checkTrace(t, filepath.Join(dir, "trace.json"), ids)
+
+	var doc struct {
+		Counters []struct {
+			Name  string `json:"name"`
+			Value int64  `json:"value"`
+		} `json:"counters"`
+	}
+	if err := json.Unmarshal(report, &doc); err != nil {
+		t.Fatalf("-telemetry json report is not JSON: %v\n%s", err, report)
+	}
+	emitted := int64(-1)
+	for _, c := range doc.Counters {
+		if c.Name == "events.emitted" {
+			emitted = c.Value
+		}
+	}
+	if emitted <= 0 {
+		t.Errorf("-telemetry json reports events.emitted = %d, want > 0", emitted)
+	}
 
 	if _, stderr, code := accordion(t, dir, "-verify-manifest", "manifest.json"); code != 0 {
 		t.Errorf("-verify-manifest exited %d:\n%s", code, stderr)

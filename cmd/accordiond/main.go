@@ -8,7 +8,7 @@
 // Usage:
 //
 //	accordiond [-addr HOST:PORT] [-queue N] [-workers N] [-j N]
-//	           [-retain N] [-drain-timeout DUR] [-telemetry text|json]
+//	           [-retain N] [-drain-timeout DUR]
 //
 // Endpoints (see internal/service for the wire schema):
 //
@@ -50,7 +50,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/service"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
 )
 
 // options are the daemon's validated command-line settings.
@@ -61,7 +60,6 @@ type options struct {
 	poolWidth    int
 	retain       int
 	drainTimeout time.Duration
-	telemetry    string
 }
 
 // parseFlags parses and validates the daemon's arguments. Any error
@@ -75,11 +73,9 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.poolWidth, "j", 0, "worker-pool width for model sweeps inside a job (0 = GOMAXPROCS)")
 	fs.IntVar(&o.retain, "retain", 64, "completed jobs kept addressable for /jobs/<id> and coalescing (negative = none)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 60*time.Second, "graceful-shutdown deadline for in-flight jobs")
-	telemMode := telemetry.ModeFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	o.telemetry = *telemMode
 	switch {
 	case fs.NArg() > 0:
 		return o, fmt.Errorf("unexpected arguments %v", fs.Args())
@@ -110,14 +106,9 @@ func main() {
 	parallel.SetWorkers(opts.poolWidth)
 
 	// A service wants its ops surface live from the first request:
-	// telemetry recording and the domain-event ring are always on (the
-	// -telemetry flag only controls the shutdown dump to stderr).
-	report, err := telemetry.StartMode(opts.telemetry)
-	if err != nil {
-		fail(2, "%v", err)
-	}
+	// telemetry, and with it the domain-event ring, is always on, and
+	// /telemetryz, /metricsz and /eventsz serve it.
 	telemetry.SetEnabled(true)
-	events.SetEnabled(true)
 
 	srv := service.New(service.Config{
 		QueueDepth: opts.queue,
@@ -128,7 +119,7 @@ func main() {
 	mux := srv.Mux()
 	mux.Handle("GET /telemetryz", telemetry.Handler())
 	mux.Handle("GET /metricsz", telemetry.MetricsHandler())
-	mux.Handle("GET /eventsz", events.Handler())
+	mux.Handle("GET /eventsz", telemetry.EventsHandler())
 
 	// The service core spawns no goroutines; the daemon owns them all.
 	workerCtx, stopWorkers := context.WithCancel(context.Background())
@@ -170,9 +161,6 @@ func main() {
 	if err := <-listenErr; !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "accordiond: listener: %v\n", err)
 		code = 1
-	}
-	if err := report(os.Stderr); err != nil {
-		fmt.Fprintf(os.Stderr, "accordiond: telemetry: %v\n", err)
 	}
 	fmt.Fprintln(os.Stderr, "accordiond: drained, exiting")
 	os.Exit(code)

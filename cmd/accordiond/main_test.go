@@ -20,12 +20,12 @@ func TestParseFlags(t *testing.T) {
 	}
 
 	got, err = parseFlags([]string{"-addr", "127.0.0.1:0", "-queue", "2", "-workers", "3",
-		"-j", "1", "-retain", "-1", "-drain-timeout", "5s", "-telemetry", "json"})
+		"-j", "1", "-retain", "-1", "-drain-timeout", "5s"})
 	if err != nil {
 		t.Fatalf("explicit flags: %v", err)
 	}
 	want = options{addr: "127.0.0.1:0", queue: 2, workers: 3, poolWidth: 1, retain: -1,
-		drainTimeout: 5 * time.Second, telemetry: "json"}
+		drainTimeout: 5 * time.Second}
 	if got != want {
 		t.Errorf("explicit flags = %+v, want %+v", got, want)
 	}
@@ -40,6 +40,7 @@ func TestParseFlags(t *testing.T) {
 		{[]string{"-drain-timeout", "0"}, "-drain-timeout"},
 		{[]string{"-drain-timeout", "-1s"}, "-drain-timeout"},
 		{[]string{"-retry-after", "1s"}, "retry-after"},
+		{[]string{"-telemetry", "json"}, "telemetry"},
 		{[]string{"stray"}, "unexpected arguments"},
 	} {
 		if _, err := parseFlags(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -5,10 +5,11 @@
 //
 // Usage:
 //
-//	chipgen [-seed N] [-n N] [-v]
+//	chipgen [-seed N] [-n N] [-v] [-telemetry text|json] [-events FILE] [-atlas DIR]
 //
 // With -n > 1 a population summary is printed; -v additionally dumps
-// per-cluster detail for the first chip. -events FILE records the
+// per-cluster detail for the first chip. -telemetry dumps the
+// telemetry report to stderr; -events FILE records the
 // simulation-domain event log (chip.drawn per sample) as NDJSON;
 // -atlas DIR writes the first chip's spatial export set (JSON, CSV,
 // SVG heatmaps — no fault overlay, chipgen runs no workload).
@@ -23,7 +24,6 @@ import (
 	"repro/internal/chip"
 	"repro/internal/mathx"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
 	"repro/internal/variation"
 	"repro/internal/workload"
 )
@@ -67,9 +67,7 @@ func main() {
 		loadFile  = flag.String("load", "", "analyze a previously saved chip instead of sampling")
 		fieldPGM  = flag.String("field", "", "render one Vth variation field to this PGM path")
 		fieldGrid = flag.String("fieldgrid", "48x48", "field resolution as WxH; grids above 4096 points use the O(n log n) circulant sampler")
-		telemMode = telemetry.ModeFlag(flag.CommandLine)
-		eventsTo  = events.PathFlag(flag.CommandLine)
-		atlasDir  = atlas.DirFlag(flag.CommandLine)
+		obs       = telemetry.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -77,17 +75,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chipgen: %v\n", err)
 		os.Exit(1)
 	}
-	reportTelemetry, err := telemetry.StartMode(*telemMode)
-	if err != nil {
-		fail(err)
-	}
-	defer reportTelemetry(os.Stderr)
-	finishEvents, err := events.StartPath(*eventsTo)
+	finishObs, err := obs.Start()
 	if err != nil {
 		fail(err)
 	}
 	defer func() {
-		if err := finishEvents(); err != nil {
+		if err := finishObs(os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "chipgen: %v\n", err)
 		}
 	}()
@@ -124,12 +117,12 @@ func main() {
 		fmt.Printf("saved chip (seed %d) to %s\n", pop[0].Seed, *saveFile)
 	}
 
-	if *atlasDir != "" {
-		paths, err := atlas.Build(pop[0]).WriteDir(*atlasDir)
+	if obs.Atlas != "" {
+		paths, err := atlas.Build(pop[0]).WriteDir(obs.Atlas)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("wrote %d atlas files (chip seed %d) to %s\n", len(paths), pop[0].Seed, *atlasDir)
+		fmt.Printf("wrote %d atlas files (chip seed %d) to %s\n", len(paths), pop[0].Seed, obs.Atlas)
 	}
 
 	if *fieldPGM != "" {

@@ -8,11 +8,13 @@
 // Usage:
 //
 //	paretoscan -bench canneal [-flavor safe|spec] [-policy efficient|fastest|sequential]
-//	           [-seed N] [-chip N] [-qfloor Q] [-events FILE] [-atlas DIR]
+//	           [-seed N] [-chip N] [-qfloor Q] [-telemetry text|json]
+//	           [-events FILE] [-atlas DIR]
 //
-// -events FILE records the simulation-domain event log (chip.drawn,
-// front.measured, quality.scored, fault provenance) as NDJSON; -atlas
-// DIR writes the scanned chip's spatial export set (no fault overlay).
+// -telemetry dumps the telemetry report (fault counts included) to
+// stderr; -events FILE records the simulation-domain event log
+// (chip.drawn, front.measured, quality.scored) as NDJSON; -atlas DIR
+// writes the scanned chip's spatial export set (no fault overlay).
 package main
 
 import (
@@ -26,7 +28,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/power"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
 )
 
 func main() {
@@ -38,9 +39,7 @@ func main() {
 		chipSeed  = flag.Int64("chip", 2014, "chip sample seed")
 		qfloor    = flag.Float64("qfloor", 0, "minimum relative quality (0 disables)")
 		clusterG  = flag.Bool("cluster", false, "engage whole clusters (the paper's Section 5.1 granularity)")
-		telemMode = telemetry.ModeFlag(flag.CommandLine)
-		eventsTo  = events.PathFlag(flag.CommandLine)
-		atlasDir  = atlas.DirFlag(flag.CommandLine)
+		obs       = telemetry.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -48,17 +47,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paretoscan: %v\n", err)
 		os.Exit(1)
 	}
-	reportTelemetry, err := telemetry.StartMode(*telemMode)
-	if err != nil {
-		fail(err)
-	}
-	defer reportTelemetry(os.Stderr)
-	finishEvents, err := events.StartPath(*eventsTo)
+	finishObs, err := obs.Start()
 	if err != nil {
 		fail(err)
 	}
 	defer func() {
-		if err := finishEvents(); err != nil {
+		if err := finishObs(os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "paretoscan: %v\n", err)
 		}
 	}()
@@ -92,8 +86,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *atlasDir != "" {
-		if _, err := atlas.Build(ch).WriteDir(*atlasDir); err != nil {
+	if obs.Atlas != "" {
+		if _, err := atlas.Build(ch).WriteDir(obs.Atlas); err != nil {
 			fail(err)
 		}
 	}

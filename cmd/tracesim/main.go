@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -30,7 +29,6 @@ func main() {
 		stride    = flag.Int("stride", 8, "custom mix: stride in bytes for streaming/strided")
 		freq      = flag.Float64("f", 1.0, "core frequency in GHz")
 		n         = flag.Int64("n", 500000, "dynamic instructions to simulate")
-		telemMode = telemetry.ModeFlag(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -38,11 +36,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tracesim: %v\n", err)
 		os.Exit(1)
 	}
-	reportTelemetry, err := telemetry.StartMode(*telemMode)
-	if err != nil {
-		fail(err)
-	}
-	defer reportTelemetry(os.Stderr)
 
 	var spec sim.TraceSpec
 	if *benchName != "" {

@@ -4,7 +4,7 @@ import "strings"
 
 // Catalog is the checked-in vocabulary of telemetry metric names and
 // domain event kinds. The telemetrynames analyzer refuses any
-// GetCounter/GetGauge/GetHistogram/NewStage or events.New call whose
+// GetCounter/GetGauge/GetHistogram/NewStage or NewEvent call whose
 // name is not (a) a string literal matching ^[a-z0-9_.]+$ registered
 // here, or (b) a concatenation whose literal prefix is registered
 // here. That keeps the /metricsz namespace and the event-kind
@@ -37,6 +37,9 @@ func DefaultCatalog() *Catalog {
 			"parallel.worker.busy_ns",
 			// chip factory
 			"chip.factory.chips_drawn",
+			// fault notes, one counter per kind
+			"fault.drops",
+			"fault.injected",
 			// stages, each named once for its histogram and its trace
 			// events (plus experiments.run.<id> below)
 			"run",
@@ -49,7 +52,7 @@ func DefaultCatalog() *Catalog {
 			"core.solver.front",
 			"core.solver.solve",
 			"experiments.attribution",
-			// observability tiers' self-accounting
+			// the event log's and the trace buffer's self-accounting
 			"events.emitted",
 			"events.dropped",
 			"trace.dropped",
@@ -67,7 +70,7 @@ func DefaultCatalog() *Catalog {
 		),
 		MetricPrefixes: []string{
 			"cache.",           // cache.<Name>.{hits,misses,evictions}
-			"converge.",        // converge.<series>.{count,mean_u,ci95_u}
+			"converge.",        // converge.<series>.{count,mean_micro,ci95_micro}
 			"experiments.run.", // experiments.run.<experiment id>
 		},
 		Events: set(

@@ -106,38 +106,37 @@ func DefaultConfig(startDir string) (*Config, error) {
 		// layering promise; layering_test.go asserts it through this
 		// table on every `go test ./...`.
 		AllowedDeps: map[string][]string{
-			"mathx":            {},
-			"telemetry":        {},
-			"telemetry/events": {"telemetry"},
-			"converge":         {"telemetry"},
-			"provenance":       {},
-			"parallel":         {"telemetry"},
-			"tech":             {"mathx"},
-			"variation":        {"mathx", "parallel", "telemetry", "telemetry/events"},
-			"chip":             {"converge", "mathx", "parallel", "tech", "telemetry", "telemetry/events", "variation"},
-			"power":            {"chip"},
-			"sim":              {"mathx"},
-			"quality":          {},
-			"fault":            {"mathx", "parallel", "telemetry/events"},
-			"workload":         {"mathx"},
-			"rms":              {"fault", "parallel", "quality", "sim", "telemetry/events"},
-			"rms/canneal":      {"fault", "mathx", "rms", "sim", "workload"},
-			"rms/ferret":       {"fault", "rms", "sim", "workload"},
-			"rms/bodytrack":    {"fault", "mathx", "quality", "rms", "sim", "workload"},
-			"rms/xh264":        {"fault", "mathx", "quality", "rms", "sim", "workload"},
-			"rms/hotspot":      {"fault", "mathx", "quality", "rms", "sim", "workload"},
-			"rms/srad":         {"fault", "mathx", "quality", "rms", "sim", "workload"},
-			"rms/btcmine":      {"fault", "rms", "sim"},
-			"rms/rmstest":      {"fault", "rms", "sim"},
-			"core":             {"chip", "fault", "mathx", "parallel", "power", "rms", "sim", "tech", "telemetry", "telemetry/events"},
-			"atlas":            {"chip", "fault", "telemetry/events"},
-			"baseline":         {"chip", "power"},
-			"analysis":         {},
+			"mathx":         {},
+			"telemetry":     {},
+			"converge":      {"telemetry"},
+			"provenance":    {},
+			"parallel":      {"telemetry"},
+			"tech":          {"mathx"},
+			"variation":     {"mathx", "parallel", "telemetry"},
+			"chip":          {"converge", "mathx", "parallel", "tech", "telemetry", "variation"},
+			"power":         {"chip"},
+			"sim":           {"mathx"},
+			"quality":       {},
+			"fault":         {"mathx", "parallel", "telemetry"},
+			"workload":      {"mathx"},
+			"rms":           {"fault", "parallel", "quality", "sim", "telemetry"},
+			"rms/canneal":   {"fault", "mathx", "rms", "sim", "workload"},
+			"rms/ferret":    {"fault", "rms", "sim", "workload"},
+			"rms/bodytrack": {"fault", "mathx", "quality", "rms", "sim", "workload"},
+			"rms/xh264":     {"fault", "mathx", "quality", "rms", "sim", "workload"},
+			"rms/hotspot":   {"fault", "mathx", "quality", "rms", "sim", "workload"},
+			"rms/srad":      {"fault", "mathx", "quality", "rms", "sim", "workload"},
+			"rms/btcmine":   {"fault", "rms", "sim"},
+			"rms/rmstest":   {"fault", "rms", "sim"},
+			"core":          {"chip", "fault", "mathx", "parallel", "power", "rms", "sim", "tech", "telemetry"},
+			"atlas":         {"chip", "fault", "telemetry"},
+			"baseline":      {"chip", "power"},
+			"analysis":      {},
 			"experiments": {"baseline", "chip", "core", "fault", "mathx", "parallel", "power",
 				"rms", "rms/bodytrack", "rms/btcmine", "rms/canneal", "rms/ferret",
 				"rms/hotspot", "rms/srad", "rms/xh264", "sim", "tech", "telemetry", "variation"},
-			"service": {"experiments", "provenance", "telemetry", "telemetry/events"},
-			"history": {"converge", "provenance", "telemetry", "telemetry/events"},
+			"service": {"experiments", "provenance", "telemetry"},
+			"history": {"converge", "provenance", "telemetry"},
 		},
 		// Substrate purity: the numeric substrate and the device models
 		// must never know about chips, benchmarks, or the framework.
@@ -160,7 +159,7 @@ func DefaultConfig(startDir string) (*Config, error) {
 			"internal/rms/rmstest.determinism": true,
 		},
 
-		TelemetryExempt: []string{"internal/telemetry", "internal/telemetry/events"},
+		TelemetryExempt: []string{"internal/telemetry"},
 
 		Catalog: DefaultCatalog(),
 

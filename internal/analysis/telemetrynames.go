@@ -9,7 +9,7 @@ import (
 
 // TelemetryNamesAnalyzer keeps the observability vocabulary closed and
 // greppable. Every name handed to telemetry.GetCounter / GetGauge /
-// GetHistogram / NewStage and every kind handed to events.New must
+// GetHistogram / NewStage and every kind handed to NewEvent must
 //
 //   - resolve statically: a string literal, a concatenation with a
 //     literal prefix ("cache." + name + ".hits"), or a local variable
@@ -32,15 +32,12 @@ var TelemetryNamesAnalyzer = &Analyzer{
 var nameRe = regexp.MustCompile(`^[a-z0-9_.]+$`)
 
 // metricFuncs name the metric registration points in
-// internal/telemetry; events.New is the one event registration point.
+// internal/telemetry; NewEvent is its one event registration point.
 var metricFuncs = map[string]bool{
 	"GetCounter": true, "GetGauge": true, "GetHistogram": true, "NewStage": true,
 }
 
-const (
-	telemetryPkgRel = "internal/telemetry"
-	eventsPkgRel    = "internal/telemetry/events"
-)
+const telemetryPkgRel = "internal/telemetry"
 
 func runTelemetryNames(pass *Pass) {
 	rel, _ := pass.Cfg.rel(pass.Pkg.Path)
@@ -71,13 +68,13 @@ func emitSite(pass *Pass, call *ast.CallExpr) (kind string, ok bool) {
 	if fn == nil || fn.Pkg() == nil {
 		return "", false
 	}
-	switch fn.Pkg().Path() {
-	case pass.Cfg.ModulePath + "/" + telemetryPkgRel:
-		return "metric", metricFuncs[fn.Name()]
-	case pass.Cfg.ModulePath + "/" + eventsPkgRel:
-		return "event", fn.Name() == "New"
+	if fn.Pkg().Path() != pass.Cfg.ModulePath+"/"+telemetryPkgRel {
+		return "", false
 	}
-	return "", false
+	if fn.Name() == "NewEvent" {
+		return "event", true
+	}
+	return "metric", metricFuncs[fn.Name()]
 }
 
 // checkName validates one name argument against the catalog.
@@ -149,7 +146,7 @@ func resolveName(pass *Pass, arg ast.Expr) (lits []string, isPrefix, ok bool) {
 //
 //	kind := "fault.injected"
 //	if mode == Drop { kind = "drop.triggered" }
-//	events.New(kind)
+//	telemetry.NewEvent(kind)
 //
 // by requiring every assignment to the variable in its declaring
 // package to be a plain string literal, and returns all of them so the

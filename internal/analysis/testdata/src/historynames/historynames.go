@@ -4,17 +4,14 @@
 // "history.gate.regressions", event "history.appended".
 package historynames
 
-import (
-	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
-)
+import "repro/internal/telemetry"
 
 // Registered emits through every registration point the history store
 // and gate actually use; never flagged.
 func Registered() {
 	telemetry.GetCounter("history.appends").Inc()
 	telemetry.GetGauge("history.gate.regressions").Set(0)
-	events.New("history.appended").Int("metrics", 27).Emit()
+	telemetry.NewEvent("history.appended").Int("metrics", 27).Emit()
 }
 
 // UnregisteredCounter counts appends under a name the catalog has
@@ -34,7 +31,7 @@ func UnregisteredGauge() {
 // UnregisteredEvent emits an event kind outside the closed
 // vocabulary jq pipelines key on.
 func UnregisteredEvent() {
-	events.New("history.vanished").Emit() // want `event name "history.vanished" is not registered`
+	telemetry.NewEvent("history.vanished").Emit() // want `event name "history.vanished" is not registered`
 }
 
 // BadCharset uses a name outside the [a-z0-9_.] alphabet.

@@ -3,15 +3,12 @@
 // metric "registered.name", metric prefix "cache.", event "chip.drawn".
 package telemetrynames
 
-import (
-	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
-)
+import "repro/internal/telemetry"
 
 // Registered uses only cataloged literals; never flagged.
 func Registered() {
 	telemetry.GetCounter("registered.name").Add(1)
-	events.New("chip.drawn").Emit()
+	telemetry.NewEvent("chip.drawn").Emit()
 }
 
 // Unregistered uses a well-formed literal the catalog has never heard
@@ -51,10 +48,10 @@ func LocalVar(drop bool) {
 	if drop {
 		kind = "chip.drawn"
 	}
-	events.New(kind).Emit()
+	telemetry.NewEvent(kind).Emit()
 }
 
 // BadEvent emits an unknown event kind.
 func BadEvent() {
-	events.New("ghost.event").Emit() // want `event name "ghost.event" is not registered`
+	telemetry.NewEvent("ghost.event").Emit() // want `event name "ghost.event" is not registered`
 }

@@ -14,7 +14,6 @@ package atlas
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -24,7 +23,7 @@ import (
 
 	"repro/internal/chip"
 	"repro/internal/fault"
-	"repro/internal/telemetry/events"
+	"repro/internal/telemetry"
 )
 
 // CoreCell is one core's row of the atlas.
@@ -133,7 +132,7 @@ func Build(ch *chip.Chip) *Atlas {
 	for c := range a.ClusterRows {
 		a.ClusterRows[c] = ClusterCell{Cluster: c, VddMIN: round9(ch.ClusterVddMIN(c))}
 	}
-	events.New("atlas.built").
+	telemetry.NewEvent("atlas.built").
 		Int("chip", ch.Seed).
 		Int("cores", int64(n)).
 		Float("vddntv", round9(vdd)).
@@ -268,12 +267,4 @@ func (a *Atlas) WriteDir(dir string) ([]string, error) {
 		}
 	}
 	return paths, nil
-}
-
-// DirFlag registers the shared -atlas flag on fs and returns the
-// destination, mirroring telemetry.ModeFlag / events.PathFlag so the
-// flag cannot drift between the cmd binaries.
-func DirFlag(fs *flag.FlagSet) *string {
-	return fs.String("atlas", "",
-		"write per-chip spatial exports (JSON, CSV, SVG heatmaps) into this directory")
 }

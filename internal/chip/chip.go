@@ -22,7 +22,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/tech"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
 	"repro/internal/variation"
 )
 
@@ -246,7 +245,7 @@ func (f *Factory) sample(ctx context.Context, seed int64) *Chip {
 	}
 	ch.deriveVoltages()
 	telChipsDrawn.Inc()
-	events.New("chip.drawn").
+	telemetry.NewEvent("chip.drawn").
 		Int("seed", seed).
 		Int("cores", int64(len(ch.Cores))).
 		Float("vddntv", ch.vddNTV).
@@ -257,12 +256,15 @@ func (f *Factory) sample(ctx context.Context, seed int64) *Chip {
 // SampleCtx is Sample under the observability tier: in a traced
 // context the chip.draw stage records a trace event under ctx's
 // current stage, so population draws nest under their pool worker,
-// and while convergence monitoring is enabled it streams the drawn
-// chip's summary metrics into the Monte-Carlo convergence estimators.
-// The chip returned is bit-identical to Sample(seed) regardless.
+// and in a context descending from converge.MonitorContext it streams
+// the drawn chip's summary metrics into the Monte-Carlo convergence
+// estimators. Any other context costs one lookup. The chip returned is
+// bit-identical to Sample(seed) regardless.
 func (f *Factory) SampleCtx(ctx context.Context, seed int64) *Chip {
 	ch := f.sample(ctx, seed)
-	ch.ObserveConvergence()
+	if converge.Monitored(ctx) {
+		ch.observeConvergence()
+	}
 	return ch
 }
 
@@ -278,8 +280,8 @@ func (f *Factory) Population(seed int64, n int) []*Chip {
 // PopulationCtx is Population with cancellation: it returns early with
 // the context's error if ctx is cancelled mid-draw. Each draw goes
 // through SampleCtx, so a traced run shows one chip.draw event per chip
-// under the pool worker that drew it, and an enabled convergence
-// monitor sees every chip of the population.
+// under the pool worker that drew it, and a monitored context feeds
+// every chip of the population to the convergence estimators.
 func (f *Factory) PopulationCtx(ctx context.Context, seed int64, n int) ([]*Chip, error) {
 	return parallel.MapCtx(ctx, n, func(wctx context.Context, i int) (*Chip, error) {
 		return f.SampleCtx(wctx, mathx.SplitSeed(seed, int64(i))), nil
@@ -516,8 +518,8 @@ type Summary struct {
 }
 
 // SummaryMetrics computes the chip's Summary. It walks every core
-// three times; callers on hot paths should gate it (ObserveConvergence
-// does).
+// three times, which costs more than drawing the chip, so SampleCtx
+// runs it only in a monitored context.
 func (ch *Chip) SummaryMetrics() Summary {
 	vdd := ch.VddNTV()
 	n := len(ch.Cores)
@@ -539,13 +541,9 @@ func (ch *Chip) SummaryMetrics() Summary {
 	return s
 }
 
-// ObserveConvergence streams the chip's Summary into the Monte-Carlo
-// convergence monitor. While monitoring is disabled (the default) this
-// is four atomic loads and no metric derivation.
-func (ch *Chip) ObserveConvergence() {
-	if !converge.On() {
-		return
-	}
+// observeConvergence streams the chip's Summary into the Monte-Carlo
+// convergence monitor.
+func (ch *Chip) observeConvergence() {
 	s := ch.SummaryMetrics()
 	converge.Observe("chip.fmax_ghz", "GHz", s.FmaxGHz)
 	converge.Observe("chip.vddmin_v", "V", s.VddMINV)

@@ -12,17 +12,20 @@
 // relative to the mean, so "the mean VddNTV is 0.63 V" becomes "0.63 V
 // ± 0.4% at 95% confidence after 100 draws".
 //
-// The package follows internal/telemetry's contract: one process-wide
-// switch, a single atomic load on the disabled path (zero allocations,
-// pinned by TestConvergeDisabledOverhead), per-series locks touched
-// only while enabled, and series identities that survive Reset. Each
-// observation also updates telemetry gauges
-// (converge.<series>.{count,mean_micro,ci95_micro}, micro-unit scaled
-// since gauges are integers) so the /metricsz and /telemetryz
-// endpoints expose convergence live mid-run.
+// Monitoring is something a run asks for, not a process switch:
+// deriving a chip's metrics costs more than drawing it, so the chip
+// factory observes a chip only when its context descends from a
+// MonitorContext (accordion's -convergence, -progress and -history
+// open one). Everything else — accordiond, library callers — never
+// pays for it. Observe itself always records; series keep per-series
+// locks and identities that survive Reset. Each observation also
+// updates telemetry gauges (converge.<series>.{count,mean_micro,
+// ci95_micro}, micro-unit scaled since gauges are integers) so the
+// /metricsz and /telemetryz endpoints expose convergence live mid-run.
 package converge
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -30,24 +33,22 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// enabled is the process-wide switch; Observe is one atomic load while
-// it is off.
-var enabled atomic.Bool
+type monitorKey struct{}
 
-// On reports whether convergence monitoring is recording. Callers that
-// must derive metric values before observing (chip summary metrics)
-// should gate the derivation on On().
-func On() bool { return enabled.Load() }
+// MonitorContext returns a context under which the chip factory feeds
+// every drawn chip's metrics into the convergence estimators.
+func MonitorContext(ctx context.Context) context.Context {
+	return context.WithValue(ctx, monitorKey{}, true)
+}
 
-// SetEnabled flips the process-wide switch and returns a function
-// restoring the previous state, for scoped use in tests.
-func SetEnabled(on bool) (restore func()) {
-	prev := enabled.Swap(on)
-	return func() { enabled.Store(prev) }
+// Monitored reports whether ctx descends from a MonitorContext: one
+// context lookup and no allocation.
+func Monitored(ctx context.Context) bool {
+	on, _ := ctx.Value(monitorKey{}).(bool)
+	return on
 }
 
 // z95 is the two-sided 95% normal quantile; the CI half-width is
@@ -164,13 +165,9 @@ func orNop(g interface{ Set(int64) }) interface{ Set(int64) } {
 	return g
 }
 
-// Observe records one value for the named series when monitoring is
-// enabled, and mirrors the running count/mean/CI into telemetry
-// gauges. The disabled path is a single atomic load.
+// Observe records one value for the named series and mirrors the
+// running count/mean/CI into telemetry gauges.
 func Observe(name, unit string, v float64) {
-	if !enabled.Load() {
-		return
-	}
 	s := Get(name, unit)
 	n, mean, ci := s.observe(v)
 	s.gauge.count.Set(n)
@@ -209,8 +206,7 @@ type SeriesSnapshot struct {
 // Snapshot is a point-in-time view of every monitored series, sorted
 // by name.
 type Snapshot struct {
-	Enabled bool             `json:"enabled"`
-	Series  []SeriesSnapshot `json:"series"`
+	Series []SeriesSnapshot `json:"series"`
 }
 
 // Capture reads every registered series; cheap and safe mid-run.
@@ -222,7 +218,7 @@ func Capture() Snapshot {
 	}
 	reg.mu.Unlock()
 	sort.Slice(all, func(a, b int) bool { return all[a].name < all[b].name })
-	snap := Snapshot{Enabled: enabled.Load(), Series: make([]SeriesSnapshot, 0, len(all))}
+	snap := Snapshot{Series: make([]SeriesSnapshot, 0, len(all))}
 	for _, s := range all {
 		snap.Series = append(snap.Series, s.snapshot())
 	}

@@ -2,6 +2,7 @@ package converge
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -15,7 +16,6 @@ import (
 // TestWelford pins the streaming mean/variance against the closed
 // form on a small fixed sample.
 func TestWelford(t *testing.T) {
-	defer SetEnabled(true)()
 	Reset()
 	vals := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	for _, v := range vals {
@@ -45,33 +45,26 @@ func TestWelford(t *testing.T) {
 	}
 }
 
-// TestDisabledNoRecord: observations while disabled are dropped.
-func TestDisabledNoRecord(t *testing.T) {
-	defer SetEnabled(false)()
-	Reset()
-	Observe("test.disabled", "x", 1)
-	for _, s := range Capture().Series {
-		if s.Name == "test.disabled" {
-			t.Fatal("disabled Observe registered a series")
-		}
+// TestMonitorContext: a context is monitored exactly when it descends
+// from a MonitorContext, and asking an unmonitored one costs no
+// allocation — the whole price an unmonitored chip draw pays.
+func TestMonitorContext(t *testing.T) {
+	plain := context.WithValue(context.Background(), struct{}{}, 1)
+	if Monitored(plain) {
+		t.Fatal("a plain context reports monitored")
 	}
-}
-
-// TestConvergeDisabledOverhead mirrors TestTelemetryDisabledOverhead:
-// the disabled path must not allocate.
-func TestConvergeDisabledOverhead(t *testing.T) {
-	defer SetEnabled(false)()
-	allocs := testing.AllocsPerRun(1000, func() {
-		Observe("test.overhead", "x", 3.14)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled Observe allocates %v per call, want 0", allocs)
+	type key struct{}
+	child := context.WithValue(MonitorContext(context.Background()), key{}, 1)
+	if !Monitored(child) {
+		t.Fatal("a MonitorContext descendant reports unmonitored")
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { _ = Monitored(plain) }); allocs != 0 {
+		t.Fatalf("Monitored allocates %v per call, want 0", allocs)
 	}
 }
 
 // TestConcurrentObserve: concurrent observers lose nothing.
 func TestConcurrentObserve(t *testing.T) {
-	defer SetEnabled(true)()
 	Reset()
 	const workers, per = 8, 500
 	var wg sync.WaitGroup
@@ -93,7 +86,6 @@ func TestConcurrentObserve(t *testing.T) {
 // TestCaptureJSON: convergence.json carries the documented keys and is
 // valid JSON.
 func TestCaptureJSON(t *testing.T) {
-	defer SetEnabled(true)()
 	Reset()
 	Observe("test.json", "GHz", 1.5)
 	Observe("test.json", "GHz", 2.5)
@@ -102,14 +94,10 @@ func TestCaptureJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		Enabled bool `json:"enabled"`
-		Series  []map[string]any
+		Series []map[string]any
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("convergence.json is not valid JSON: %v", err)
-	}
-	if !doc.Enabled {
-		t.Fatal("enabled = false in capture while enabled")
 	}
 	var found map[string]any
 	for _, s := range doc.Series {
@@ -133,7 +121,6 @@ func TestCaptureJSON(t *testing.T) {
 // TestResetPreservesIdentity: Reset zeroes counts but keeps the series
 // pointer, so long-lived references stay valid.
 func TestResetPreservesIdentity(t *testing.T) {
-	defer SetEnabled(true)()
 	s := Get("test.reset", "x")
 	Observe("test.reset", "x", 7)
 	Reset()
@@ -148,7 +135,6 @@ func TestResetPreservesIdentity(t *testing.T) {
 // TestProgressLine: the -progress line reports done/target, an ETA,
 // and per-series mean±CI.
 func TestProgressLine(t *testing.T) {
-	defer SetEnabled(true)()
 	Reset()
 	for i := 0; i < 50; i++ {
 		Observe("test.progress", "W", 2.0)
@@ -169,7 +155,6 @@ func TestProgressLine(t *testing.T) {
 // TestGaugeMirror: observations surface as telemetry gauges (which
 // record only while telemetry itself is also enabled).
 func TestGaugeMirror(t *testing.T) {
-	defer SetEnabled(true)()
 	defer telemetry.SetEnabled(true)()
 	Reset()
 	g := gaugeSetter("test.mirror", "count")
@@ -225,7 +210,6 @@ func TestEtaFor(t *testing.T) {
 // zero chips done and sub-resolution wall time — must render clean
 // lines with no NaN/Inf and no ETA.
 func TestProgressLineNeverNaN(t *testing.T) {
-	defer SetEnabled(true)()
 	Reset()
 	defer Reset()
 

@@ -89,7 +89,6 @@ func TestWelfordDegenerate(t *testing.T) {
 // reports exactly what the bare accumulator computes — the refactor
 // that extracted Welford must not have changed Series numbers.
 func TestSeriesMatchesWelford(t *testing.T) {
-	defer SetEnabled(true)()
 	Reset()
 	vals := []float64{1, 2, 3, 4, 100}
 	var w Welford

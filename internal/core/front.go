@@ -10,7 +10,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/rms"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
 )
 
 // Front measurement stages: the whole measurement, its reference run,
@@ -91,7 +90,7 @@ func MeasureFrontsCtx(ctx context.Context, b rms.Benchmark, seed int64) (*Qualit
 		}
 		q, err := b.Quality(res, ref)
 		if err == nil {
-			events.New("quality.scored").
+			telemetry.NewEvent("quality.scored").
 				Str("bench", b.Name()).
 				Str("scenario", sc.name).
 				Float("input", in).
@@ -103,7 +102,7 @@ func MeasureFrontsCtx(ctx context.Context, b rms.Benchmark, seed int64) (*Qualit
 	if err != nil {
 		return nil, err
 	}
-	events.New("front.measured").
+	telemetry.NewEvent("front.measured").
 		Str("bench", b.Name()).
 		Int("cells", int64(len(qualities))).
 		Emit()

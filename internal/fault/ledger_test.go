@@ -6,7 +6,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/telemetry/events"
+	"repro/internal/telemetry"
 )
 
 func testCores(n int) []CoreRef {
@@ -98,29 +98,39 @@ func TestNilLedgerSafe(t *testing.T) {
 	if rep.Injections != 0 || len(rep.Cores) != 0 {
 		t.Fatalf("nil ledger report = %+v", rep)
 	}
-	// A plan without a ledger must Note without panicking, logging off
-	// or on.
-	plan := DropHalf()
+	// A plan without a ledger must Note without panicking, telemetry
+	// off or on. With telemetry on it counts the note under its kind
+	// and logs no event: the per-task notes are too many to log.
+	plan, flip := DropHalf(), Plan{Mode: Flip, Num: 1, Den: 2}
 	plan.Note(3, 0)
-	defer events.SetEnabled(true)()
-	defer events.SetCapacity(16)()
+	defer telemetry.SetEnabled(true)()
+	telemetry.Reset()
+	defer telemetry.Reset()
 	plan.Note(3, 0)
-	found := false
-	for _, e := range events.Collect() {
-		if e.Kind == "drop.triggered" {
-			found = true
-		}
+	flip.Note(1, -1)
+	if n := telDrops.Value(); n != 1 {
+		t.Errorf("fault.drops = %d after one ledger-less Drop note, want 1", n)
 	}
-	if !found {
-		t.Fatal("ledger-less Note with events on emitted no drop.triggered event")
+	if n := telInjected.Value(); n != 1 {
+		t.Errorf("fault.injected = %d after one ledger-less Flip note, want 1", n)
+	}
+	if evs := telemetry.Events(); len(evs) != 0 {
+		t.Fatalf("ledger-less Notes logged %+v, want no events", evs)
+	}
+	// Counting is one atomic add, so a -manifest or -trace run pays no
+	// allocation per task for the fault counts.
+	if allocs := testing.AllocsPerRun(1000, func() {
+		plan.Note(3, 0)
+		flip.Note(3, -1)
+	}); allocs != 0 {
+		t.Fatalf("ledger-less Note with telemetry on allocates %.1f per call, want 0", allocs)
 	}
 }
 
 func TestNoteEmitsProvenanceEvents(t *testing.T) {
-	defer events.SetEnabled(true)()
-	defer events.SetCapacity(64)()
-	events.Reset()
-	defer events.Reset()
+	defer telemetry.SetEnabled(true)()
+	telemetry.Reset()
+	defer telemetry.Reset()
 
 	led, err := NewLedger(7, testCores(2))
 	if err != nil {
@@ -129,7 +139,7 @@ func TestNoteEmitsProvenanceEvents(t *testing.T) {
 	plan := Plan{Mode: Flip, Num: 1, Den: 2, Ledger: led}
 	plan.Note(1, 3)
 
-	evs := events.Collect()
+	evs := telemetry.Events()
 	if len(evs) != 1 {
 		t.Fatalf("Note emitted %d events, want 1", len(evs))
 	}

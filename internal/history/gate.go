@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/converge"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
 )
 
 // GateConfig parameterizes the regression gate.
@@ -190,7 +189,7 @@ func judge(name string, sense Sense, value float64, w *converge.Welford, margin 
 func finishCheck(rep *GateReport) {
 	telemetry.GetCounter("history.gate.checks").Inc()
 	telemetry.GetGauge("history.gate.regressions").Set(int64(rep.Regressions()))
-	events.New("history.checked").Str("key", rep.Key).
+	telemetry.NewEvent("history.checked").Str("key", rep.Key).
 		Int("baseline", int64(rep.BaselineN)).
 		Int("compared", int64(rep.Compared)).
 		Int("regressions", int64(rep.Regressions())).Emit()

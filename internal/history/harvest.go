@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/converge"
 	"repro/internal/provenance"
@@ -47,25 +46,11 @@ func (r *Record) AddTelemetry(snap telemetry.Snapshot) {
 		r.Set(base+"p99", float64(h.P99))
 		r.Set(base+"max", float64(h.Max))
 	}
-	r.addCacheRates(snap)
-}
-
-// addCacheRates derives cache.<name>.hit_rate from the hit/miss
-// counter pairs the memo caches maintain.
-func (r *Record) addCacheRates(snap telemetry.Snapshot) {
-	hits := map[string]int64{}
-	misses := map[string]int64{}
-	for _, c := range snap.Counters {
-		if name, ok := strings.CutSuffix(c.Name, ".hits"); ok && strings.HasPrefix(name, "cache.") {
-			hits[name] = c.Value
-		}
-		if name, ok := strings.CutSuffix(c.Name, ".misses"); ok && strings.HasPrefix(name, "cache.") {
-			misses[name] = c.Value
-		}
-	}
-	for name, h := range hits {
-		if total := h + misses[name]; total > 0 {
-			r.Set(name+".hit_rate", float64(h)/float64(total))
+	// cache.<name>.hit_rate, derived from the memo caches' hit/miss
+	// counter pairs.
+	for _, c := range telemetry.Caches(snap.Counters) {
+		if total := c.Hits + c.Misses; total > 0 {
+			r.Set("cache."+c.Name+".hit_rate", float64(c.Hits)/float64(total))
 		}
 	}
 }

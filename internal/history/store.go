@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
 )
 
 // recordsFile is the single NDJSON file a store directory holds. One
@@ -55,7 +54,7 @@ func (s Store) Append(r Record) error {
 		return fmt.Errorf("history: append %s: %w", s.Path(), err)
 	}
 	telemetry.GetCounter("history.appends").Inc()
-	events.New("history.appended").Str("tool", r.Tool).Str("kind", r.Kind).
+	telemetry.NewEvent("history.appended").Str("tool", r.Tool).Str("kind", r.Kind).
 		Int("metrics", int64(len(r.Metrics))).Emit()
 	return nil
 }

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/quality"
-	"repro/internal/telemetry/events"
+	"repro/internal/telemetry"
 )
 
 // ValueOwner is implemented by benchmarks whose output values have a
@@ -67,7 +67,7 @@ func Attribute(b Benchmark, run, ref Result, threads int, led *fault.Ledger) (fl
 			led.AddDistortion(OwnerOfValue(b, i, n, threads), c)
 		}
 	}
-	events.New("quality.scored").
+	telemetry.NewEvent("quality.scored").
 		Str("bench", b.Name()).
 		Int("values", int64(n)).
 		Int("threads", int64(threads)).

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
 )
 
 // TestRetryAfterDerivedHTTP pins the backoff a busy server advertises
@@ -162,8 +161,8 @@ func TestScopedManifestAfterReset(t *testing.T) {
 // status and byte count, and the job's lifecycle emits the
 // queued→running→done transitions.
 func TestAccessLogEvents(t *testing.T) {
-	defer events.SetEnabled(true)()
-	events.Reset()
+	defer telemetry.SetEnabled(true)()
+	telemetry.Reset()
 	_, ts := startServer(t, Config{QueueDepth: 4, Workers: 1})
 
 	resp, _ := postJSON(t, ts.URL+"/run", reqBody(21))
@@ -172,7 +171,7 @@ func TestAccessLogEvents(t *testing.T) {
 	}
 	id := resp.Header.Get("X-Job-Id")
 
-	attrs := func(e events.Event) map[string]any {
+	attrs := func(e telemetry.Event) map[string]any {
 		m := map[string]any{}
 		for _, a := range e.Attrs {
 			m[a.Key] = a.Value()
@@ -181,7 +180,7 @@ func TestAccessLogEvents(t *testing.T) {
 	}
 	var sawRequest bool
 	var states []string
-	for _, e := range events.Collect() {
+	for _, e := range telemetry.Events() {
 		m := attrs(e)
 		switch e.Kind {
 		case "service.request":
@@ -210,7 +209,7 @@ func TestAccessLogEvents(t *testing.T) {
 		states[0] != want[0] || states[1] != want[1] || states[2] != want[2] {
 		t.Errorf("job.state sequence = %v, want %v", states, want)
 	}
-	events.Reset()
+	telemetry.Reset()
 }
 
 // TestHealthHeadersAndReadyCheck pins the ops-surface headers on

@@ -7,14 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/provenance"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
 )
 
 // Config parameterizes a Server. The zero value of every field selects
@@ -190,7 +187,7 @@ func (s *Server) Admit(req Request) (*Job, bool, error) {
 	s.jobs[id] = j
 	s.inflightN++
 	s.inflight.Set(s.inflightN)
-	events.New("job.state").Str("job", id).Str("state", StateQueued).
+	telemetry.NewEvent("job.state").Str("job", id).Str("state", StateQueued).
 		Int("queue_len", int64(len(s.queue))).Emit()
 	return j, false, nil
 }
@@ -227,7 +224,7 @@ func (s *Server) run(ctx context.Context, j *Job) {
 	}
 	j.state = StateRunning
 	j.started = s.cfg.Now()
-	events.New("job.state").Str("job", j.id).Str("state", StateRunning).
+	telemetry.NewEvent("job.state").Str("job", j.id).Str("state", StateRunning).
 		Int("queued_ms", j.started.Sub(j.enqueued).Milliseconds()).Emit()
 	s.mu.Unlock()
 
@@ -244,7 +241,12 @@ func (s *Server) run(ctx context.Context, j *Job) {
 	if err == nil {
 		man.AddArtifactBytes("response:"+j.id, body)
 	}
-	addCacheStats(man, j.scope)
+	// The job's own cache traffic, from its scope: concurrent jobs'
+	// manifests each report what their own execution incurred, and the
+	// per-job counts sum to the global delta.
+	for _, c := range telemetry.Caches(j.scope.Counters()) {
+		man.AddCache(c.Name, c.Hits, c.Misses)
+	}
 	man.Finish()
 	s.finish(j, body, err, man)
 }
@@ -277,7 +279,7 @@ func (s *Server) finish(j *Job, body []byte, err error, man *provenance.Manifest
 		queued = j.started.Sub(j.enqueued)
 	}
 	s.runtime.Observe(runNs)
-	events.New("job.state").Str("job", j.id).Str("state", j.state).
+	telemetry.NewEvent("job.state").Str("job", j.id).Str("state", j.state).
 		Int("queued_ms", queued.Milliseconds()).
 		Int("run_ms", runNs/int64(time.Millisecond)).Emit()
 	close(j.done)
@@ -360,7 +362,7 @@ func (s *Server) failPending(err error) {
 		j.finished = s.cfg.Now()
 		j.err = err
 		s.inflightN--
-		events.New("job.state").Str("job", id).Str("state", StateFailed).Emit()
+		telemetry.NewEvent("job.state").Str("job", id).Str("state", StateFailed).Emit()
 		close(j.done)
 		delete(s.jobs, id)
 	}
@@ -564,7 +566,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // means the request never produced one (decode error, backpressure,
 // unknown id). The event is one atomic load when logging is off.
 func (s *Server) logRequest(r *http.Request, j *Job, coalesced bool, status, bytes int) {
-	b := events.New("service.request")
+	b := telemetry.NewEvent("service.request")
 	if b == nil {
 		return
 	}
@@ -608,38 +610,4 @@ func writeError(w http.ResponseWriter, status int, err error) int {
 	data, _ := json.Marshal(doc)
 	n, _ := w.Write(append(data, '\n'))
 	return n
-}
-
-// addCacheStats harvests the job's own cache traffic from its
-// telemetry scope into the manifest: every cache.<name>.{hits,misses}
-// pair the scope tallied becomes one manifest cache entry, sorted by
-// name. Scoped harvesting is what keeps concurrent jobs' manifests
-// honest — each reports the hits and misses its own execution
-// incurred, and the per-job counts sum to the global delta.
-func addCacheStats(man *provenance.Manifest, sc *telemetry.Scope) {
-	hits := map[string]int64{}
-	misses := map[string]int64{}
-	for _, c := range sc.Counters() {
-		if name, ok := strings.CutPrefix(c.Name, "cache."); ok {
-			switch {
-			case strings.HasSuffix(name, ".hits"):
-				hits[strings.TrimSuffix(name, ".hits")] = c.Value
-			case strings.HasSuffix(name, ".misses"):
-				misses[strings.TrimSuffix(name, ".misses")] = c.Value
-			}
-		}
-	}
-	names := make([]string, 0, len(hits))
-	for name := range hits {
-		names = append(names, name)
-	}
-	for name := range misses {
-		if _, ok := hits[name]; !ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		man.AddCache(name, hits[name], misses[name])
-	}
 }

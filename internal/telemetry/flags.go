@@ -1,37 +1,83 @@
 package telemetry
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"os"
 )
 
-// ModeFlag registers the shared -telemetry flag on fs and returns the
-// destination. Every cmd binary uses this one helper so the flag's
-// name, modes, and usage string cannot drift between tools.
-func ModeFlag(fs *flag.FlagSet) *string {
-	return fs.String("telemetry", "",
-		"dump a telemetry report to stderr after the run: text or json")
+// Flags is the observability flag set the accordion, chipgen and
+// paretoscan binaries share, registered by one helper so the names and
+// usage strings cannot drift between tools.
+type Flags struct {
+	Mode   string // -telemetry: "", "text" or "json"
+	Events string // -events: the NDJSON event-log path
+	Atlas  string // -atlas: the directory each binary writes its own spatial export to
 }
 
-// StartMode validates a -telemetry mode, enables process-wide
-// recording for the non-empty modes, and returns the report function
-// that renders the final Capture. The empty mode is valid and returns
-// a no-op report, so callers can invoke the result unconditionally:
-//
-//	report, err := telemetry.StartMode(*mode)
-//	...
-//	defer report(os.Stderr)
-func StartMode(mode string) (report func(io.Writer) error, err error) {
-	switch mode {
+// RegisterFlags registers -telemetry, -events and -atlas on fs.
+func RegisterFlags(fs *flag.FlagSet) *Flags {
+	f := &Flags{}
+	fs.StringVar(&f.Mode, "telemetry", "",
+		"dump a telemetry report to stderr after the run: text or json")
+	fs.StringVar(&f.Events, "events", "",
+		"record simulation-domain events and write them as NDJSON to this file")
+	fs.StringVar(&f.Atlas, "atlas", "",
+		"write per-chip spatial exports (JSON, CSV, SVG heatmaps) into this directory")
+	return f
+}
+
+// Start validates -telemetry, turns telemetry on when -telemetry or
+// -events is set, and returns the finish function, which callers
+// invoke unconditionally once the run's work is done: it writes the
+// event log to the -events file and the -telemetry report to w, and
+// does nothing for flags left empty. -atlas is the caller's to act on.
+func (f *Flags) Start() (finish func(w io.Writer) error, err error) {
+	var report func(io.Writer) error
+	switch f.Mode {
 	case "":
-		return func(io.Writer) error { return nil }, nil
 	case "text":
-		SetEnabled(true)
-		return func(w io.Writer) error { return Capture().WriteText(w) }, nil
+		report = func(w io.Writer) error { return Capture().WriteText(w) }
 	case "json":
-		SetEnabled(true)
-		return func(w io.Writer) error { return Capture().WriteJSON(w) }, nil
+		report = func(w io.Writer) error { return Capture().WriteJSON(w) }
+	default:
+		return nil, fmt.Errorf("telemetry: unknown -telemetry mode %q (want text or json)", f.Mode)
 	}
-	return nil, fmt.Errorf("telemetry: unknown -telemetry mode %q (want text or json)", mode)
+	if f.Mode != "" || f.Events != "" {
+		SetEnabled(true)
+	}
+	return func(w io.Writer) error {
+		var errs []error
+		if f.Events != "" {
+			errs = append(errs, writeEventsFile(f.Events))
+		}
+		if report != nil {
+			errs = append(errs, report(w))
+		}
+		return errors.Join(errs...)
+	}, nil
+}
+
+// writeEventsFile dumps the event log to path.
+func writeEventsFile(path string) error {
+	file, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("events: %w", err)
+	}
+	w := bufio.NewWriter(file)
+	err = WriteEvents(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		file.Close()
+		return fmt.Errorf("events: writing %s: %w", path, err)
+	}
+	if err := file.Close(); err != nil {
+		return fmt.Errorf("events: %w", err)
+	}
+	return nil
 }

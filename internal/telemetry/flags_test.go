@@ -3,49 +3,74 @@ package telemetry
 import (
 	"bytes"
 	"flag"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestModeFlag: the helper registers the one shared -telemetry flag.
-func TestModeFlag(t *testing.T) {
+// parseFlags registers the observability flag set on a fresh FlagSet
+// and parses args into it.
+func parseFlags(t *testing.T, args ...string) *Flags {
+	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	mode := ModeFlag(fs)
-	if err := fs.Parse([]string{"-telemetry", "json"}); err != nil {
+	fs.SetOutput(io.Discard)
+	f := RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	if *mode != "json" {
-		t.Fatalf("mode = %q, want json", *mode)
+	return f
+}
+
+// TestRegisterFlags: one helper registers all three shared flags, each
+// parsed into its own field.
+func TestRegisterFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value string
+		want        Flags
+	}{
+		{"telemetry", "json", Flags{Mode: "json"}},
+		{"events", "out.ndjson", Flags{Events: "out.ndjson"}},
+		{"atlas", "atlas", Flags{Atlas: "atlas"}},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			if f := parseFlags(t, "-"+tc.flag, tc.value); *f != tc.want {
+				t.Fatalf("parsed flags = %+v, want %+v", *f, tc.want)
+			}
+		})
 	}
 }
 
-// TestStartModeEmpty: the empty mode is a valid no-op that does not
-// enable recording.
-func TestStartModeEmpty(t *testing.T) {
+// TestFlagsUnsetNoop: with no flag set, or only -atlas (each binary's
+// own export), Start leaves telemetry off and finish writes nothing.
+func TestFlagsUnsetNoop(t *testing.T) {
 	defer SetEnabled(false)()
-	report, err := StartMode("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if On() {
-		t.Fatal("empty mode enabled telemetry")
-	}
-	var buf bytes.Buffer
-	if err := report(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("empty mode reported %q", buf.String())
+	for _, args := range [][]string{nil, {"-atlas", t.TempDir()}} {
+		finish, err := parseFlags(t, args...).Start()
+		if err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+		if On() {
+			t.Fatalf("%q enabled telemetry", args)
+		}
+		var buf bytes.Buffer
+		if err := finish(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%q reported %q", args, buf.String())
+		}
 	}
 }
 
-// TestStartModeTextJSON: both real modes enable recording and render
-// their respective formats.
-func TestStartModeTextJSON(t *testing.T) {
+// TestFlagsStartReports: both -telemetry modes enable recording, and
+// finish renders the report in the mode's format.
+func TestFlagsStartReports(t *testing.T) {
 	defer SetEnabled(false)()
 	for mode, marker := range map[string]string{"text": "== telemetry", "json": `"counters"`} {
 		SetEnabled(false)
-		report, err := StartMode(mode)
+		finish, err := parseFlags(t, "-telemetry", mode).Start()
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -53,7 +78,7 @@ func TestStartModeTextJSON(t *testing.T) {
 			t.Fatalf("%s mode did not enable telemetry", mode)
 		}
 		var buf bytes.Buffer
-		if err := report(&buf); err != nil {
+		if err := finish(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(buf.String(), marker) {
@@ -62,10 +87,47 @@ func TestStartModeTextJSON(t *testing.T) {
 	}
 }
 
-// TestStartModeInvalid rejects anything but text/json/empty.
-func TestStartModeInvalid(t *testing.T) {
-	if _, err := StartMode("xml"); err == nil {
-		t.Fatal("StartMode accepted xml")
+// TestFlagsStartInvalid rejects any -telemetry mode but text, json or
+// empty.
+func TestFlagsStartInvalid(t *testing.T) {
+	if _, err := parseFlags(t, "-telemetry", "xml").Start(); err == nil {
+		t.Fatal("Start accepted -telemetry xml")
+	}
+}
+
+// TestFlagsEventsFile: -events alone turns telemetry on, and finish
+// writes the event log to the file and no report.
+func TestFlagsEventsFile(t *testing.T) {
+	defer SetEnabled(false)()
+	Reset()
+	defer Reset()
+	path := filepath.Join(t.TempDir(), "events.ndjson")
+	finish, err := parseFlags(t, "-events", path).Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !On() {
+		t.Fatal("-events did not enable telemetry")
+	}
+	NewEvent("chip.drawn").Int("seed", 3).Emit()
+	var report bytes.Buffer
+	if err := finish(&report); err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	if report.Len() != 0 {
+		t.Fatalf("-events alone reported %q", report.String())
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("open dump: %v", err)
+	}
+	defer f.Close()
+	evs, err := ParseNDJSON(f)
+	if err != nil {
+		t.Fatalf("parse dump: %v", err)
+	}
+	if len(evs) != 1 || evs[0].Kind != "chip.drawn" {
+		t.Fatalf("dump holds %+v", evs)
 	}
 }
 

@@ -79,11 +79,5 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 // reports telemetry_enabled 0 and whatever was recorded before the
 // switch flipped.
 func MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", promContentType)
-		w.Header().Set("Cache-Control", "no-cache")
-		if err := Capture().WriteProm(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	return noCache(promContentType, func(w io.Writer) error { return Capture().WriteProm(w) })
 }

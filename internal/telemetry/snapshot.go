@@ -159,11 +159,53 @@ func (s Snapshot) WriteText(w io.Writer) error {
 // rendered as JSON, so scripts and CI scrape the same numbers the
 // -telemetry flag prints.
 func Handler() http.Handler {
+	return noCache("application/json", func(w io.Writer) error { return Capture().WriteJSON(w) })
+}
+
+// noCache serves what write renders under contentType, with caching
+// disabled so a live scrape never sees a stale snapshot. The
+// /telemetryz, /metricsz and /eventsz endpoints share it.
+func noCache(contentType string, write func(io.Writer) error) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Type", contentType)
 		w.Header().Set("Cache-Control", "no-cache")
-		if err := Capture().WriteJSON(w); err != nil {
+		if err := write(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
+}
+
+// CacheCounts is one memo cache's traffic, read from its
+// cache.<name>.{hits,misses} counter pair.
+type CacheCounts struct {
+	Name         string
+	Hits, Misses int64
+}
+
+// Caches pairs the memo caches' cache.<name>.{hits,misses} counters,
+// from a Capture or a Scope, into one entry per cache, sorted by name.
+func Caches(counters []CounterSnapshot) []CacheCounts {
+	byName := map[string]CacheCounts{}
+	for _, c := range counters {
+		rest, ok := strings.CutPrefix(c.Name, "cache.")
+		if !ok {
+			continue
+		}
+		if name, ok := strings.CutSuffix(rest, ".hits"); ok {
+			cc := byName[name]
+			cc.Hits = c.Value
+			byName[name] = cc
+		} else if name, ok := strings.CutSuffix(rest, ".misses"); ok {
+			cc := byName[name]
+			cc.Misses = c.Value
+			byName[name] = cc
+		}
+	}
+	out := make([]CacheCounts, 0, len(byName))
+	for _, name := range sortedNames(byName) {
+		cc := byName[name]
+		cc.Name = name
+		out = append(out, cc)
+	}
+	return out
 }

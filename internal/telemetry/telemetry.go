@@ -1,18 +1,20 @@
 // Package telemetry is the repository's zero-dependency observability
 // substrate: atomic counters, gauges, bounded log-scale histograms
 // (with p50/p95/p99 readouts), all hanging off one process-wide
-// registry that Snapshot() reads without stopping the world, and the
+// registry that Snapshot() reads without stopping the world; the
 // Stage, the one timing primitive: each stage call feeds its histogram
-// and, under a traced context, a Chrome trace event.
+// and, under a traced context, a Chrome trace event; and the event log
+// of simulation-domain events, exported as NDJSON.
 //
 // Design constraints, in order:
 //
 //  1. Near-zero cost when off. Recording is gated on one atomic load of
-//     the package-wide Enabled switch; a disabled Counter.Add,
-//     Histogram.Observe, Gauge.Set, or Stage.Begin performs no allocation
-//     and no time.Now call. Hot layers (the parallel pool, the memo
-//     caches, the chip factory) therefore instrument unconditionally
-//     and let the switch decide.
+//     the package-wide Enabled switch, the process's only observability
+//     switch; a disabled Counter.Add, Histogram.Observe, Gauge.Set,
+//     Stage.Begin or NewEvent performs no allocation and no time.Now
+//     call. Hot layers (the parallel pool, the memo caches, the chip
+//     factory) therefore instrument unconditionally and let the switch
+//     decide.
 //  2. Race-free under fire. Every metric is a fixed set of atomics;
 //     only a traced stage call takes a lock, to append its event. The
 //     registry lock is taken only on first registration of a name,
@@ -21,7 +23,9 @@
 //     scalars no matter how many observations land in it; quantiles are
 //     interpolated within the winning bucket and clamped to the
 //     observed min/max. The trace buffer holds at most 524,288 events
-//     and counts the rest in the trace.dropped gauge.
+//     and counts the rest in the trace.dropped gauge; the event ring
+//     grows on demand to 65,536 events and counts its overwrites in
+//     events.dropped.
 //
 // Metric handles are nil-safe: calling Add/Set/Observe on a nil metric
 // (or End on the zero Timing) is a no-op, so optional instrumentation
@@ -332,11 +336,12 @@ func GetHistogramWithUnit(name, unit string) *Histogram {
 }
 
 // Reset zeroes every registered metric in place and discards the
-// recorded trace events. Metric identities are preserved — pointers
-// held by instrumented packages stay valid — so it is safe to call
-// between runs or tests.
+// recorded trace and domain events. Metric identities are preserved —
+// pointers held by instrumented packages stay valid — so it is safe to
+// call between runs or tests.
 func Reset() {
 	traceBuf.reset()
+	eventLog.reset()
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	for _, c := range reg.counters {

@@ -27,7 +27,6 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/parallel"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
 )
 
 // circulantEigen is the one-per-(dims, params) precomputation: the
@@ -284,7 +283,7 @@ func (s *CirculantSampler) SampleTo(dst []float64, rng *mathx.RNG) {
 
 // emitFieldSampled records the domain event for one SampleField call.
 func emitFieldSampled(w, h int, path string) {
-	events.New("field.sampled").
+	telemetry.NewEvent("field.sampled").
 		Int("w", int64(w)).
 		Int("h", int64(h)).
 		Int("points", int64(w*h)).

@@ -90,8 +90,6 @@ func TestCirculantMatchesDenseStatistics(t *testing.T) {
 	fp := DefaultVth()
 	lags := []int{1, 2, 4, 8}
 
-	restore := converge.SetEnabled(true)
-	defer restore()
 	converge.Reset()
 
 	dense, err := NewSampler(gridPoints(w, h), fp)
