@@ -20,10 +20,11 @@
 // ids were given.
 //
 // Observability: telemetry has one switch, which -telemetry, -events,
-// -trace, -manifest, -history and -pprof each turn on. -telemetry
-// text|json dumps the report (pool utilization, cache hit rates,
-// fault counts, chip-draw latency, per-runner stage timings) to stderr
-// after the run, so stdout stays a clean artifact stream. -events FILE
+// -trace, -manifest, -convergence, -progress, -history and -pprof each
+// turn on. -telemetry text|json dumps the report (pool utilization,
+// cache hit rates, fault counts, chip-draw latency, per-runner stage
+// timings, convergence series) to stderr after the run, so stdout
+// stays a clean artifact stream. -events FILE
 // writes the simulation-domain event log (chip drawn, front measured,
 // quality scored, atlas built, ledger-attributed faults) as NDJSON.
 // -trace FILE records every stage of the run as a hierarchy (run →
@@ -35,10 +36,11 @@
 // SHA-256 of every artifact the run wrote; -verify-manifest FILE
 // re-hashes a manifest's artifacts and exits non-zero on any mismatch
 // (paths resolve relative to the current directory, as recorded).
-// -convergence FILE runs the experiments under a Monte-Carlo
-// convergence monitor and dumps streaming mean/CI95 statistics for the
-// per-chip metrics; -progress additionally prints a chips-done/ETA/CI
-// line to stderr every two seconds.
+// -convergence FILE runs the experiments under a monitored context, so
+// each distinct chip drawn feeds the telemetry series of its summary
+// metrics, and dumps their streaming mean/CI95 statistics as JSON;
+// -progress additionally prints a chips-done/ETA/CI line to stderr
+// every two seconds.
 // -atlas DIR runs the hotspot fault-attribution pass on the
 // representative chip and writes the per-chip spatial export set —
 // atlas.json, atlas.csv, one atlas_<metric>.svg heatmap per metric,
@@ -63,17 +65,19 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"repro/internal/atlas"
-	"repro/internal/converge"
 	"repro/internal/experiments"
 	"repro/internal/history"
 	"repro/internal/parallel"
@@ -93,12 +97,12 @@ func main() {
 		format     = flag.String("format", "text", "output format: text or csv")
 		outDir     = flag.String("out", "", "also write each experiment to <out>/<id>.<ext>")
 		obs        = telemetry.RegisterFlags(flag.CommandLine)
-		tracePath  = flag.String("trace", "", "record spans and write a Chrome trace-event JSON file (open in Perfetto)")
+		tracePath  = flag.String("trace", "", "record stages and write a Chrome trace-event JSON file (open in Perfetto)")
 		maniPath   = flag.String("manifest", "", "write a run-provenance manifest (flags, versions, wall times, artifact SHA-256s)")
 		convPath   = flag.String("convergence", "", "monitor Monte-Carlo convergence and write the statistics as JSON")
 		progress   = flag.Bool("progress", false, "print chips-done/ETA/CI-width progress lines to stderr during the run")
 		verifyMani = flag.String("verify-manifest", "", "re-hash a manifest's artifacts and exit non-zero on mismatch")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, /telemetryz and /metricsz on this address (e.g. localhost:6060)")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, /telemetryz, /metricsz and /eventsz on this address (e.g. localhost:6060)")
 		histDir    = flag.String("history", "", "append a run record (telemetry, convergence, runner timings) to this run-history store")
 		histCheck  = flag.Bool("history-check", false, "after appending, gate the record against its baseline window; exit 1 on regression (requires -history)")
 		selfProf   = flag.Bool("selfprofile", false, "capture CPU+heap pprof around the run and store top hotspots in the history record (requires -history)")
@@ -146,10 +150,11 @@ func main() {
 		fail(2, "%v", err)
 	}
 	// The manifest and the history record report cache hit rates and
-	// runner times, and a trace is made of stage calls, all of which
-	// telemetry records, so recording must be on even without a
-	// -telemetry dump.
-	if *pprofAddr != "" || *maniPath != "" || *histDir != "" || *tracePath != "" {
+	// runner times, a trace is made of stage calls, and convergence
+	// statistics are telemetry series, all of which telemetry records,
+	// so recording must be on even without a -telemetry dump.
+	monitor := *convPath != "" || *progress || *histDir != ""
+	if *pprofAddr != "" || *maniPath != "" || *tracePath != "" || monitor {
 		telemetry.SetEnabled(true)
 	}
 	if *pprofAddr != "" {
@@ -188,8 +193,8 @@ func main() {
 	if *tracePath != "" {
 		ctx = telemetry.TraceContext(ctx)
 	}
-	if *convPath != "" || *progress || *histDir != "" {
-		ctx = converge.MonitorContext(ctx)
+	if monitor {
+		ctx = telemetry.MonitorContext(ctx)
 	}
 	run := stRun.Begin(ctx).Int("experiments", int64(len(args)))
 	ctx = run.Context(ctx)
@@ -208,14 +213,14 @@ func main() {
 				case <-done:
 					return
 				case <-tick.C:
-					fmt.Fprintf(os.Stderr, "accordion: %s\n", converge.ProgressLine(*chips, time.Since(start)))
+					fmt.Fprintf(os.Stderr, "accordion: %s\n", progressLine(*chips, time.Since(start)))
 				}
 			}
 		}()
 		stopProgress = func() {
 			close(done)
 			<-finished
-			fmt.Fprintf(os.Stderr, "accordion: %s\n", converge.ProgressLine(*chips, time.Since(start)))
+			fmt.Fprintf(os.Stderr, "accordion: %s\n", progressLine(*chips, time.Since(start)))
 		}
 	}
 
@@ -397,9 +402,9 @@ func main() {
 }
 
 // buildHistoryRecord harvests the finished run into a history record:
-// run identity from the build info, per-runner wall times, the full
-// telemetry snapshot (cache hit rates included), and the convergence
-// statistics.
+// run identity from the build info, per-runner wall times, and the
+// full telemetry snapshot (cache hit rates and convergence series
+// included).
 func buildHistoryRecord(results []experiments.RunResult, wall time.Duration, prof *history.ProfileSummary) history.Record {
 	rec := history.NewRecord("accordion", "run")
 	rec.WallMs = wall.Milliseconds()
@@ -410,7 +415,6 @@ func buildHistoryRecord(results []experiments.RunResult, wall time.Duration, pro
 		}
 	}
 	rec.AddTelemetry(telemetry.Capture())
-	rec.AddConvergence(converge.Capture())
 	return rec
 }
 
@@ -461,15 +465,71 @@ func writeAtlas(ctx context.Context, dir string, cfg experiments.Config) ([]stri
 	return append(paths, ledgerPath), nil
 }
 
-// writeConvergence dumps the Monte-Carlo convergence statistics.
+// writeConvergence dumps the Monte-Carlo convergence statistics, the
+// telemetry snapshot's series, as the indented convergence.json
+// document: {"series": [...]}, one entry per series, sorted by name.
 func writeConvergence(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := converge.Capture().WriteJSON(f); err != nil {
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	doc := struct {
+		Series []telemetry.SeriesSnapshot `json:"series"`
+	}{telemetry.Capture().Series}
+	if err := enc.Encode(doc); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// progressLine formats the one-line mid-run progress report the
+// -progress flag prints: chips done (with ETA against target when one
+// is known) and each series' mean ± CI95 half-width. Done is the
+// maximum series count, which tracks the distinct chips drawn since
+// every such chip observes every series once.
+func progressLine(target int, elapsed time.Duration) string {
+	series := telemetry.Capture().Series
+	var done int64
+	for _, s := range series {
+		if s.Count > done {
+			done = s.Count
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "chips=%d", done)
+	if target > 0 {
+		fmt.Fprintf(&b, "/%d", target)
+	}
+	fmt.Fprintf(&b, " elapsed=%s", elapsed.Round(100*time.Millisecond))
+	if eta, ok := etaFor(done, target, elapsed); ok {
+		fmt.Fprintf(&b, " eta=%s", eta.Round(100*time.Millisecond))
+	}
+	for _, s := range series {
+		if s.Count == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, " | %s %.4g±%.2g %s", s.Name, s.Mean, s.CI95, s.Unit)
+	}
+	return b.String()
+}
+
+// etaFor estimates the remaining wall time from linear extrapolation
+// of done/target over elapsed. The second return is false whenever no
+// meaningful estimate exists: no target, nothing done yet, already at
+// or past the target, an elapsed at or below the timer's resolution
+// (a sub-tick wall time would extrapolate to a garbage ETA of zero),
+// or an extrapolation too large for a time.Duration — so the progress
+// line never prints a NaN, an Inf, or a wrapped-around ETA.
+func etaFor(done int64, target int, elapsed time.Duration) (time.Duration, bool) {
+	if target <= 0 || done <= 0 || done >= int64(target) || elapsed <= 0 {
+		return 0, false
+	}
+	eta := float64(elapsed) / float64(done) * float64(int64(target)-done)
+	if math.IsNaN(eta) || math.IsInf(eta, 0) || eta >= float64(math.MaxInt64) {
+		return 0, false
+	}
+	return time.Duration(eta), true
 }

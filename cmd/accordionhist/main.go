@@ -1,9 +1,9 @@
 // Command accordionhist is the run-history toolbelt: append records
-// to a store from artifacts other tools wrote (BENCH_*.json blobs,
+// to a store from artifacts other tools wrote (benchmark results,
 // provenance manifests, /telemetryz scrapes), run the noise-aware
 // regression gate, and render text trend reports.
 //
-//	accordionhist append -dir HISTORY -tool bench_parallel -kind bench -bench BENCH_parallel.json
+//	accordionhist append -dir HISTORY -tool benchmark -bench r.json
 //	accordionhist check  -dir HISTORY [-window 20] [-margin 0.10] [-min-baseline 3] [-json]
 //	accordionhist report -dir HISTORY [-last 20] [-metric GLOB] [-out FILE]
 //	accordionhist list   -dir HISTORY
@@ -98,11 +98,11 @@ func (r *repeatedFlag) Set(v string) error {
 func cmdAppend(args []string, stderr io.Writer) error {
 	fs := newFlagSet("append", stderr)
 	dir := fs.String("dir", "", "history store directory (required)")
-	tool := fs.String("tool", "", "record tool identity, e.g. bench_parallel (required)")
+	tool := fs.String("tool", "", "record tool identity, e.g. benchmark (required)")
 	kind := fs.String("kind", "bench", "record kind, e.g. run or bench")
 	note := fs.String("note", "", "free-form note stored on the record")
 	var benches, manifests, scrapes repeatedFlag
-	fs.Var(&benches, "bench", "BENCH_*.json blob to harvest (repeatable)")
+	fs.Var(&benches, "bench", "benchmark result JSON (benchmark/run.sh --out) to harvest (repeatable)")
 	fs.Var(&manifests, "manifest", "provenance manifest.json to harvest (repeatable)")
 	fs.Var(&scrapes, "telemetry", "/telemetryz JSON scrape to harvest (repeatable)")
 	revision := fs.String("revision", "", "override the VCS revision stamp")

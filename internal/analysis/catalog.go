@@ -4,15 +4,17 @@ import "strings"
 
 // Catalog is the checked-in vocabulary of telemetry metric names and
 // domain event kinds. The telemetrynames analyzer refuses any
-// GetCounter/GetGauge/GetHistogram/NewStage or NewEvent call whose
-// name is not (a) a string literal matching ^[a-z0-9_.]+$ registered
-// here, or (b) a concatenation whose literal prefix is registered
-// here. That keeps the /metricsz namespace and the event-kind
-// vocabulary (what CI smoke gates and jq pipelines key on) from
-// drifting or colliding one emit site at a time: adding a name means
-// touching this file, which means the diff shows the vocabulary grew.
+// GetCounter/GetGauge/GetHistogram/GetSeries/NewStage or NewEvent call
+// whose name is not (a) a string literal matching ^[a-z0-9_.]+$
+// registered here, or (b) a concatenation whose literal prefix is
+// registered here. That keeps the /metricsz namespace and the
+// event-kind vocabulary (what CI smoke gates and jq pipelines key on)
+// from drifting or colliding one emit site at a time: adding a name
+// means touching this file, which means the diff shows the vocabulary
+// grew.
 type Catalog struct {
-	// Metrics are exact telemetry counter/gauge/histogram/stage names.
+	// Metrics are exact telemetry counter/gauge/histogram/series/stage
+	// names.
 	Metrics map[string]bool
 	// MetricPrefixes cover families with a dynamic tail, e.g. the
 	// per-cache counters "cache.<Name>.hits".
@@ -37,6 +39,11 @@ func DefaultCatalog() *Catalog {
 			"parallel.worker.busy_ns",
 			// chip factory
 			"chip.factory.chips_drawn",
+			// convergence series, one per chip summary metric
+			"chip.fmax_ghz",
+			"chip.vddmin_v",
+			"chip.power_w",
+			"chip.err_rate",
 			// fault notes, one counter per kind
 			"fault.drops",
 			"fault.injected",
@@ -70,7 +77,6 @@ func DefaultCatalog() *Catalog {
 		),
 		MetricPrefixes: []string{
 			"cache.",           // cache.<Name>.{hits,misses,evictions}
-			"converge.",        // converge.<series>.{count,mean_micro,ci95_micro}
 			"experiments.run.", // experiments.run.<experiment id>
 		},
 		Events: set(

@@ -107,13 +107,12 @@ func DefaultConfig(startDir string) (*Config, error) {
 		// table on every `go test ./...`.
 		AllowedDeps: map[string][]string{
 			"mathx":         {},
-			"telemetry":     {},
-			"converge":      {"telemetry"},
+			"telemetry":     {"mathx"},
 			"provenance":    {},
 			"parallel":      {"telemetry"},
 			"tech":          {"mathx"},
 			"variation":     {"mathx", "parallel", "telemetry"},
-			"chip":          {"converge", "mathx", "parallel", "tech", "telemetry", "variation"},
+			"chip":          {"mathx", "parallel", "tech", "telemetry", "variation"},
 			"power":         {"chip"},
 			"sim":           {"mathx"},
 			"quality":       {},
@@ -136,7 +135,7 @@ func DefaultConfig(startDir string) (*Config, error) {
 				"rms", "rms/bodytrack", "rms/btcmine", "rms/canneal", "rms/ferret",
 				"rms/hotspot", "rms/srad", "rms/xh264", "sim", "tech", "telemetry", "variation"},
 			"service": {"experiments", "provenance", "telemetry"},
-			"history": {"converge", "provenance", "telemetry"},
+			"history": {"mathx", "provenance", "telemetry"},
 		},
 		// Substrate purity: the numeric substrate and the device models
 		// must never know about chips, benchmarks, or the framework.

@@ -9,7 +9,8 @@ import (
 
 // TelemetryNamesAnalyzer keeps the observability vocabulary closed and
 // greppable. Every name handed to telemetry.GetCounter / GetGauge /
-// GetHistogram / NewStage and every kind handed to NewEvent must
+// GetHistogram / GetSeries / NewStage and every kind handed to
+// NewEvent must
 //
 //   - resolve statically: a string literal, a concatenation with a
 //     literal prefix ("cache." + name + ".hits"), or a local variable
@@ -34,7 +35,7 @@ var nameRe = regexp.MustCompile(`^[a-z0-9_.]+$`)
 // metricFuncs name the metric registration points in
 // internal/telemetry; NewEvent is its one event registration point.
 var metricFuncs = map[string]bool{
-	"GetCounter": true, "GetGauge": true, "GetHistogram": true, "NewStage": true,
+	"GetCounter": true, "GetGauge": true, "GetHistogram": true, "GetSeries": true, "NewStage": true,
 }
 
 const telemetryPkgRel = "internal/telemetry"

@@ -55,3 +55,7 @@ func LocalVar(drop bool) {
 func BadEvent() {
 	telemetry.NewEvent("ghost.event").Emit() // want `event name "ghost.event" is not registered`
 }
+
+// UnregisteredSeries declares a convergence series under a name the
+// catalog has never heard of.
+var UnregisteredSeries = telemetry.GetSeries("phantom.series", "GHz") // want `metric name "phantom.series" is not registered`

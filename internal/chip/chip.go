@@ -17,7 +17,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/converge"
 	"repro/internal/mathx"
 	"repro/internal/parallel"
 	"repro/internal/tech"
@@ -25,12 +24,18 @@ import (
 	"repro/internal/variation"
 )
 
-// Factory telemetry: how many Monte-Carlo chips have been drawn and how
+// Factory telemetry: how many Monte-Carlo chips have been drawn, how
 // long one draw takes (two correlated-field samples plus the voltage
-// derivation; the factory's Cholesky cost is paid once at NewFactory).
+// derivation; the factory's Cholesky cost is paid once at NewFactory),
+// and, under a monitored context, the convergence series of each
+// distinct chip's Summary.
 var (
 	telChipsDrawn = telemetry.GetCounter("chip.factory.chips_drawn")
 	stDraw        = telemetry.NewStage("chip.draw")
+	serFmax       = telemetry.GetSeries("chip.fmax_ghz", "GHz")
+	serVddMIN     = telemetry.GetSeries("chip.vddmin_v", "V")
+	serPower      = telemetry.GetSeries("chip.power_w", "W")
+	serErrRate    = telemetry.GetSeries("chip.err_rate", "p/cycle")
 )
 
 // Config describes the chip organization and its variation environment.
@@ -256,13 +261,17 @@ func (f *Factory) sample(ctx context.Context, seed int64) *Chip {
 // SampleCtx is Sample under the observability tier: in a traced
 // context the chip.draw stage records a trace event under ctx's
 // current stage, so population draws nest under their pool worker,
-// and in a context descending from converge.MonitorContext it streams
-// the drawn chip's summary metrics into the Monte-Carlo convergence
-// estimators. Any other context costs one lookup. The chip returned is
-// bit-identical to Sample(seed) regardless.
+// and in a context descending from telemetry.MonitorContext the first
+// draw of each seed streams the chip's summary metrics into the
+// Monte-Carlo convergence series. The seed identifies the chip because
+// every factory in the tree is built from DefaultConfig, so two
+// experiments drawing the same seeds add no observations. With
+// telemetry off the check is one atomic load; with it on, any other
+// context costs one lookup. The chip returned is bit-identical to
+// Sample(seed) regardless.
 func (f *Factory) SampleCtx(ctx context.Context, seed int64) *Chip {
 	ch := f.sample(ctx, seed)
-	if converge.Monitored(ctx) {
+	if telemetry.Monitored(ctx, seed) {
 		ch.observeConvergence()
 	}
 	return ch
@@ -281,7 +290,8 @@ func (f *Factory) Population(seed int64, n int) []*Chip {
 // the context's error if ctx is cancelled mid-draw. Each draw goes
 // through SampleCtx, so a traced run shows one chip.draw event per chip
 // under the pool worker that drew it, and a monitored context feeds
-// every chip of the population to the convergence estimators.
+// every chip of the population it has not seen yet to the convergence
+// series.
 func (f *Factory) PopulationCtx(ctx context.Context, seed int64, n int) ([]*Chip, error) {
 	return parallel.MapCtx(ctx, n, func(wctx context.Context, i int) (*Chip, error) {
 		return f.SampleCtx(wctx, mathx.SplitSeed(seed, int64(i))), nil
@@ -505,7 +515,7 @@ func (ch *Chip) SetFreq(cores []int, vdd, perr float64) float64 {
 }
 
 // Summary bundles the chip-level metrics the Monte-Carlo convergence
-// monitor tracks per drawn chip, all evaluated at the chip's own
+// series track per drawn chip, all evaluated at the chip's own
 // VddNTV: the fastest core's fmax, the operating voltage itself, the
 // whole-chip power with every core at its safe frequency, and the mean
 // per-cycle timing-error probability when every core is clocked at the
@@ -542,11 +552,11 @@ func (ch *Chip) SummaryMetrics() Summary {
 }
 
 // observeConvergence streams the chip's Summary into the Monte-Carlo
-// convergence monitor.
+// convergence series.
 func (ch *Chip) observeConvergence() {
 	s := ch.SummaryMetrics()
-	converge.Observe("chip.fmax_ghz", "GHz", s.FmaxGHz)
-	converge.Observe("chip.vddmin_v", "V", s.VddMINV)
-	converge.Observe("chip.power_w", "W", s.PowerW)
-	converge.Observe("chip.err_rate", "p/cycle", s.ErrRate)
+	serFmax.Observe(s.FmaxGHz)
+	serVddMIN.Observe(s.VddMINV)
+	serPower.Observe(s.PowerW)
+	serErrRate.Observe(s.ErrRate)
 }

@@ -1,35 +1,47 @@
 package chip
 
 import (
+	"bytes"
 	"context"
+	"strings"
 	"testing"
 
-	"repro/internal/converge"
 	"repro/internal/telemetry"
 )
 
-// TestPopulationConvergence: a fixed-seed population drawn under a
-// converge.MonitorContext reports CI95 half-widths for all four chip
-// metrics, and the estimators see exactly one observation per chip.
-func TestPopulationConvergence(t *testing.T) {
-	converge.Reset()
+// chipSeries are the four per-chip series SampleCtx observes.
+var chipSeries = []*telemetry.Series{serFmax, serVddMIN, serPower, serErrRate}
+
+// monitoredRun turns telemetry on with every metric zeroed and returns
+// a fresh monitored context and the factory under test.
+func monitoredRun(t *testing.T) (context.Context, *Factory) {
+	t.Helper()
+	t.Cleanup(telemetry.SetEnabled(true))
+	telemetry.Reset()
+	t.Cleanup(telemetry.Reset)
 	f, err := NewFactory(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return telemetry.MonitorContext(context.Background()), f
+}
+
+// TestPopulationConvergence: a fixed-seed population drawn under a
+// telemetry.MonitorContext reports CI95 half-widths for all four chip
+// metrics, and the series see exactly one observation per chip.
+func TestPopulationConvergence(t *testing.T) {
+	ctx, f := monitoredRun(t)
 	const n = 12
-	if _, err := f.PopulationCtx(converge.MonitorContext(context.Background()), 2014, n); err != nil {
+	if _, err := f.PopulationCtx(ctx, 2014, n); err != nil {
 		t.Fatal(err)
 	}
-	counts := seriesCounts()
-	for _, name := range chipSeries {
-		if counts[name] != n {
-			t.Errorf("%s: count = %d, want %d", name, counts[name], n)
-		}
+	captured := telemetry.Capture().Series
+	if len(captured) != len(chipSeries) {
+		t.Fatalf("captured %d series, want the %d chip series", len(captured), len(chipSeries))
 	}
-	for _, s := range converge.Capture().Series {
-		if counts[s.Name] == 0 {
-			continue
+	for _, s := range captured {
+		if s.Count != n {
+			t.Errorf("%s: count = %d, want %d", s.Name, s.Count, n)
 		}
 		if s.CI95 <= 0 {
 			t.Errorf("%s: ci95 half-width = %v, want > 0", s.Name, s.CI95)
@@ -40,65 +52,118 @@ func TestPopulationConvergence(t *testing.T) {
 	}
 }
 
+// TestMonitoredChipCountedOnce: drawing the same population twice under
+// one monitored context, as fig5a and the population runner do in one
+// accordion run, observes each distinct chip once.
+func TestMonitoredChipCountedOnce(t *testing.T) {
+	ctx, f := monitoredRun(t)
+	const n = 8
+	for i := 0; i < 2; i++ {
+		if _, err := f.PopulationCtx(ctx, 2014, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range chipSeries {
+		if s.Count() != n {
+			t.Errorf("%s: %d observations of %d distinct chips", s.Name(), s.Count(), n)
+		}
+	}
+}
+
+// TestChipSeriesInTelemetry: after a monitored population draw the
+// four chip series are in the telemetry snapshot, and /metricsz
+// renders them.
+func TestChipSeriesInTelemetry(t *testing.T) {
+	ctx, f := monitoredRun(t)
+	const n = 4
+	if _, err := f.PopulationCtx(ctx, 7, n); err != nil {
+		t.Fatal(err)
+	}
+	captured := map[string]telemetry.SeriesSnapshot{}
+	for _, s := range telemetry.Capture().Series {
+		captured[s.Name] = s
+	}
+	for _, want := range []struct{ name, unit string }{
+		{"chip.fmax_ghz", "GHz"}, {"chip.vddmin_v", "V"}, {"chip.power_w", "W"}, {"chip.err_rate", "p/cycle"},
+	} {
+		s, ok := captured[want.name]
+		if !ok || s.Count != n || s.Unit != want.unit {
+			t.Errorf("captured %s = %+v (present=%v), want %d observations in %s", want.name, s, ok, n, want.unit)
+		}
+	}
+	var prom bytes.Buffer
+	if err := telemetry.Capture().WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`chip_fmax_ghz{unit="GHz",stat="count"} 4`,
+		`chip_vddmin_v{unit="V",stat="ci95"} `,
+		`chip_power_w{unit="W",stat="mean"} `,
+		`chip_err_rate{unit="p/cycle",stat="std"} `,
+	} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("/metricsz text missing %q", want)
+		}
+	}
+}
+
 // TestPopulationUnmonitored: with telemetry on but no monitor context,
 // a population observes no chip, and a draw allocates exactly what a
 // plain Sample does: no chip pays for SummaryMetrics unasked, which is
 // what keeps accordiond and library callers off it.
 func TestPopulationUnmonitored(t *testing.T) {
-	defer telemetry.SetEnabled(true)()
-	telemetry.Reset()
-	defer telemetry.Reset()
-	converge.Reset()
-	f, err := NewFactory(DefaultConfig())
-	if err != nil {
+	_, f := monitoredRun(t)
+	ctx := context.Background()
+	if _, err := f.PopulationCtx(ctx, 2014, 6); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.PopulationCtx(context.Background(), 2014, 6); err != nil {
-		t.Fatal(err)
-	}
-	for name, n := range seriesCounts() {
-		if n != 0 {
-			t.Errorf("%s observed %d chips without a monitor context", name, n)
+	for _, s := range chipSeries {
+		if n := s.Count(); n != 0 {
+			t.Errorf("%s observed %d chips without a monitor context", s.Name(), n)
 		}
 	}
-	ctx := context.Background()
 	plain := testing.AllocsPerRun(20, func() { f.Sample(7) })
 	viaCtx := testing.AllocsPerRun(20, func() { f.SampleCtx(ctx, 7) })
 	if viaCtx != plain {
 		t.Errorf("an unmonitored SampleCtx allocates %.0f objects, a plain Sample %.0f", viaCtx, plain)
 	}
-	monitored := converge.MonitorContext(ctx)
-	if m := testing.AllocsPerRun(20, func() { f.SampleCtx(monitored, 7) }); m <= plain {
+	// A fresh monitor per draw, so every draw is a first draw.
+	if m := testing.AllocsPerRun(20, func() { f.SampleCtx(telemetry.MonitorContext(ctx), 7) }); m <= plain {
 		t.Errorf("a monitored SampleCtx allocates %.0f objects, want more than a plain Sample's %.0f", m, plain)
 	}
 }
 
-// chipSeries are the four per-chip metrics SampleCtx observes.
-var chipSeries = []string{"chip.fmax_ghz", "chip.vddmin_v", "chip.power_w", "chip.err_rate"}
-
-// seriesCounts reads the chip series' observation counts.
-func seriesCounts() map[string]int64 {
-	counts := map[string]int64{}
-	for _, name := range chipSeries {
-		counts[name] = 0
+// TestMonitoredTelemetryOff: a monitored context asks nothing of a
+// process whose telemetry is off: the draw observes no chip and
+// allocates exactly what a plain Sample does.
+func TestMonitoredTelemetryOff(t *testing.T) {
+	defer telemetry.SetEnabled(false)()
+	telemetry.Reset()
+	f, err := NewFactory(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range converge.Capture().Series {
-		if _, ok := counts[s.Name]; ok {
-			counts[s.Name] = s.Count
+	ctx := telemetry.MonitorContext(context.Background())
+	if _, err := f.PopulationCtx(ctx, 2014, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range chipSeries {
+		if n := s.Count(); n != 0 {
+			t.Errorf("%s observed %d chips with telemetry off", s.Name(), n)
 		}
 	}
-	return counts
+	plain := testing.AllocsPerRun(20, func() { f.Sample(7) })
+	if m := testing.AllocsPerRun(20, func() { f.SampleCtx(ctx, 7) }); m != plain {
+		t.Errorf("a monitored SampleCtx with telemetry off allocates %.0f objects, a plain Sample %.0f", m, plain)
+	}
 }
 
 // TestSampleCtxIdentical: the observability wrapper returns the same
 // chip bits as the plain Sample.
 func TestSampleCtxIdentical(t *testing.T) {
-	f, err := NewFactory(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx, f := monitoredRun(t)
 	a := f.Sample(7)
-	b := f.SampleCtx(converge.MonitorContext(context.Background()), 7)
+	b := f.SampleCtx(ctx, 7)
 	if a.VddNTV() != b.VddNTV() || len(a.Cores) != len(b.Cores) {
 		t.Fatal("SampleCtx chip differs from Sample chip")
 	}

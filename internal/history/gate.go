@@ -6,7 +6,7 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/converge"
+	"repro/internal/mathx"
 	"repro/internal/telemetry"
 )
 
@@ -124,7 +124,7 @@ func Check(recs []Record, dirs []Direction, cfg GateConfig) (*GateReport, error)
 		if !gated {
 			continue
 		}
-		var w converge.Welford
+		var w mathx.Welford
 		for i := range baseline {
 			if v, ok := baseline[i].Metrics[name]; ok {
 				w.Add(v)
@@ -157,7 +157,7 @@ func Check(recs []Record, dirs []Direction, cfg GateConfig) (*GateReport, error)
 }
 
 // judge applies the band-plus-margin test to one metric.
-func judge(name string, sense Sense, value float64, w *converge.Welford, margin float64) (Finding, bool) {
+func judge(name string, sense Sense, value float64, w *mathx.Welford, margin float64) (Finding, bool) {
 	mean, band := w.Mean(), w.Band95()
 	slack := band + margin*math.Abs(mean)
 	delta := value - mean

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/converge"
 	"repro/internal/provenance"
 	"repro/internal/telemetry"
 )
@@ -14,19 +13,22 @@ import (
 // This file maps every existing observability surface into the flat
 // metric namespace a Record trends:
 //
-//	counter.<name>                      telemetry counters
-//	gauge.<name>                        telemetry gauges
-//	hist.<name>.{count,mean,p50,p95,p99,max}
-//	cache.<name>.hit_rate               derived from cache.<name>.{hits,misses}
-//	converge.<series>.{count,mean,std,ci95}
-//	runner.<id>.wall_ms                 provenance runner timings
-//	bench.<dotted json path>            numeric leaves of a BENCH_*.json blob
+//	counter.<name>                           telemetry counters
+//	gauge.<name>                             telemetry gauges
+//	hist.<name>.{count,mean,p50,p95,p99,max} telemetry histograms
+//	converge.<series>.{count,mean,std,ci95}  telemetry series
+//	cache.<name>.hit_rate                    derived from cache.<name>.{hits,misses}
+//	runner.<id>.wall_ms                      provenance runner timings
+//	bench.<dotted json path>                 numeric leaves of a benchmark result
 //
 // The names are data, not code: they are record map keys, so the
 // analysis catalog governs only the history.* self-accounting metrics
 // this package emits through telemetry, not the harvested namespace.
 
-// AddTelemetry folds a telemetry snapshot into the record.
+// AddTelemetry folds a telemetry snapshot into the record. A series
+// lands under converge.<series>, the name the Monte-Carlo convergence
+// statistics have always had in the store; its CI95 is recorded only
+// once it is finite (two observations).
 func (r *Record) AddTelemetry(snap telemetry.Snapshot) {
 	for _, c := range snap.Counters {
 		r.Set("counter."+c.Name, float64(c.Value))
@@ -46,18 +48,6 @@ func (r *Record) AddTelemetry(snap telemetry.Snapshot) {
 		r.Set(base+"p99", float64(h.P99))
 		r.Set(base+"max", float64(h.Max))
 	}
-	// cache.<name>.hit_rate, derived from the memo caches' hit/miss
-	// counter pairs.
-	for _, c := range telemetry.Caches(snap.Counters) {
-		if total := c.Hits + c.Misses; total > 0 {
-			r.Set("cache."+c.Name+".hit_rate", float64(c.Hits)/float64(total))
-		}
-	}
-}
-
-// AddConvergence folds a converge snapshot into the record. CI95 is
-// recorded only once it is finite (two observations).
-func (r *Record) AddConvergence(snap converge.Snapshot) {
 	for _, s := range snap.Series {
 		if s.Count == 0 {
 			continue
@@ -68,6 +58,13 @@ func (r *Record) AddConvergence(snap converge.Snapshot) {
 		if s.Count >= 2 {
 			r.Set(base+"std", s.Std)
 			r.Set(base+"ci95", s.CI95)
+		}
+	}
+	// cache.<name>.hit_rate, derived from the memo caches' hit/miss
+	// counter pairs.
+	for _, c := range telemetry.Caches(snap.Counters) {
+		if total := c.Hits + c.Misses; total > 0 {
+			r.Set("cache."+c.Name+".hit_rate", float64(c.Hits)/float64(total))
 		}
 	}
 }
@@ -101,12 +98,13 @@ func (r *Record) AddManifest(m *provenance.Manifest) {
 	}
 }
 
-// AddBenchJSON folds one BENCH_*.json document into the record. The
-// top-level identity keys the bench harnesses stamp (vcs_revision,
-// vcs_dirty, gomaxprocs) are lifted into the record's identity fields;
-// every numeric leaf elsewhere lands under "bench." with its dotted
-// path. Booleans become 0/1 so gates can trend them; strings and
-// nulls carry no trendable value and are skipped.
+// AddBenchJSON folds one benchmark result document (what
+// `benchmark/run.sh --out` writes) into the record. The top-level
+// identity keys it may stamp (vcs_revision, vcs_dirty, gomaxprocs) are
+// lifted into the record's identity fields; every numeric leaf
+// elsewhere lands under "bench." with its dotted path. Booleans become
+// 0/1 so gates can trend them; strings and nulls carry no trendable
+// value and are skipped.
 func (r *Record) AddBenchJSON(data []byte) error {
 	var doc map[string]any
 	if err := json.Unmarshal(data, &doc); err != nil {

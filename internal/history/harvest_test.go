@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/converge"
 	"repro/internal/provenance"
 	"repro/internal/telemetry"
 )
@@ -52,16 +51,25 @@ func TestAddTelemetry(t *testing.T) {
 	}
 }
 
-func TestAddConvergence(t *testing.T) {
+// TestAddTelemetrySeries: a snapshot's series land under the record
+// names convergence statistics have always had, converge.<series>.*,
+// with CI95 and std only once two observations make them meaningful.
+func TestAddTelemetrySeries(t *testing.T) {
 	r := NewRecord("accordion", "run")
-	r.AddConvergence(converge.Snapshot{Series: []converge.SeriesSnapshot{
+	r.AddTelemetry(telemetry.Snapshot{Series: []telemetry.SeriesSnapshot{
 		{Name: "chip.fmax_ghz", Count: 100, Mean: 1.8, Std: 0.1, CI95: 0.02},
 		{Name: "chip.lonely", Count: 1, Mean: 3.0},
 		{Name: "chip.unseen", Count: 0},
 	}})
-	if r.Metrics["converge.chip.fmax_ghz.ci95"] != 0.02 ||
-		r.Metrics["converge.chip.fmax_ghz.mean"] != 1.8 {
-		t.Errorf("converge harvest = %v", r.Metrics)
+	for name, want := range map[string]float64{
+		"converge.chip.fmax_ghz.count": 100,
+		"converge.chip.fmax_ghz.mean":  1.8,
+		"converge.chip.fmax_ghz.std":   0.1,
+		"converge.chip.fmax_ghz.ci95":  0.02,
+	} {
+		if got, ok := r.Metrics[name]; !ok || got != want {
+			t.Errorf("%s = %v (present=%v), want %v", name, got, ok, want)
+		}
 	}
 	if _, ok := r.Metrics["converge.chip.lonely.ci95"]; ok {
 		t.Error("single-observation CI harvested (meaningless)")
@@ -153,10 +161,11 @@ func TestAddBenchJSON(t *testing.T) {
 // of silently un-gating a family.
 func TestDirectionsCoverHarvest(t *testing.T) {
 	r := NewRecord("bench_service", "bench")
-	r.AddTelemetry(sampleTelemetry())
-	r.AddConvergence(converge.Snapshot{Series: []converge.SeriesSnapshot{
+	snap := sampleTelemetry()
+	snap.Series = []telemetry.SeriesSnapshot{
 		{Name: "chip.fmax_ghz", Count: 100, Mean: 1.8, Std: 0.1, CI95: 0.02},
-	}})
+	}
+	r.AddTelemetry(snap)
 	r.AddManifest(&provenance.Manifest{Runners: []provenance.Runner{{ID: "fig5a", WallMs: 900}}})
 	if err := r.AddBenchJSON([]byte(sampleBench)); err != nil {
 		t.Fatal(err)

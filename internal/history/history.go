@@ -3,19 +3,19 @@
 // trend report renderer.
 //
 // Every other observability surface in this repository — telemetry
-// counters and histograms, converge CI half-widths, provenance
-// manifests, the BENCH_*.json harness blobs — describes exactly one
-// run. This package makes those surfaces longitudinal: a Record is a
-// flat metric map harvested from whichever of them a run produced,
-// stamped with enough identity (tool, kind, VCS revision, dirty flag,
-// GOMAXPROCS) to know which records are comparable, and appended as
-// one NDJSON line to a store directory. On top of the store sit:
+// counters, histograms and convergence series, provenance manifests,
+// benchmark results — describes exactly one run. This package makes
+// those surfaces longitudinal: a Record is a flat metric map harvested
+// from whichever of them a run produced, stamped with enough identity
+// (tool, kind, VCS revision, dirty flag, GOMAXPROCS) to know which
+// records are comparable, and appended as one NDJSON line to a store
+// directory. On top of the store sit:
 //
 //   - Check: the regression gate. The newest record is compared
 //     against a baseline window of earlier records sharing its
-//     (tool, kind, gomaxprocs) identity, using converge.Welford for
-//     the baseline statistics. A metric is flagged only when it moves
-//     in its registered bad direction (directions.go) beyond the
+//     (tool, kind, gomaxprocs) identity, using mathx.Welford for the
+//     baseline statistics. A metric is flagged only when it moves in
+//     its registered bad direction (directions.go) beyond the
 //     baseline's 95% band plus a relative margin — so run-to-run
 //     noise inside the band never pages anyone, and an identical
 //     re-run (zero band, value on the mean) is never a false
@@ -29,8 +29,8 @@
 //
 // The store is plain NDJSON so records are diffable, committable
 // (HISTORY/records.ndjson at the repo root is the checked-in
-// baseline CI replays), and appendable from shell harnesses via
-// cmd/accordionhist. The package follows the repository's telemetry
+// baseline CI replays), and appendable from the benchmark's results
+// via cmd/accordionhist. The package follows the repository's telemetry
 // contract: its own self-accounting (history.appends,
 // history.gate.checks, …) goes through internal/telemetry and is
 // registered in the analysis catalog.
@@ -56,7 +56,7 @@ const Schema = 1
 // (harvest.go documents the namespace).
 type Record struct {
 	Schema      int                `json:"schema"`
-	Tool        string             `json:"tool"` // accordion | accordiond | bench_parallel | ...
+	Tool        string             `json:"tool"` // accordion | benchmark
 	Kind        string             `json:"kind"` // run | batch | bench
 	StartUnixNs int64              `json:"start_unix_ns,omitempty"`
 	WallMs      int64              `json:"wall_ms,omitempty"`

@@ -64,11 +64,6 @@ func (g *RNG) Normal(mu, sigma float64) float64 {
 // StdNormal returns a sample from N(0, 1).
 func (g *RNG) StdNormal() float64 { return g.r.NormFloat64() }
 
-// LogNormal returns a sample whose logarithm is N(mu, sigma^2).
-func (g *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(g.Normal(mu, sigma))
-}
-
 // Uniform returns a uniform sample in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()
@@ -76,9 +71,6 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 
 // Perm returns a pseudo-random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // Bernoulli returns true with probability p.
 func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }

@@ -1,13 +1,19 @@
-package converge
+package mathx
 
 import "math"
 
+// z95 is the two-sided 95% normal quantile; the CI half-width is
+// z95*s/sqrt(n). The normal approximation is the right tool here —
+// population sizes of interest are ≥ 20 draws.
+const z95 = 1.959963984540054
+
 // Welford is the streaming mean/variance accumulator (Welford's
-// algorithm) behind every Series, exported so other observability
-// tiers — notably internal/history's noise-aware regression gate —
-// reuse the exact same statistics instead of growing a second,
-// subtly different implementation. The zero value is ready to use.
-// Welford is not safe for concurrent use; Series wraps it in a lock.
+// algorithm) behind every telemetry series, shared so the other users
+// — internal/history's noise-aware regression gate and variation's
+// sampler-equivalence test — reuse the exact same statistics instead
+// of growing a second, subtly different implementation. The zero value
+// is ready to use. Welford is not safe for concurrent use;
+// telemetry.Series wraps it in a lock.
 type Welford struct {
 	n    int64
 	mean float64

@@ -1,4 +1,4 @@
-package converge
+package mathx
 
 import (
 	"math"
@@ -83,31 +83,4 @@ func TestWelfordDegenerate(t *testing.T) {
 	if c.Std() > 1e-12 || c.Band95() > 1e-12 {
 		t.Errorf("constant Std/Band95 = %v/%v, want 0", c.Std(), c.Band95())
 	}
-}
-
-// TestSeriesMatchesWelford pins that the Series path (lock + gauges)
-// reports exactly what the bare accumulator computes — the refactor
-// that extracted Welford must not have changed Series numbers.
-func TestSeriesMatchesWelford(t *testing.T) {
-	Reset()
-	vals := []float64{1, 2, 3, 4, 100}
-	var w Welford
-	for _, v := range vals {
-		Observe("welford.series.check", "u", v)
-		w.Add(v)
-	}
-	snap := Capture()
-	for _, s := range snap.Series {
-		if s.Name != "welford.series.check" {
-			continue
-		}
-		if s.Count != w.N() || math.Abs(s.Mean-w.Mean()) > 1e-12 ||
-			math.Abs(s.Std-w.Std()) > 1e-12 || math.Abs(s.CI95-w.CI95Mean()) > 1e-12 ||
-			s.Min != w.Min() || s.Max != w.Max() {
-			t.Errorf("series %+v diverges from Welford n=%d mean=%v std=%v ci=%v",
-				s, w.N(), w.Mean(), w.Std(), w.CI95Mean())
-		}
-		return
-	}
-	t.Fatal("series welford.series.check not captured")
 }

@@ -11,10 +11,12 @@ import (
 
 // TestTelemetryDisabledOverhead guards the Enabled contract: the
 // disabled record path allocates nothing — not for counters, gauges,
-// histograms, stages (traced context or not), domain events, or the
-// per-task fault notes the kernels make without a ledger — and records
-// nothing: a disabled stage reports no elapsed time, and a disabled
-// event or note never reaches the ring or the fault counters. It is an
+// histograms, series, stages (traced context or not), domain events,
+// the per-task fault notes the kernels make without a ledger, or the
+// chip factory's monitored-context check — and records nothing: a
+// disabled stage reports no elapsed time, a disabled event or note
+// never reaches the ring or the fault counters, and a monitored
+// context claims no sample. It is an
 // external test so it can drive fault.Plan.Note, the hottest emit site.
 func TestTelemetryDisabledOverhead(t *testing.T) {
 	defer telemetry.SetEnabled(false)()
@@ -22,16 +24,21 @@ func TestTelemetryDisabledOverhead(t *testing.T) {
 	c := telemetry.GetCounter("test.overhead.counter")
 	g := telemetry.GetGauge("test.overhead.gauge")
 	h := telemetry.GetHistogram("test.overhead.hist")
+	sr := telemetry.GetSeries("test.overhead.series", "x")
 	st := telemetry.NewStage("test.overhead.stage")
 	drop, flip := fault.DropHalf(), fault.Plan{Mode: fault.Flip, Num: 1, Den: 2}
 	ctx := context.Background()
 	traced := telemetry.TraceContext(ctx)
+	monitored := telemetry.MonitorContext(ctx)
 	var elapsed time.Duration
+	var claimed bool
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(3)
 		c.Inc()
 		g.Set(9)
 		h.Observe(123)
+		sr.Observe(0.5)
+		claimed = claimed || telemetry.Monitored(monitored, 17)
 		tm := st.Begin(ctx).Int("k", 1).Str("s", "v")
 		elapsed += tm.End()
 		tm = st.BeginLane(traced)
@@ -44,8 +51,8 @@ func TestTelemetryDisabledOverhead(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("disabled telemetry allocates %.1f objects per op, want 0", allocs)
 	}
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || elapsed != 0 ||
-		telemetry.GetHistogram("test.overhead.stage").Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || sr.Count() != 0 || elapsed != 0 ||
+		claimed || telemetry.GetHistogram("test.overhead.stage").Count() != 0 {
 		t.Fatal("disabled telemetry recorded values")
 	}
 	if n := len(telemetry.Events()); n != 0 {

@@ -36,7 +36,9 @@ func promName(name string) string {
 // format (version 0.0.4), the document the /metricsz endpoint serves.
 // Counters and gauges map directly; each histogram becomes a summary
 // (its interpolated p50/p95/p99 as quantiles plus _sum and _count),
-// with the histogram's unit attached as a label. A telemetry_enabled
+// with the histogram's unit attached as a label; each series becomes a
+// gauge family with one sample per statistic (count, mean, std, ci95),
+// told apart by a stat label beside the unit. A telemetry_enabled
 // gauge reports the recording switch so scrapes of a disabled process
 // are self-describing.
 func (s Snapshot) WriteProm(w io.Writer) error {
@@ -68,6 +70,14 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 		fmt.Fprintf(&b, "%s{unit=%q,quantile=\"0.99\"} %d\n", n, unit, h.P99)
 		fmt.Fprintf(&b, "%s_sum{unit=%q} %d\n", n, unit, h.Sum)
 		fmt.Fprintf(&b, "%s_count{unit=%q} %d\n", n, unit, h.Count)
+	}
+	for _, sr := range s.Series {
+		n := promName(sr.Name)
+		fmt.Fprintf(&b, "# TYPE %s gauge\n", n)
+		fmt.Fprintf(&b, "%s{unit=%q,stat=\"count\"} %d\n", n, sr.Unit, sr.Count)
+		fmt.Fprintf(&b, "%s{unit=%q,stat=\"mean\"} %g\n", n, sr.Unit, sr.Mean)
+		fmt.Fprintf(&b, "%s{unit=%q,stat=\"std\"} %g\n", n, sr.Unit, sr.Std)
+		fmt.Fprintf(&b, "%s{unit=%q,stat=\"ci95\"} %g\n", n, sr.Unit, sr.CI95)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

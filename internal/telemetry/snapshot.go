@@ -38,6 +38,23 @@ type HistogramSnapshot struct {
 	P99   int64   `json:"p99"`
 }
 
+// SeriesSnapshot is one series' point-in-time reading. CI95 is the
+// 95% confidence-interval half-width of the mean (normal
+// approximation); RelCI95 is CI95/|mean|. Both, and Std, are zero
+// until two observations exist. These nine fields are also the
+// schema of the convergence.json document cmd/accordion writes.
+type SeriesSnapshot struct {
+	Name    string  `json:"name"`
+	Unit    string  `json:"unit"`
+	Count   int64   `json:"count"`
+	Mean    float64 `json:"mean"`
+	Std     float64 `json:"std"`
+	CI95    float64 `json:"ci95_half_width"`
+	RelCI95 float64 `json:"rel_ci95"`
+	Min     float64 `json:"min"`
+	Max     float64 `json:"max"`
+}
+
 // Snapshot is a consistent-enough point-in-time view of every
 // registered metric, sorted by name. Each individual metric is read
 // atomically; the set as a whole is not fenced against concurrent
@@ -47,6 +64,7 @@ type Snapshot struct {
 	Counters   []CounterSnapshot   `json:"counters"`
 	Gauges     []GaugeSnapshot     `json:"gauges"`
 	Histograms []HistogramSnapshot `json:"histograms"`
+	Series     []SeriesSnapshot    `json:"series"`
 }
 
 // Capture reads every registered metric. It is cheap enough to call
@@ -65,6 +83,10 @@ func Capture() Snapshot {
 	for _, n := range sortedNames(reg.histograms) {
 		hists = append(hists, reg.histograms[n])
 	}
+	series := make([]*Series, 0, len(reg.series))
+	for _, n := range sortedNames(reg.series) {
+		series = append(series, reg.series[n])
+	}
 	reg.mu.Unlock()
 
 	s := Snapshot{
@@ -72,6 +94,7 @@ func Capture() Snapshot {
 		Counters:   make([]CounterSnapshot, 0, len(counters)),
 		Gauges:     make([]GaugeSnapshot, 0, len(gauges)),
 		Histograms: make([]HistogramSnapshot, 0, len(hists)),
+		Series:     make([]SeriesSnapshot, 0, len(series)),
 	}
 	for _, c := range counters {
 		s.Counters = append(s.Counters, CounterSnapshot{Name: c.name, Value: c.Value()})
@@ -81,6 +104,9 @@ func Capture() Snapshot {
 	}
 	for _, h := range hists {
 		s.Histograms = append(s.Histograms, h.snapshot())
+	}
+	for _, sr := range series {
+		s.Series = append(s.Series, sr.snapshot())
 	}
 	return s
 }
@@ -104,7 +130,8 @@ func fmtUnit(v int64, unit string) string {
 }
 
 // WriteText renders the snapshot as an aligned human-readable report:
-// counters, gauges, then histograms with their quantiles.
+// counters, gauges, histograms with their quantiles, then series with
+// their mean ± CI95 half-width.
 func (s Snapshot) WriteText(w io.Writer) error {
 	var b strings.Builder
 	state := "disabled"
@@ -149,6 +176,19 @@ func (s Snapshot) WriteText(w io.Writer) error {
 				width, h.Name, h.Count, fmtUnit(int64(h.Mean), h.Unit),
 				fmtUnit(h.P50, h.Unit), fmtUnit(h.P95, h.Unit),
 				fmtUnit(h.P99, h.Unit), fmtUnit(h.Max, h.Unit))
+		}
+	}
+	if len(s.Series) > 0 {
+		width := 0
+		for _, sr := range s.Series {
+			if len(sr.Name) > width {
+				width = len(sr.Name)
+			}
+		}
+		b.WriteString("-- series (count mean±ci95 std min max)\n")
+		for _, sr := range s.Series {
+			fmt.Fprintf(&b, "%-*s  n=%d  mean=%.6g±%.3g %s  std=%.3g  min=%.6g  max=%.6g\n",
+				width, sr.Name, sr.Count, sr.Mean, sr.CI95, sr.Unit, sr.Std, sr.Min, sr.Max)
 		}
 	}
 	_, err := io.WriteString(w, b.String())

@@ -1,7 +1,8 @@
-// Package telemetry is the repository's zero-dependency observability
-// substrate: atomic counters, gauges, bounded log-scale histograms
-// (with p50/p95/p99 readouts), all hanging off one process-wide
-// registry that Snapshot() reads without stopping the world; the
+// Package telemetry is the repository's observability substrate, with
+// no dependency beyond the numeric one (mathx): atomic counters,
+// gauges, bounded log-scale histograms (with p50/p95/p99 readouts) and
+// streaming mean/CI95 series, all hanging off one process-wide
+// registry that Capture() reads without stopping the world; the
 // Stage, the one timing primitive: each stage call feeds its histogram
 // and, under a traced context, a Chrome trace event; and the event log
 // of simulation-domain events, exported as NDJSON.
@@ -11,21 +12,22 @@
 //  1. Near-zero cost when off. Recording is gated on one atomic load of
 //     the package-wide Enabled switch, the process's only observability
 //     switch; a disabled Counter.Add, Histogram.Observe, Gauge.Set,
-//     Stage.Begin or NewEvent performs no allocation and no time.Now
-//     call. Hot layers (the parallel pool, the memo caches, the chip
-//     factory) therefore instrument unconditionally and let the switch
-//     decide.
-//  2. Race-free under fire. Every metric is a fixed set of atomics;
-//     only a traced stage call takes a lock, to append its event. The
+//     Series.Observe, Stage.Begin, NewEvent or Monitored performs no
+//     allocation and no time.Now call. Hot layers (the parallel pool,
+//     the memo caches, the chip factory) therefore instrument
+//     unconditionally and let the switch decide.
+//  2. Race-free under fire. Counters, gauges and histograms are fixed
+//     sets of atomics; a series observation takes that series' own
+//     lock, and a traced stage call takes one to append its event. The
 //     registry lock is taken only on first registration of a name,
 //     never on the record path — callers hold the returned pointer.
 //  3. Bounded memory. A Histogram is 64 power-of-two buckets plus five
 //     scalars no matter how many observations land in it; quantiles are
 //     interpolated within the winning bucket and clamped to the
-//     observed min/max. The trace buffer holds at most 524,288 events
-//     and counts the rest in the trace.dropped gauge; the event ring
-//     grows on demand to 65,536 events and counts its overwrites in
-//     events.dropped.
+//     observed min/max. A Series is five scalars. The trace buffer
+//     holds at most 524,288 events and counts the rest in the
+//     trace.dropped gauge; the event ring grows on demand to 65,536
+//     events and counts its overwrites in events.dropped.
 //
 // Metric handles are nil-safe: calling Add/Set/Observe on a nil metric
 // (or End on the zero Timing) is a no-op, so optional instrumentation
@@ -275,6 +277,7 @@ var reg struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+	series     map[string]*Series
 }
 
 // GetCounter returns the process-wide counter registered under name,
@@ -352,6 +355,9 @@ func Reset() {
 	}
 	for _, h := range reg.histograms {
 		h.reset()
+	}
+	for _, sr := range reg.series {
+		sr.reset()
 	}
 }
 

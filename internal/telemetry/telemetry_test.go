@@ -315,11 +315,13 @@ func TestNilSafety(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
+	var sr *Series
 	c.Add(1)
 	c.Inc()
 	g.Set(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	sr.Observe(1)
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || sr.Count() != 0 {
 		t.Fatal("nil metrics returned nonzero values")
 	}
 	var tm Timing
@@ -376,12 +378,13 @@ func TestWriteText(t *testing.T) {
 	defer SetEnabled(true)()
 	GetCounter("test.text.counter").Add(1)
 	GetHistogram("test.text.hist").Observe(1000)
+	GetSeries("test.text.series", "V").Observe(0.5)
 	var buf bytes.Buffer
 	if err := Capture().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"telemetry (enabled)", "test.text.counter", "test.text.hist", "p95="} {
+	for _, want := range []string{"telemetry (enabled)", "test.text.counter", "test.text.hist", "p95=", "-- series", "test.text.series"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text render missing %q:\n%s", want, out)
 		}

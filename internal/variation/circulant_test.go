@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/converge"
 	"repro/internal/mathx"
 )
 
@@ -24,11 +23,11 @@ func gridPoints(w, h int) []Point {
 	return pts
 }
 
-// fieldStats streams per-draw spatial means into a converge series and
-// accumulates the pooled second moment plus lagged cross-products for
-// the correlation-vs-distance curve.
+// fieldStats streams per-draw spatial means into a Welford accumulator
+// and accumulates the pooled second moment plus lagged cross-products
+// for the correlation-vs-distance curve.
 type fieldStats struct {
-	series string
+	means  mathx.Welford // per-draw spatial means
 	lags   []int
 	n      int64     // pooled value count
 	sum    float64   // pooled sum
@@ -37,9 +36,8 @@ type fieldStats struct {
 	lagSum []float64 // sum of products per lag
 }
 
-func newFieldStats(series string, lags []int) *fieldStats {
+func newFieldStats(lags []int) *fieldStats {
 	return &fieldStats{
-		series: series,
 		lags:   lags,
 		lagN:   make([]int64, len(lags)),
 		lagSum: make([]float64, len(lags)),
@@ -54,7 +52,7 @@ func (st *fieldStats) observe(dev []float64, w, h int) {
 	}
 	st.sum += sum
 	st.n += int64(len(dev))
-	converge.Observe(st.series, "dev", sum/float64(len(dev)))
+	st.means.Add(sum / float64(len(dev)))
 	for li, lag := range st.lags {
 		for y := 0; y < h; y++ {
 			row := dev[y*w : (y+1)*w]
@@ -79,7 +77,7 @@ func (st *fieldStats) corrAt(li int) float64 {
 }
 
 // The circulant sampler must reproduce the dense sampler's
-// distribution: matching mean (within the converge CI bounds),
+// distribution: matching mean (within the Welford CI95 bounds),
 // matching total variance, and a matching correlation-vs-distance
 // curve against the analytic model SysFrac * rho(r).
 func TestCirculantMatchesDenseStatistics(t *testing.T) {
@@ -89,8 +87,6 @@ func TestCirculantMatchesDenseStatistics(t *testing.T) {
 	const w, h, draws = 24, 24, 500
 	fp := DefaultVth()
 	lags := []int{1, 2, 4, 8}
-
-	converge.Reset()
 
 	dense, err := NewSampler(gridPoints(w, h), fp)
 	if err != nil {
@@ -105,8 +101,8 @@ func TestCirculantMatchesDenseStatistics(t *testing.T) {
 	}
 
 	dRng, cRng := mathx.NewRNG(1101), mathx.NewRNG(2202)
-	dStats := newFieldStats("equiv.dense.mean", lags)
-	cStats := newFieldStats("equiv.circulant.mean", lags)
+	dStats := newFieldStats(lags)
+	cStats := newFieldStats(lags)
 	buf := make([]float64, w*h)
 	for i := 0; i < draws; i++ {
 		dStats.observe(dense.Sample(dRng), w, h)
@@ -115,22 +111,17 @@ func TestCirculantMatchesDenseStatistics(t *testing.T) {
 	}
 
 	// Mean: each sampler's per-draw spatial means are iid across draws,
-	// so the converge CI95 half-widths bound both population means.
-	snap := converge.Capture()
-	byName := map[string]converge.SeriesSnapshot{}
-	for _, s := range snap.Series {
-		byName[s.Name] = s
+	// so the CI95 half-widths bound both population means.
+	dMean, cMean := &dStats.means, &cStats.means
+	if dMean.N() != draws || cMean.N() != draws {
+		t.Fatalf("observed %d/%d draws, want %d", dMean.N(), cMean.N(), draws)
 	}
-	dMean, cMean := byName["equiv.dense.mean"], byName["equiv.circulant.mean"]
-	if dMean.Count != draws || cMean.Count != draws {
-		t.Fatalf("converge observed %d/%d draws, want %d", dMean.Count, cMean.Count, draws)
-	}
-	if diff := math.Abs(dMean.Mean - cMean.Mean); diff > 2*(dMean.CI95+cMean.CI95) {
+	if diff := math.Abs(dMean.Mean() - cMean.Mean()); diff > 2*(dMean.CI95Mean()+cMean.CI95Mean()) {
 		t.Errorf("means differ: dense %.5f±%.5f vs circulant %.5f±%.5f",
-			dMean.Mean, dMean.CI95, cMean.Mean, cMean.CI95)
+			dMean.Mean(), dMean.CI95Mean(), cMean.Mean(), cMean.CI95Mean())
 	}
-	if math.Abs(cMean.Mean) > 3*cMean.CI95 {
-		t.Errorf("circulant mean %.5f outside 3x CI95 %.5f of zero", cMean.Mean, cMean.CI95)
+	if math.Abs(cMean.Mean()) > 3*cMean.CI95Mean() {
+		t.Errorf("circulant mean %.5f outside 3x CI95 %.5f of zero", cMean.Mean(), cMean.CI95Mean())
 	}
 
 	// Total variance: both must sit near sigma^2 and near each other.
