@@ -1,7 +1,10 @@
 # Verification tiers. tier1 is the repository's baseline gate; race is
 # mandatory since the worker pool and the memoized model caches put
 # goroutines on shared chips, fronts, and Cholesky factors. `make ci`
-# mirrors .github/workflows/ci.yml locally, job for job.
+# runs four of .github/workflows/ci.yml's jobs locally: test, lint,
+# race and the history gate. Three more have targets of their own
+# (`make fuzz`, `make cover`, `make service-smoke`); the observability
+# smoke has none.
 .PHONY: tier1 race golden ci fmt-check cover lint fuzz service-smoke history-check
 
 tier1:
@@ -10,15 +13,17 @@ tier1:
 race:
 	go vet ./... && go test -race ./...
 
-# Everything the CI workflow checks, in the same order: build, lint
+# The test, lint, race and history-gate jobs: build, lint
 # (accordionvet + gofmt -s + vet + shellcheck), gofmt cleanliness,
-# tests, then the race tier.
+# tests, the race tier, then the committed run history through the
+# gate.
 ci:
 	go build ./...
 	$(MAKE) lint
 	$(MAKE) fmt-check
 	go test ./...
 	go test -race ./...
+	$(MAKE) history-check
 
 # The repository's own static-analysis suite (see README "Static
 # analysis"): accordionvet's six domain analyzers, simplify-mode gofmt,

@@ -5,7 +5,7 @@
 //	accordion [-seed N] [-chip N] [-chips N] [-j N] [-telemetry text|json]
 //	          [-trace FILE] [-events FILE] [-atlas DIR] [-manifest FILE]
 //	          [-convergence FILE] [-progress] [-pprof addr]
-//	          [-history DIR [-history-check] [-selfprofile]]
+//	          [-history DIR [-selfprofile]]
 //	          [list | all | <experiment id>...]
 //	accordion -verify-manifest FILE
 //
@@ -53,10 +53,9 @@
 // Run history: -history DIR appends one record per completed run to
 // the store's records.ndjson — runner wall times, telemetry counters
 // and quantiles, cache hit rates, convergence CI widths, all stamped
-// with the binary's VCS revision and GOMAXPROCS. -history-check then
-// gates the fresh record against its baseline window (see
-// cmd/accordionhist and the README's "Run history & regression gate"
-// section) and exits 1 on a confirmed regression. -selfprofile
+// with the binary's VCS revision and GOMAXPROCS. `accordionhist check`
+// gates the store's newest record against its baseline window (see
+// the README's "Run history & regression gate" section). -selfprofile
 // brackets the run with a pprof CPU+heap capture and stores the
 // top-N flat hotspots in the record, so hotspot drift is diffable
 // across runs without opening pprof.
@@ -104,7 +103,6 @@ func main() {
 		verifyMani = flag.String("verify-manifest", "", "re-hash a manifest's artifacts and exit non-zero on mismatch")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, /telemetryz, /metricsz and /eventsz on this address (e.g. localhost:6060)")
 		histDir    = flag.String("history", "", "append a run record (telemetry, convergence, runner timings) to this run-history store")
-		histCheck  = flag.Bool("history-check", false, "after appending, gate the record against its baseline window; exit 1 on regression (requires -history)")
 		selfProf   = flag.Bool("selfprofile", false, "capture CPU+heap pprof around the run and store top hotspots in the history record (requires -history)")
 	)
 	flag.Parse()
@@ -138,8 +136,6 @@ func main() {
 		fail(2, "-j must be non-negative (0 = GOMAXPROCS), got %d", *workers)
 	case *format != "text" && *format != "csv":
 		fail(2, "unknown format %q (want text or csv)", *format)
-	case *histCheck && *histDir == "":
-		fail(2, "-history-check requires -history DIR")
 	case *selfProf && *histDir == "":
 		fail(2, "-selfprofile requires -history DIR (the hotspot summary lives in the record)")
 	}
@@ -292,7 +288,7 @@ func main() {
 	if *selfProf {
 		var runErr error
 		var perr error
-		prof, perr = history.CaptureProfile(history.ProfileOptions{CPU: true, Heap: true}, func() error {
+		prof, perr = history.CaptureProfile(func() error {
 			results, runErr = experiments.RunMany(ctx, cfg, args)
 			return runErr
 		})
@@ -382,22 +378,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "accordion: appended %s record (%d metrics) to %s\n",
 			rec.CompatKey(), len(rec.Metrics), st.Path())
-		if *histCheck {
-			recs, err := st.Load()
-			if err != nil {
-				fail(1, "%v", err)
-			}
-			rep, err := history.Check(recs, history.DefaultDirections(), history.GateConfig{})
-			if err != nil {
-				fail(1, "%v", err)
-			}
-			if err := rep.WriteText(os.Stderr); err != nil {
-				fail(1, "%v", err)
-			}
-			if rep.Regressions() > 0 {
-				os.Exit(1)
-			}
-		}
 	}
 }
 

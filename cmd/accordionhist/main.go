@@ -1,12 +1,15 @@
 // Command accordionhist is the run-history toolbelt: append records
 // to a store from artifacts other tools wrote (benchmark results,
-// provenance manifests, /telemetryz scrapes), run the noise-aware
-// regression gate, and render text trend reports.
+// /telemetryz scrapes), run the noise-aware regression gate, and render
+// text trend reports.
 //
 //	accordionhist append -dir HISTORY -tool benchmark -bench r.json
-//	accordionhist check  -dir HISTORY [-window 20] [-margin 0.10] [-min-baseline 3] [-json]
+//	accordionhist check  -dir HISTORY [-json]
 //	accordionhist report -dir HISTORY [-last 20] [-metric GLOB] [-out FILE]
 //	accordionhist list   -dir HISTORY
+//
+// append writes a record of kind bench. check's window (20 records),
+// minimum baseline (3) and margin (0.10) are the gate's constants.
 //
 // Exit codes: 0 success (check: pass), 1 a confirmed regression from
 // check, 2 a usage or I/O error — so CI gates on the exit status
@@ -22,7 +25,6 @@ import (
 	"os"
 
 	"repro/internal/history"
-	"repro/internal/provenance"
 	"repro/internal/telemetry"
 )
 
@@ -69,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 func usage(w io.Writer) {
 	fmt.Fprint(w, `usage: accordionhist <append|check|report|list> [flags]
 
-append  harvest artifacts into a new record and append it to the store
+append  harvest benchmark results or telemetry scrapes into a new bench record
 check   gate the newest record against its baseline window (exit 1 on regression)
 report  render per-metric trends as text
 list    one line per record in the store
@@ -99,11 +101,9 @@ func cmdAppend(args []string, stderr io.Writer) error {
 	fs := newFlagSet("append", stderr)
 	dir := fs.String("dir", "", "history store directory (required)")
 	tool := fs.String("tool", "", "record tool identity, e.g. benchmark (required)")
-	kind := fs.String("kind", "bench", "record kind, e.g. run or bench")
 	note := fs.String("note", "", "free-form note stored on the record")
-	var benches, manifests, scrapes repeatedFlag
+	var benches, scrapes repeatedFlag
 	fs.Var(&benches, "bench", "benchmark result JSON (benchmark/run.sh --out) to harvest (repeatable)")
-	fs.Var(&manifests, "manifest", "provenance manifest.json to harvest (repeatable)")
 	fs.Var(&scrapes, "telemetry", "/telemetryz JSON scrape to harvest (repeatable)")
 	revision := fs.String("revision", "", "override the VCS revision stamp")
 	dirty := fs.Bool("dirty", false, "override the VCS dirty flag (with -revision)")
@@ -114,18 +114,11 @@ func cmdAppend(args []string, stderr io.Writer) error {
 	if *dir == "" || *tool == "" {
 		return fmt.Errorf("append: -dir and -tool are required")
 	}
-	if len(benches)+len(manifests)+len(scrapes) == 0 {
-		return fmt.Errorf("append: nothing to harvest (need -bench, -manifest, or -telemetry)")
+	if len(benches)+len(scrapes) == 0 {
+		return fmt.Errorf("append: nothing to harvest (need -bench or -telemetry)")
 	}
-	rec := history.NewRecord(*tool, *kind)
+	rec := history.NewRecord(*tool, "bench")
 	rec.Note = *note
-	for _, path := range manifests {
-		man, err := provenance.Load(path)
-		if err != nil {
-			return err
-		}
-		rec.AddManifest(man)
-	}
 	for _, path := range scrapes {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -165,9 +158,6 @@ func cmdAppend(args []string, stderr io.Writer) error {
 func cmdCheck(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("check", stderr)
 	dir := fs.String("dir", "", "history store directory (required)")
-	window := fs.Int("window", 0, "baseline window size (default 20)")
-	minBaseline := fs.Int("min-baseline", 0, "fewest baseline records before gating (default 3)")
-	margin := fs.Float64("margin", 0, "relative slack beyond the 95% band (default 0.10)")
 	asJSON := fs.Bool("json", false, "emit the gate report as JSON instead of text")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -184,9 +174,7 @@ func cmdCheck(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "accordionhist:", err)
 		return 2
 	}
-	rep, err := history.Check(recs, history.DefaultDirections(), history.GateConfig{
-		Window: *window, MinBaseline: *minBaseline, Margin: *margin,
-	})
+	rep, err := history.Check(recs)
 	if err != nil {
 		fmt.Fprintln(stderr, "accordionhist:", err)
 		return 2

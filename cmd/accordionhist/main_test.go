@@ -7,12 +7,14 @@ import (
 )
 
 const (
-	committedStore = "../../HISTORY"
-	regressedStore = "../../internal/history/testdata/regressed"
+	committedStore      = "../../HISTORY"
+	regressedStore      = "../../internal/history/testdata/regressed"
+	regressedBenchStore = "../../internal/history/testdata/regressed_bench"
 )
 
 // TestExitCodes pins the documented exit statuses CI gates on: 0 for a
-// passing store, 1 for the seeded regression, 2 for usage mistakes.
+// passing store, 1 for either seeded regression, 2 for usage mistakes
+// (removed flags included).
 func TestExitCodes(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -20,6 +22,9 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{[]string{"check", "-dir", committedStore}, 0},
 		{[]string{"check", "-dir", regressedStore}, 1},
+		{[]string{"check", "-dir", regressedBenchStore}, 1},
+		{[]string{"check", "-dir", committedStore, "-margin", "0.5"}, 2},
+		{[]string{"append", "-dir", "x", "-tool", "x", "-manifest", "m.json"}, 2},
 		{[]string{"check"}, 2},
 		{[]string{"report"}, 2},
 		{[]string{"list"}, 2},
@@ -36,7 +41,9 @@ func TestExitCodes(t *testing.T) {
 }
 
 // TestReportAndListWriteText checks the two read-only subcommands
-// render the committed store as non-empty text on stdout.
+// render the committed store as non-empty text on stdout, and that the
+// report trends the newest record's benchmark metrics: the committed
+// store ends with two population runs of the benchmark.
 func TestReportAndListWriteText(t *testing.T) {
 	for _, sub := range []string{"report", "list"} {
 		var stdout, stderr bytes.Buffer
@@ -45,6 +52,9 @@ func TestReportAndListWriteText(t *testing.T) {
 		}
 		if strings.TrimSpace(stdout.String()) == "" {
 			t.Errorf("%s wrote no text", sub)
+		}
+		if sub == "report" && !strings.Contains(stdout.String(), "bench.population.metrics.op_p50_ms.value") {
+			t.Errorf("report does not trend the population workload's op_p50_ms:\n%s", stdout.String())
 		}
 	}
 }

@@ -163,11 +163,10 @@ func TestTelemetryNamesGolden(t *testing.T) {
 	runGolden(t, cfg, "./"+tdata+"/telemetrynames")
 }
 
-// TestHistoryNamesGolden pins that the run-history tier's
-// self-accounting names (history.appends, history.gate.*, the
-// history.* event kinds) go through the same catalog audit as every
-// other emit site: an unregistered history metric or event kind is a
-// finding, registered ones are clean.
+// TestHistoryNamesGolden pins that the catalog audit covers every
+// constructor under a catalog the fixture brings along: an
+// unregistered history.* metric or event kind is a finding,
+// registered ones are clean.
 func TestHistoryNamesGolden(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Catalog = &Catalog{

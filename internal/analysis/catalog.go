@@ -70,10 +70,6 @@ func DefaultCatalog() *Catalog {
 			"service.inflight",
 			"service.latency_ns",
 			"service.run_ns",
-			// run-history store and regression gate
-			"history.appends",
-			"history.gate.checks",
-			"history.gate.regressions",
 		),
 		MetricPrefixes: []string{
 			"cache.",           // cache.<Name>.{hits,misses,evictions}
@@ -90,9 +86,6 @@ func DefaultCatalog() *Catalog {
 			// accordiond ops surface
 			"service.request",
 			"job.state",
-			// run-history store and regression gate
-			"history.appended",
-			"history.checked",
 		),
 	}
 }

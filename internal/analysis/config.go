@@ -135,7 +135,7 @@ func DefaultConfig(startDir string) (*Config, error) {
 				"rms", "rms/bodytrack", "rms/btcmine", "rms/canneal", "rms/ferret",
 				"rms/hotspot", "rms/srad", "rms/xh264", "sim", "tech", "telemetry", "variation"},
 			"service": {"experiments", "provenance", "telemetry"},
-			"history": {"mathx", "provenance", "telemetry"},
+			"history": {"mathx", "telemetry"},
 		},
 		// Substrate purity: the numeric substrate and the device models
 		// must never know about chips, benchmarks, or the framework.

@@ -6,8 +6,8 @@ import (
 )
 
 // SeedHygieneAnalyzer polices randomness inside worker closures handed
-// to the deterministic pool (parallel.ForEach / ForEachCtx / Map /
-// MapCtx). Two bugs keep reappearing in Monte-Carlo code:
+// to the deterministic pool (parallel.ForEach / Map). Two bugs keep
+// reappearing in Monte-Carlo code:
 //
 //   - a *mathx.RNG captured from the enclosing scope and drawn from
 //     inside the closure — workers then race on one generator state,
@@ -19,7 +19,7 @@ import (
 //
 // The sanctioned pattern is per-task derivation:
 //
-//	parallel.MapCtx(ctx, n, func(_ context.Context, i int) (T, error) {
+//	parallel.Map(ctx, n, func(_ context.Context, i int) (T, error) {
 //	    rng := mathx.NewRNG(mathx.SplitSeed(seed, int64(i)))
 //	    ...
 //	})
@@ -34,7 +34,7 @@ var SeedHygieneAnalyzer = &Analyzer{
 	Run:  runSeedHygiene,
 }
 
-var poolEntryPoints = map[string]bool{"ForEach": true, "ForEachCtx": true, "Map": true, "MapCtx": true}
+var poolEntryPoints = map[string]bool{"ForEach": true, "Map": true}
 
 func runSeedHygiene(pass *Pass) {
 	info := pass.Pkg.Info

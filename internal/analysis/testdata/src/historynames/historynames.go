@@ -1,13 +1,13 @@
-// Package historynames seeds catalog violations against the
-// run-history tier's self-accounting emit sites. The test's catalog
-// registers exactly: metrics "history.appends" and
+// Package historynames seeds catalog violations against history-shaped
+// metric and event names, under a catalog of its own. The test's
+// catalog registers exactly: metrics "history.appends" and
 // "history.gate.regressions", event "history.appended".
 package historynames
 
 import "repro/internal/telemetry"
 
-// Registered emits through every registration point the history store
-// and gate actually use; never flagged.
+// Registered emits through a counter, a gauge and an event, each under
+// a registered name; never flagged.
 func Registered() {
 	telemetry.GetCounter("history.appends").Inc()
 	telemetry.GetGauge("history.gate.regressions").Set(0)

@@ -293,7 +293,7 @@ func (f *Factory) Population(seed int64, n int) []*Chip {
 // every chip of the population it has not seen yet to the convergence
 // series.
 func (f *Factory) PopulationCtx(ctx context.Context, seed int64, n int) ([]*Chip, error) {
-	return parallel.MapCtx(ctx, n, func(wctx context.Context, i int) (*Chip, error) {
+	return parallel.Map(ctx, n, func(wctx context.Context, i int) (*Chip, error) {
 		return f.SampleCtx(wctx, mathx.SplitSeed(seed, int64(i))), nil
 	})
 }

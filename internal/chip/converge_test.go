@@ -3,6 +3,7 @@ package chip
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -122,15 +123,74 @@ func TestPopulationUnmonitored(t *testing.T) {
 			t.Errorf("%s observed %d chips without a monitor context", s.Name(), n)
 		}
 	}
-	plain := testing.AllocsPerRun(20, func() { f.Sample(7) })
-	viaCtx := testing.AllocsPerRun(20, func() { f.SampleCtx(ctx, 7) })
-	if viaCtx != plain {
-		t.Errorf("an unmonitored SampleCtx allocates %.0f objects, a plain Sample %.0f", viaCtx, plain)
+	plain := allocsPerDraw(func() { f.Sample(7) })
+	if viaCtx := allocsPerDraw(func() { f.SampleCtx(ctx, 7) }); viaCtx != plain {
+		t.Errorf("an unmonitored SampleCtx allocates %d objects, a plain Sample %d", viaCtx, plain)
 	}
 	// A fresh monitor per draw, so every draw is a first draw.
-	if m := testing.AllocsPerRun(20, func() { f.SampleCtx(telemetry.MonitorContext(ctx), 7) }); m <= plain {
-		t.Errorf("a monitored SampleCtx allocates %.0f objects, want more than a plain Sample's %.0f", m, plain)
+	if m := allocsPerDraw(func() { f.SampleCtx(telemetry.MonitorContext(ctx), 7) }); m <= plain {
+		t.Errorf("a monitored SampleCtx allocates %d objects, want more than a plain Sample's %d", m, plain)
 	}
+}
+
+// allocsPerDraw is testing.AllocsPerRun(20, draw) without the heap
+// objects made inside encoding/json: the mean count per call, rounded
+// down, after one warm-up call. It reads a memory profile that records
+// every allocation and counts the objects allocated under draws.
+//
+// Under telemetry each draw's chip.drawn event encodes its kind and
+// keys with json.Marshal, whose encoder comes from a sync.Pool; the
+// race detector drops pooled items at random, so json's share of a
+// draw varies from run to run under -race. Sample and SampleCtx emit
+// that same event through the same code, so leaving json out of both
+// compares everything else either path allocates. The event ring is
+// emptied first, so it grows alike on both sides.
+func allocsPerDraw(draw func()) int64 {
+	const runs = 20
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	telemetry.Reset()
+	draws(1, draw)
+	before := drawObjects()
+	draws(runs, draw)
+	return (drawObjects() - before) / runs
+}
+
+// draws calls draw n times; drawObjects counts the objects allocated
+// under its frame, which keeps the profile reading's own out.
+//
+//go:noinline
+func draws(n int, draw func()) {
+	for i := 0; i < n; i++ {
+		draw()
+	}
+}
+
+// drawObjects sums the objects allocated so far under draws and
+// outside encoding/json, after a collection publishes the profile.
+func drawObjects() int64 {
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var objects int64
+	for _, r := range recs[:n] {
+		underDraws, inJSON := false, false
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var fr runtime.Frame
+			fr, more = frames.Next()
+			underDraws = underDraws || strings.HasSuffix(fr.Function, "chip.draws")
+			inJSON = inJSON || strings.HasPrefix(fr.Function, "encoding/json.")
+		}
+		if underDraws && !inJSON {
+			objects += r.AllocObjects
+		}
+	}
+	return objects
 }
 
 // TestMonitoredTelemetryOff: a monitored context asks nothing of a

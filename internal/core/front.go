@@ -81,7 +81,7 @@ func MeasureFrontsCtx(ctx context.Context, b rms.Benchmark, seed int64) (*Qualit
 		{"drop-1/2", fault.DropHalf()},
 	}
 	sweep := b.Sweep()
-	qualities, err := parallel.MapCtx(ctx, len(scenarios)*len(sweep), func(wctx context.Context, i int) (float64, error) {
+	qualities, err := parallel.Map(ctx, len(scenarios)*len(sweep), func(wctx context.Context, i int) (float64, error) {
 		sc, in := scenarios[i/len(sweep)], sweep[i%len(sweep)]
 		defer stCell.Begin(wctx).Str("scenario", sc.name).End()
 		res, err := b.Run(in, b.DefaultThreads(), sc.plan, seed)

@@ -314,7 +314,7 @@ func (s *Solver) FrontCtx(ctx context.Context, flavor Flavor) ([]OperatingPoint,
 	defer st.End()
 	ctx = st.Context(ctx)
 	sweep := s.Bench.Sweep()
-	return parallel.MapCtx(ctx, len(sweep), func(wctx context.Context, i int) (OperatingPoint, error) {
+	return parallel.Map(ctx, len(sweep), func(wctx context.Context, i int) (OperatingPoint, error) {
 		defer stSolve.Begin(wctx).End()
 		return s.Solve(sweep[i], flavor)
 	})

@@ -154,7 +154,7 @@ func Population(ctx context.Context, cfg Config) ([]*Table, error) {
 	type chipStats struct {
 		vddNTV, nstv, eff, fGHz float64
 	}
-	stats, err := parallel.MapCtx(ctx, n, func(wctx context.Context, i int) (chipStats, error) {
+	stats, err := parallel.Map(ctx, n, func(wctx context.Context, i int) (chipStats, error) {
 		ch := factory.SampleCtx(wctx, mathx.SplitSeed(cfg.ChipSeed, int64(i)))
 		pm := power.NewModel(ch)
 		solver, err := core.NewSolver(ch, pm, cb, qm)

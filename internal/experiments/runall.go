@@ -55,7 +55,7 @@ func RunMany(ctx context.Context, cfg Config, ids []string) ([]RunResult, error)
 	// Hold the cache gate for the whole run so a concurrent
 	// ResetCaches cannot interleave with the memo layers mid-flight.
 	defer holdCaches()()
-	return parallel.MapCtx(ctx, len(ids), func(wctx context.Context, i int) (RunResult, error) {
+	return parallel.Map(ctx, len(ids), func(wctx context.Context, i int) (RunResult, error) {
 		st := runStages[ids[i]].Begin(wctx)
 		tables, err := reg[ids[i]](st.Context(wctx), cfg)
 		return RunResult{ID: ids[i], Tables: tables, Err: err, Elapsed: st.End()}, nil

@@ -2,70 +2,68 @@ package history
 
 import "strings"
 
-// Sense is a metric's bad direction: which way a move counts as a
+// sense is a metric's bad direction: which way a move counts as a
 // regression. Metrics with no registered sense are never gated — a
 // number that is neither good nor bad going up (a count of requests,
 // a seed) would otherwise page on every workload change.
-type Sense int
+type sense int
 
 const (
-	// UpIsBad flags increases: latencies, allocations, error rates.
-	UpIsBad Sense = iota
-	// DownIsBad flags decreases: throughput, hit rates, speedups.
-	DownIsBad
+	// upIsBad flags increases: latencies, allocations, error rates.
+	upIsBad sense = iota
+	// downIsBad flags decreases: throughput, hit rates.
+	downIsBad
 )
 
-func (s Sense) String() string {
-	if s == DownIsBad {
+func (s sense) String() string {
+	if s == downIsBad {
 		return "down"
 	}
 	return "up"
 }
 
-// Direction binds a metric-name pattern to its bad sense. Pattern is
+// direction binds a metric-name pattern to its bad sense. Pattern is
 // a '*' glob where the wildcard matches any run of characters,
 // including dots — "hist.*.p99" covers every histogram's p99.
-type Direction struct {
-	Pattern string
-	Worse   Sense
+type direction struct {
+	pattern string
+	worse   sense
 }
 
-// DefaultDirections is the repository's gated-metric table. Each
-// family maps to a surface the harvesters produce (harvest.go
-// documents the namespace); TestDirectionsCoverHarvest pins that
-// every pattern still matches at least one harvested metric so the
-// table cannot silently go stale.
-func DefaultDirections() []Direction {
-	return []Direction{
-		// Telemetry histograms: latency-shaped, up is bad.
-		{"hist.*.mean", UpIsBad},
-		{"hist.*.p50", UpIsBad},
-		{"hist.*.p95", UpIsBad},
-		{"hist.*.p99", UpIsBad},
-		// Memo caches: a falling hit rate means recomputation.
-		{"cache.*.hit_rate", DownIsBad},
-		// Monte-Carlo noise: a wider CI at the same draw count means
-		// the estimator got worse.
-		{"converge.*.ci95", UpIsBad},
-		// Per-runner and whole-run wall time from the manifest.
-		{"runner.*.wall_ms", UpIsBad},
-		// go test -bench leaves harvested from BENCH_*.json.
-		{"bench.*ns_op", UpIsBad},
-		{"bench.*allocs_op", UpIsBad},
-		{"bench.*bytes_op", UpIsBad},
-		{"bench.*.speedup", DownIsBad},
-		// Service request-sweep results (HISTORY's bench_service record).
-		{"bench.sweep.*_ms", UpIsBad},
-		{"bench.sweep.throughput_rps", DownIsBad},
-		{"bench.*hit_rate", DownIsBad},
-	}
+// directions is the repository's gated-metric table, first match
+// wins. Each family maps to a metric the live writers record
+// (harvest.go documents the namespace): `accordion -history` and
+// `accordionhist append -bench` with a benchmark result.
+// TestDirectionsCoverHarvest pins that every pattern still matches a
+// harvested metric, and TestDirectionsFollowBenchmark that every
+// metric BENCHMARK.json declares is gated in the sense its `better`
+// gives, so the table cannot silently go stale.
+var directions = []direction{
+	// Telemetry histograms: latency-shaped, up is bad.
+	{"hist.*.mean", upIsBad},
+	{"hist.*.p50", upIsBad},
+	{"hist.*.p95", upIsBad},
+	{"hist.*.p99", upIsBad},
+	// Memo caches: a falling hit rate means recomputation.
+	{"cache.*.hit_rate", downIsBad},
+	// Monte-Carlo noise: a wider CI at the same draw count means
+	// the estimator got worse.
+	{"converge.*.ci95", upIsBad},
+	// Per-runner wall time of an accordion run.
+	{"runner.*.wall_ms", upIsBad},
+	// Benchmark results (benchmark/run.sh --out): the one rate is
+	// higher-is-better; every other end-to-end and per-layer metric,
+	// and the count of failed operations, is lower-is-better.
+	{"bench.*.metrics.items_per_s.value", downIsBad},
+	{"bench.*.metrics.*.value", upIsBad},
+	{"bench.*.failed", upIsBad},
 }
 
 // senseOf returns the first matching direction for the metric name.
-func senseOf(name string, dirs []Direction) (Sense, bool) {
-	for _, d := range dirs {
-		if globMatch(d.Pattern, name) {
-			return d.Worse, true
+func senseOf(name string) (sense, bool) {
+	for _, d := range directions {
+		if globMatch(d.pattern, name) {
+			return d.worse, true
 		}
 	}
 	return 0, false

@@ -7,39 +7,22 @@ import (
 	"sort"
 
 	"repro/internal/mathx"
-	"repro/internal/telemetry"
 )
 
-// GateConfig parameterizes the regression gate.
-type GateConfig struct {
-	// Window is how many prior comparable records form the baseline
-	// (default 20).
-	Window int
-	// MinBaseline is the fewest baseline observations a metric needs
-	// before it is gated at all (default 3): below that the band is
-	// statistically meaningless and the gate stays silent rather than
-	// guessing.
-	MinBaseline int
-	// Margin is the relative slack added on top of the baseline's 95%
-	// band (default 0.10): a metric must exceed mean + band +
-	// margin·|mean| (mirrored for down-is-bad) to flag. The band
-	// absorbs measured noise; the margin absorbs noise the baseline
-	// window was too calm to exhibit.
-	Margin float64
-}
-
-func (c GateConfig) withDefaults() GateConfig {
-	if c.Window <= 0 {
-		c.Window = 20
-	}
-	if c.MinBaseline <= 0 {
-		c.MinBaseline = 3
-	}
-	if c.Margin <= 0 {
-		c.Margin = 0.10
-	}
-	return c
-}
+// The gate's policy. A metric regresses when it leaves its baseline's
+// 95% band (z95·std) by more than margin·|mean| in its bad direction:
+// the band absorbs measured noise, the margin absorbs noise the
+// baseline window was too calm to exhibit.
+const (
+	// window is how many prior comparable records form the baseline.
+	window = 20
+	// minBaseline is the fewest baseline observations a metric needs
+	// before it is gated at all: below that the band is statistically
+	// meaningless and the gate stays silent rather than guessing.
+	minBaseline = 3
+	// margin is the relative slack added on top of the baseline's band.
+	margin = 0.10
+)
 
 // Baseline is the summarized baseline window behind one finding.
 type Baseline struct {
@@ -93,34 +76,32 @@ func (g *GateReport) Regressions() int {
 
 // Check runs the noise-aware regression gate: the newest record in
 // recs against a baseline window of earlier records sharing its
-// CompatKey. Metrics are gated only when a Direction registers their
-// bad sense and at least MinBaseline baseline records carry them.
+// CompatKey. Metrics are gated only when the direction table registers
+// their bad sense and at least minBaseline baseline records carry them.
 //
 // The test is Welford-on-the-baseline: a value regresses when it
 // leaves the baseline's 95% single-observation band (z95·std) by more
-// than Margin·|mean| in the bad direction. Three consequences the
+// than margin·|mean| in the bad direction. Three consequences the
 // tests pin: a 2× latency jump over a stable baseline is flagged; a
 // value inside the band — any identical re-run, and any jitter the
 // baseline itself exhibited — is not; and a constant baseline
 // (band 0) still tolerates the margin, so byte-identical reruns of a
 // deterministic metric sit exactly on the mean and pass.
-func Check(recs []Record, dirs []Direction, cfg GateConfig) (*GateReport, error) {
-	cfg = cfg.withDefaults()
+func Check(recs []Record) (*GateReport, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("history: no records to check")
 	}
 	newest := recs[len(recs)-1]
 	rep := &GateReport{Key: newest.CompatKey(), VCSRevision: newest.VCSRevision}
-	baseline := Tail(Matching(recs[:len(recs)-1], rep.Key), cfg.Window)
+	baseline := Tail(Matching(recs[:len(recs)-1], rep.Key), window)
 	rep.BaselineN = len(baseline)
-	if len(baseline) < cfg.MinBaseline {
+	if len(baseline) < minBaseline {
 		rep.Note = fmt.Sprintf("only %d comparable baseline record(s) for %s (need %d); nothing gated",
-			len(baseline), rep.Key, cfg.MinBaseline)
-		finishCheck(rep)
+			len(baseline), rep.Key, minBaseline)
 		return rep, nil
 	}
 	for _, name := range newest.MetricNames() {
-		sense, gated := senseOf(name, dirs)
+		worse, gated := senseOf(name)
 		if !gated {
 			continue
 		}
@@ -130,12 +111,12 @@ func Check(recs []Record, dirs []Direction, cfg GateConfig) (*GateReport, error)
 				w.Add(v)
 			}
 		}
-		if int(w.N()) < cfg.MinBaseline {
+		if int(w.N()) < minBaseline {
 			rep.Skipped++
 			continue
 		}
 		rep.Compared++
-		if f, ok := judge(name, sense, newest.Metrics[name], &w, cfg.Margin); ok {
+		if f, ok := judge(name, worse, newest.Metrics[name], &w); ok {
 			rep.Findings = append(rep.Findings, f)
 		}
 	}
@@ -152,18 +133,17 @@ func Check(recs []Record, dirs []Direction, cfg GateConfig) (*GateReport, error)
 		}
 		return fa.Metric < fb.Metric
 	})
-	finishCheck(rep)
 	return rep, nil
 }
 
 // judge applies the band-plus-margin test to one metric.
-func judge(name string, sense Sense, value float64, w *mathx.Welford, margin float64) (Finding, bool) {
+func judge(name string, worse sense, value float64, w *mathx.Welford) (Finding, bool) {
 	mean, band := w.Mean(), w.Band95()
 	slack := band + margin*math.Abs(mean)
 	delta := value - mean
-	bad := delta > slack // UpIsBad: too far above the envelope
+	bad := delta > slack // upIsBad: too far above the envelope
 	good := delta < -slack
-	if sense == DownIsBad {
+	if worse == downIsBad {
 		bad, good = good, bad
 	}
 	if !bad && !good {
@@ -175,7 +155,7 @@ func judge(name string, sense Sense, value float64, w *mathx.Welford, margin flo
 	}
 	f := Finding{
 		Metric:     name,
-		Worse:      sense.String(),
+		Worse:      worse.String(),
 		Value:      value,
 		Baseline:   Baseline{N: w.N(), Mean: mean, Std: w.Std(), Band: band},
 		Regression: bad,
@@ -183,16 +163,6 @@ func judge(name string, sense Sense, value float64, w *mathx.Welford, margin flo
 		RelExcess:  (math.Abs(delta) - slack) / scale,
 	}
 	return f, true
-}
-
-// finishCheck emits the gate's telemetry self-accounting.
-func finishCheck(rep *GateReport) {
-	telemetry.GetCounter("history.gate.checks").Inc()
-	telemetry.GetGauge("history.gate.regressions").Set(int64(rep.Regressions()))
-	telemetry.NewEvent("history.checked").Str("key", rep.Key).
-		Int("baseline", int64(rep.BaselineN)).
-		Int("compared", int64(rep.Compared)).
-		Int("regressions", int64(rep.Regressions())).Emit()
 }
 
 // WriteText renders the gate report for terminals and CI logs.

@@ -41,7 +41,7 @@ func TestGateFlagsSyntheticRegression(t *testing.T) {
 		"cache.experiments.Kernels.hit_rate": 0.90,
 	})
 	recs = append(recs, bad)
-	rep, err := Check(recs, DefaultDirections(), GateConfig{})
+	rep, err := Check(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestGateFlagsHitRateDrop(t *testing.T) {
 		"cache.experiments.Kernels.hit_rate": 0.30,
 	})
 	recs = append(recs, bad)
-	rep, err := Check(recs, DefaultDirections(), GateConfig{})
+	rep, err := Check(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestGateFlagsHitRateDrop(t *testing.T) {
 // jitter never flags.
 func TestGateNoFalsePositiveOnJitter(t *testing.T) {
 	recs := baselineRecords(24, 0.02)
-	rep, err := Check(recs, DefaultDirections(), GateConfig{})
+	rep, err := Check(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestGateNoFalsePositiveOnJitter(t *testing.T) {
 func TestGateIdenticalRerunPasses(t *testing.T) {
 	recs := baselineRecords(10, 0) // amp 0: byte-identical runs
 	recs = append(recs, baselineRecords(1, 0)...)
-	rep, err := Check(recs, DefaultDirections(), GateConfig{})
+	rep, err := Check(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestGateImprovementIsInformational(t *testing.T) {
 		"cache.experiments.Kernels.hit_rate": 0.90,
 	})
 	recs = append(recs, better)
-	rep, err := Check(recs, DefaultDirections(), GateConfig{})
+	rep, err := Check(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestGateIgnoresOtherIdentity(t *testing.T) {
 	})
 	other.GOMAXPROCS = 8
 	recs = append(recs, other)
-	rep, err := Check(recs, DefaultDirections(), GateConfig{})
+	rep, err := Check(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +155,11 @@ func TestGateIgnoresOtherIdentity(t *testing.T) {
 	}
 }
 
-// TestGateShortBaselineSilent pins MinBaseline: with two records
+// TestGateShortBaselineSilent pins minBaseline: with two records
 // total there is one baseline observation, and the gate stays silent.
 func TestGateShortBaselineSilent(t *testing.T) {
 	recs := baselineRecords(2, 0.02)
-	rep, err := Check(recs, DefaultDirections(), GateConfig{})
+	rep, err := Check(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestGateReplaysCommittedRegressionSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Check(recs, DefaultDirections(), GateConfig{})
+	rep, err := Check(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +193,44 @@ func TestGateReplaysCommittedRegressionSet(t *testing.T) {
 	}
 }
 
+// TestGateFlagsBenchmarkRegression replays the committed benchmark
+// store: three comparable benchmark/bench/j2 records of the population
+// workload, as `accordionhist append -bench` writes them, then a
+// fourth whose op_p50_ms doubled and items_per_s halved. Both must be
+// flagged, each in the sense BENCHMARK.json's `better` gives, and
+// nothing else.
+func TestGateFlagsBenchmarkRegression(t *testing.T) {
+	recs, err := Store{Dir: filepath.Join("testdata", "regressed_bench")}.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Check(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Key != "benchmark/bench/j2" || rep.BaselineN != 3 || rep.Compared == 0 {
+		t.Fatalf("gate judged %s against %d records and compared %d metrics", rep.Key, rep.BaselineN, rep.Compared)
+	}
+	want := map[string]string{
+		"bench.population.metrics.op_p50_ms.value":   "up",
+		"bench.population.metrics.items_per_s.value": "down",
+	}
+	for _, f := range rep.Findings {
+		if f.Regression && want[f.Metric] == f.Worse {
+			delete(want, f.Metric)
+		} else if f.Regression {
+			t.Errorf("unexpected regression %+v", f)
+		}
+	}
+	if rep.Regressions() != 2 || len(want) > 0 {
+		t.Errorf("%d regressions; not flagged: %v; findings %+v", rep.Regressions(), want, rep.Findings)
+	}
+}
+
 // TestGateEmptyStoreErrors pins that checking nothing is an error,
 // not a pass.
 func TestGateEmptyStoreErrors(t *testing.T) {
-	if _, err := Check(nil, DefaultDirections(), GateConfig{}); err == nil {
+	if _, err := Check(nil); err == nil {
 		t.Error("Check(nil) passed")
 	}
 }
@@ -209,8 +243,8 @@ func TestGlobMatch(t *testing.T) {
 		{"hist.*.p99", "hist.service.latency_ns.p99", true},
 		{"hist.*.p99", "hist.service.latency_ns.p50", false},
 		{"cache.*.hit_rate", "cache.experiments.Kernels.hit_rate", true},
-		{"bench.*ns_op", "bench.results.BenchmarkRunPopulation.ns_op", true},
-		{"bench.*ns_op", "bench.results.BenchmarkRunPopulation.allocs_op", false},
+		{"bench.*.metrics.*.value", "bench.regen.metrics.rms.canneal.run_ms.value", true},
+		{"bench.*.metrics.*.value", "bench.regen.metrics.op_p50_ms.unit", false},
 		{"exact.name", "exact.name", true},
 		{"exact.name", "exact.names", false},
 		{"*", "anything.at.all", true},
@@ -229,7 +263,7 @@ func TestGateReportJSONShape(t *testing.T) {
 	recs = append(recs, testRecord("accordion", map[string]float64{
 		"hist.service.latency_ns.p99": 4e6,
 	}))
-	rep, err := Check(recs, DefaultDirections(), GateConfig{})
+	rep, err := Check(recs)
 	if err != nil {
 		t.Fatal(err)
 	}

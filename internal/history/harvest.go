@@ -6,24 +6,23 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/provenance"
 	"repro/internal/telemetry"
 )
 
-// This file maps every existing observability surface into the flat
-// metric namespace a Record trends:
+// This file maps the observability surfaces a record is harvested from
+// into the flat metric namespace a Record trends:
 //
 //	counter.<name>                           telemetry counters
 //	gauge.<name>                             telemetry gauges
 //	hist.<name>.{count,mean,p50,p95,p99,max} telemetry histograms
 //	converge.<series>.{count,mean,std,ci95}  telemetry series
 //	cache.<name>.hit_rate                    derived from cache.<name>.{hits,misses}
-//	runner.<id>.wall_ms                      provenance runner timings
+//	runner.<id>.wall_ms                      accordion's per-experiment wall times
 //	bench.<dotted json path>                 numeric leaves of a benchmark result
 //
 // The names are data, not code: they are record map keys, so the
-// analysis catalog governs only the history.* self-accounting metrics
-// this package emits through telemetry, not the harvested namespace.
+// analysis catalog, which governs telemetry's metric and event names,
+// does not cover them.
 
 // AddTelemetry folds a telemetry snapshot into the record. A series
 // lands under converge.<series>, the name the Monte-Carlo convergence
@@ -65,35 +64,6 @@ func (r *Record) AddTelemetry(snap telemetry.Snapshot) {
 	for _, c := range telemetry.Caches(snap.Counters) {
 		if total := c.Hits + c.Misses; total > 0 {
 			r.Set("cache."+c.Name+".hit_rate", float64(c.Hits)/float64(total))
-		}
-	}
-}
-
-// AddManifest folds a provenance manifest into the record: run
-// identity (VCS revision, dirty flag, wall time, argv), per-runner
-// wall times, and cache hit rates.
-func (r *Record) AddManifest(m *provenance.Manifest) {
-	if m == nil {
-		return
-	}
-	if m.VCSRevision != "" {
-		r.VCSRevision = m.VCSRevision
-		r.VCSDirty = m.VCSModified
-	}
-	if m.WallMs > 0 {
-		r.WallMs = m.WallMs
-	}
-	if len(m.Args) > 0 {
-		r.Args = append([]string(nil), m.Args...)
-	}
-	for _, run := range m.Runners {
-		if run.Error == "" {
-			r.Set("runner."+run.ID+".wall_ms", float64(run.WallMs))
-		}
-	}
-	for _, c := range m.Caches {
-		if c.Hits+c.Misses > 0 {
-			r.Set("cache."+c.Name+".hit_rate", c.HitRate)
 		}
 	}
 }

@@ -1,11 +1,13 @@
 package history
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/provenance"
 	"repro/internal/telemetry"
 )
 
@@ -82,38 +84,6 @@ func TestAddTelemetrySeries(t *testing.T) {
 	}
 }
 
-func TestAddManifest(t *testing.T) {
-	r := NewRecord("accordion", "run")
-	man := &provenance.Manifest{
-		VCSRevision: "deadbeef", VCSModified: true, WallMs: 1234,
-		Args: []string{"-chips", "8", "fig5a"},
-		Runners: []provenance.Runner{
-			{ID: "fig5a", WallMs: 900},
-			{ID: "fig9", WallMs: 300, Error: "boom"},
-		},
-		Caches: []provenance.Cache{
-			{Name: "experiments.Kernels", Hits: 9, Misses: 1, HitRate: 0.9},
-			{Name: "experiments.Idle", Hits: 0, Misses: 0},
-		},
-	}
-	r.AddManifest(man)
-	if r.VCSRevision != "deadbeef" || !r.VCSDirty || r.WallMs != 1234 {
-		t.Errorf("identity not lifted: %+v", r)
-	}
-	if r.Metrics["runner.fig5a.wall_ms"] != 900 {
-		t.Errorf("runner wall time = %v", r.Metrics["runner.fig5a.wall_ms"])
-	}
-	if _, ok := r.Metrics["runner.fig9.wall_ms"]; ok {
-		t.Error("failed runner's wall time harvested as a trend point")
-	}
-	if r.Metrics["cache.experiments.Kernels.hit_rate"] != 0.9 {
-		t.Error("manifest cache rate missing")
-	}
-	if _, ok := r.Metrics["cache.experiments.Idle.hit_rate"]; ok {
-		t.Error("idle cache harvested")
-	}
-}
-
 const sampleBench = `{
   "vcs_revision": "cafe1234",
   "vcs_dirty": false,
@@ -154,35 +124,91 @@ func TestAddBenchJSON(t *testing.T) {
 	}
 }
 
+// sampleResult is a traced benchmark result document, shaped as
+// `benchmark/run.sh --out` writes it: run facts at the top, then one
+// report per workload whose metrics hold the end-to-end and per-layer
+// numbers.
+const sampleResult = `{
+  "vcs_revision": "cafe1234",
+  "gomaxprocs": 2,
+  "nproc": 2,
+  "seed": 1,
+  "traced": true,
+  "population": {
+    "correct": true,
+    "attempted": 52,
+    "failed": 0,
+    "metrics": {
+      "items_per_s": {"value": 2527.7, "unit": "1/s"},
+      "op_p50_ms": {"value": 194.2, "unit": "ms"},
+      "core.solver.new_us": {"value": 446, "unit": "us"}
+    },
+    "n": 51,
+    "output_sha256": "0123abcd",
+    "span_self_ms": {"chip.sample": 120.5}
+  }
+}`
+
 // TestDirectionsCoverHarvest is the staleness audit the direction
-// table's doc comment promises: every pattern in DefaultDirections
-// must match at least one metric a canonical harvested record
-// actually produces, so renaming a surface breaks this test instead
-// of silently un-gating a family.
+// table's doc comment promises: every pattern must match at least one
+// metric that the live writers harvest — an accordion run's telemetry
+// and runner times, and a benchmark result — so renaming a surface
+// breaks this test instead of silently un-gating a family.
 func TestDirectionsCoverHarvest(t *testing.T) {
-	r := NewRecord("bench_service", "bench")
+	r := NewRecord("accordion", "run")
 	snap := sampleTelemetry()
 	snap.Series = []telemetry.SeriesSnapshot{
 		{Name: "chip.fmax_ghz", Count: 100, Mean: 1.8, Std: 0.1, CI95: 0.02},
 	}
 	r.AddTelemetry(snap)
-	r.AddManifest(&provenance.Manifest{Runners: []provenance.Runner{{ID: "fig5a", WallMs: 900}}})
-	if err := r.AddBenchJSON([]byte(sampleBench)); err != nil {
+	r.Set("runner.fig5a.wall_ms", 900)
+	if err := r.AddBenchJSON([]byte(sampleResult)); err != nil {
 		t.Fatal(err)
 	}
-	// Families only the go-test harnesses produce.
-	r.Set("bench.results.0.bytes_op", 4096)
-	r.Set("bench.speedup_vs_serial.j4.speedup", 3.1)
-	for _, d := range DefaultDirections() {
+	for _, d := range directions {
 		matched := false
 		for name := range r.Metrics {
-			if globMatch(d.Pattern, name) {
+			if globMatch(d.pattern, name) {
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			t.Errorf("direction %q matches no harvested metric; the table went stale", d.Pattern)
+			t.Errorf("direction %q matches no harvested metric; the table went stale", d.pattern)
+		}
+	}
+}
+
+// TestDirectionsFollowBenchmark: every end-to-end and per-layer metric
+// BENCHMARK.json declares, harvested from any of its workloads as
+// bench.<workload>.metrics.<name>.value, is gated in the sense its
+// `better` gives: up is bad for "lower", down is bad for "higher".
+func TestDirectionsFollowBenchmark(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type declared struct{ Name, Better string }
+	var bench struct {
+		Workloads []struct{ Name string }
+		EndToEnd  []declared `json:"end_to_end"`
+		PerLayer  []declared `json:"per_layer"`
+	}
+	if err := json.Unmarshal(data, &bench); err != nil {
+		t.Fatal(err)
+	}
+	metrics := append(bench.EndToEnd, bench.PerLayer...)
+	if len(bench.Workloads) == 0 || len(metrics) == 0 {
+		t.Fatalf("BENCHMARK.json declares %d workloads and %d metrics", len(bench.Workloads), len(metrics))
+	}
+	for _, w := range bench.Workloads {
+		for _, m := range metrics {
+			name := "bench." + w.Name + ".metrics." + m.Name + ".value"
+			want := map[string]string{"lower": "up", "higher": "down"}[m.Better]
+			got, gated := senseOf(name)
+			if !gated || want == "" || got.String() != want {
+				t.Errorf("%s (better %q): gated %v, worse %v", name, m.Better, gated, got)
+			}
 		}
 	}
 }
@@ -201,10 +227,10 @@ func TestRecordSetDropsNonFinite(t *testing.T) {
 
 // TestCompatKey pins the identity format docs and reports print.
 func TestCompatKey(t *testing.T) {
-	r := testRecord("accordiond", nil)
-	r.Kind = "batch"
+	r := testRecord("benchmark", nil)
+	r.Kind = "bench"
 	r.GOMAXPROCS = 2
-	if got := r.CompatKey(); got != "accordiond/batch/j2" {
+	if got := r.CompatKey(); got != "benchmark/bench/j2" {
 		t.Errorf("CompatKey = %q", got)
 	}
 	if !strings.HasPrefix(r.CompatKey(), r.Tool) {

@@ -3,10 +3,10 @@
 // trend report renderer.
 //
 // Every other observability surface in this repository — telemetry
-// counters, histograms and convergence series, provenance manifests,
-// benchmark results — describes exactly one run. This package makes
-// those surfaces longitudinal: a Record is a flat metric map harvested
-// from whichever of them a run produced, stamped with enough identity
+// counters, histograms and convergence series, benchmark results —
+// describes exactly one run. This package makes those surfaces
+// longitudinal: a Record is a flat metric map harvested from whichever
+// of them a run produced, stamped with enough identity
 // (tool, kind, VCS revision, dirty flag, GOMAXPROCS) to know which
 // records are comparable, and appended as one NDJSON line to a store
 // directory. On top of the store sit:
@@ -23,17 +23,15 @@
 //   - WriteTextReport: per-metric trend lines (unicode sparklines)
 //     over the last K comparable records, plus the newest record's
 //     profile hotspots.
-//   - CaptureProfile: an opt-in pprof CPU+heap capture around a run
-//     whose top-N flat hotspots are summarized into the record, so
-//     hotspot drift diffs across runs without opening pprof.
+//   - CaptureProfile: a pprof CPU+heap capture around a run
+//     (`accordion -selfprofile`) whose top-N flat hotspots are
+//     summarized into the record, so hotspot drift diffs across runs
+//     without opening pprof.
 //
 // The store is plain NDJSON so records are diffable, committable
 // (HISTORY/records.ndjson at the repo root is the checked-in
 // baseline CI replays), and appendable from the benchmark's results
-// via cmd/accordionhist. The package follows the repository's telemetry
-// contract: its own self-accounting (history.appends,
-// history.gate.checks, …) goes through internal/telemetry and is
-// registered in the analysis catalog.
+// via cmd/accordionhist.
 package history
 
 import (
@@ -57,7 +55,7 @@ const Schema = 1
 type Record struct {
 	Schema      int                `json:"schema"`
 	Tool        string             `json:"tool"` // accordion | benchmark
-	Kind        string             `json:"kind"` // run | batch | bench
+	Kind        string             `json:"kind"` // run | bench
 	StartUnixNs int64              `json:"start_unix_ns,omitempty"`
 	WallMs      int64              `json:"wall_ms,omitempty"`
 	GoVersion   string             `json:"go_version,omitempty"`
@@ -73,8 +71,8 @@ type Record struct {
 // NewRecord starts a record for the named tool and kind, stamped with
 // the process's identity: wall-clock start, Go version, GOMAXPROCS,
 // argv, and whatever VCS metadata the binary carries (populated when
-// built inside the module with VCS stamping; harvesters may override
-// from a manifest or a bench blob).
+// built inside the module with VCS stamping; AddBenchJSON overrides it
+// from a benchmark result).
 func NewRecord(tool, kind string) Record {
 	r := Record{
 		Schema:      Schema,

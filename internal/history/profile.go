@@ -16,54 +16,31 @@ type ProfileSummary struct {
 	HeapTotalBytes int64     `json:"heap_total_bytes,omitempty"`
 }
 
-// ProfileOptions selects what CaptureProfile records. The zero value
-// disables capture entirely.
-type ProfileOptions struct {
-	CPU  bool
-	Heap bool
-	// TopN caps hotspots per dimension (default 10).
-	TopN int
-}
+// profileTopN caps the hotspots CaptureProfile keeps per dimension.
+const profileTopN = 10
 
-// CaptureProfile runs fn, optionally bracketed by a pprof CPU capture
-// and followed by a heap ("allocs" since start) capture, and
-// summarizes both into hotspot tables. With the zero ProfileOptions
-// the hook is pass-through: fn is invoked directly, no profiler is
-// touched, and the call adds zero allocations
-// (TestProfileDisabledOverhead pins this, the same contract as
-// telemetry's disabled path).
+// CaptureProfile runs fn bracketed by a pprof CPU capture and followed
+// by a heap ("allocs" since start) capture, and summarizes both into
+// hotspot tables.
 //
 // fn's error is returned as-is; a profiling failure wraps it only
 // when fn itself succeeded, so a run's real failure is never masked
 // by a profiler complaint.
-func CaptureProfile(opts ProfileOptions, fn func() error) (*ProfileSummary, error) {
-	if !opts.CPU && !opts.Heap {
-		return nil, fn()
-	}
-	topN := opts.TopN
-	if topN <= 0 {
-		topN = 10
-	}
+func CaptureProfile(fn func() error) (*ProfileSummary, error) {
 	var cpuBuf bytes.Buffer
-	if opts.CPU {
-		if err := pprof.StartCPUProfile(&cpuBuf); err != nil {
-			return nil, fmt.Errorf("history: start cpu profile: %w", err)
-		}
+	if err := pprof.StartCPUProfile(&cpuBuf); err != nil {
+		return nil, fmt.Errorf("history: start cpu profile: %w", err)
 	}
 	fnErr := fn()
-	if opts.CPU {
-		pprof.StopCPUProfile()
-	}
+	pprof.StopCPUProfile()
 	var heapBuf bytes.Buffer
-	if opts.Heap {
-		if p := pprof.Lookup("allocs"); p != nil {
-			if err := p.WriteTo(&heapBuf, 0); err != nil && fnErr == nil {
-				return nil, fmt.Errorf("history: heap profile: %w", err)
-			}
+	if p := pprof.Lookup("allocs"); p != nil {
+		if err := p.WriteTo(&heapBuf, 0); err != nil && fnErr == nil {
+			return nil, fmt.Errorf("history: heap profile: %w", err)
 		}
 	}
 	sum := &ProfileSummary{}
-	if opts.CPU && cpuBuf.Len() > 0 {
+	if cpuBuf.Len() > 0 {
 		prof, err := parseProfile(cpuBuf.Bytes())
 		if err != nil {
 			if fnErr == nil {
@@ -72,9 +49,9 @@ func CaptureProfile(opts ProfileOptions, fn func() error) (*ProfileSummary, erro
 			return nil, fnErr
 		}
 		// The CPU profile's columns are samples/count then cpu/ns.
-		sum.CPU, sum.CPUTotalNs = prof.hotspots(prof.valueIndex([]string{"cpu"}), topN)
+		sum.CPU, sum.CPUTotalNs = prof.hotspots(prof.valueIndex([]string{"cpu"}), profileTopN)
 	}
-	if opts.Heap && heapBuf.Len() > 0 {
+	if heapBuf.Len() > 0 {
 		prof, err := parseProfile(heapBuf.Bytes())
 		if err != nil {
 			if fnErr == nil {
@@ -82,7 +59,7 @@ func CaptureProfile(opts ProfileOptions, fn func() error) (*ProfileSummary, erro
 			}
 			return nil, fnErr
 		}
-		sum.Heap, sum.HeapTotalBytes = prof.hotspots(prof.valueIndex([]string{"alloc_space"}), topN)
+		sum.Heap, sum.HeapTotalBytes = prof.hotspots(prof.valueIndex([]string{"alloc_space"}), profileTopN)
 	}
 	return sum, fnErr
 }

@@ -5,43 +5,12 @@ import (
 	"testing"
 )
 
-// TestProfileDisabledOverhead pins the hot-path contract the
-// acceptance criteria name: with the zero ProfileOptions the hook is
-// a direct call — no profiler, no buffers, zero allocations — so
-// wiring CaptureProfile around experiments.RunMany costs nothing
-// unless -selfprofile is set.
-func TestProfileDisabledOverhead(t *testing.T) {
-	calls := 0
-	fn := func() error { calls++; return nil }
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := CaptureProfile(ProfileOptions{}, fn); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if calls == 0 {
-		t.Fatal("fn never called")
-	}
-	if allocs != 0 {
-		t.Errorf("disabled CaptureProfile allocates %.1f per call, want 0", allocs)
-	}
-}
-
-// TestProfileDisabledPassesError pins that the pass-through path
-// returns fn's error untouched and no summary.
-func TestProfileDisabledPassesError(t *testing.T) {
-	want := errors.New("run failed")
-	sum, err := CaptureProfile(ProfileOptions{}, func() error { return want })
-	if !errors.Is(err, want) || sum != nil {
-		t.Errorf("got sum=%v err=%v", sum, err)
-	}
-}
-
-// TestCaptureProfileHeap pins the enabled path end to end on the heap
+// TestCaptureProfileHeap pins the capture end to end on the heap
 // dimension (deterministic, unlike CPU sampling on a quiet 1-core
 // runner): run an allocation-heavy fn, parse the capture, and require
 // nonzero attributed bytes.
 func TestCaptureProfileHeap(t *testing.T) {
-	sum, err := CaptureProfile(ProfileOptions{Heap: true, TopN: 8}, func() error {
+	sum, err := CaptureProfile(func() error {
 		churn(1 << 16)
 		return nil
 	})
@@ -51,8 +20,8 @@ func TestCaptureProfileHeap(t *testing.T) {
 	if sum == nil || len(sum.Heap) == 0 || sum.HeapTotalBytes <= 0 {
 		t.Fatalf("heap summary = %+v", sum)
 	}
-	if len(sum.Heap) > 8 {
-		t.Errorf("TopN not applied: %d hotspots", len(sum.Heap))
+	if len(sum.Heap) > profileTopN {
+		t.Errorf("top-N cap not applied: %d hotspots", len(sum.Heap))
 	}
 	for _, h := range sum.Heap {
 		if h.Func == "" {
@@ -65,7 +34,7 @@ func TestCaptureProfileHeap(t *testing.T) {
 // returns without error; whether samples land depends on the host's
 // timer, so only the structural outcome is asserted.
 func TestCaptureProfileCPURuns(t *testing.T) {
-	sum, err := CaptureProfile(ProfileOptions{CPU: true}, func() error {
+	sum, err := CaptureProfile(func() error {
 		x := 0.0
 		for i := 0; i < 1_000_000; i++ {
 			x += float64(i % 7)
@@ -79,7 +48,7 @@ func TestCaptureProfileCPURuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sum == nil {
-		t.Fatal("nil summary from enabled capture")
+		t.Fatal("nil summary from a capture")
 	}
 }
 
@@ -87,7 +56,7 @@ func TestCaptureProfileCPURuns(t *testing.T) {
 // any profiling complaint.
 func TestCaptureProfileKeepsRunError(t *testing.T) {
 	want := errors.New("experiment exploded")
-	sum, err := CaptureProfile(ProfileOptions{Heap: true}, func() error { return want })
+	sum, err := CaptureProfile(func() error { return want })
 	if !errors.Is(err, want) {
 		t.Errorf("err = %v, want the run error", err)
 	}

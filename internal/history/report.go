@@ -6,33 +6,18 @@ import (
 	"strings"
 )
 
+// hotspotRows caps the hotspot rows shown from the newest record's
+// profile.
+const hotspotRows = 5
+
 // ReportOptions selects what the trend report shows.
 type ReportOptions struct {
 	// LastK is how many trailing comparable records to trend
-	// (default 20).
+	// (default: the gate's window of 20).
 	LastK int
 	// Metrics are glob patterns choosing the trended metrics; empty
 	// means every metric with a registered direction (the gated set).
 	Metrics []string
-	// TopN caps the hotspot rows from the newest record's profile
-	// (default 5).
-	TopN int
-	// Dirs is the direction table used for the default metric set and
-	// the worse-direction column; nil means DefaultDirections.
-	Dirs []Direction
-}
-
-func (o ReportOptions) withDefaults() ReportOptions {
-	if o.LastK <= 0 {
-		o.LastK = 20
-	}
-	if o.TopN <= 0 {
-		o.TopN = 5
-	}
-	if o.Dirs == nil {
-		o.Dirs = DefaultDirections()
-	}
-	return o
 }
 
 // trend is one metric's series over the trended records.
@@ -56,25 +41,28 @@ type reportData struct {
 // buildReport selects records comparable to the newest one and
 // assembles per-metric series.
 func buildReport(recs []Record, opt ReportOptions) (*reportData, error) {
-	opt = opt.withDefaults()
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("history: no records to report")
 	}
 	newest := recs[len(recs)-1]
 	key := newest.CompatKey()
 	matching := Matching(recs, key)
-	window := Tail(matching, opt.LastK)
+	lastK := opt.LastK
+	if lastK <= 0 {
+		lastK = window
+	}
+	trended := Tail(matching, lastK)
 	d := &reportData{
 		key:     key,
 		total:   len(recs),
-		trended: len(window),
+		trended: len(trended),
 		skipped: len(recs) - len(matching),
 		newest:  &newest,
 	}
 	for _, name := range newest.MetricNames() {
 		worse := ""
-		if sense, gated := senseOf(name, opt.Dirs); gated {
-			worse = sense.String()
+		if s, gated := senseOf(name); gated {
+			worse = s.String()
 		}
 		if len(opt.Metrics) > 0 {
 			hit := false
@@ -92,8 +80,8 @@ func buildReport(recs []Record, opt ReportOptions) (*reportData, error) {
 		}
 		tr := trend{name: name, worse: worse}
 		present := 0
-		for i := range window {
-			v, ok := window[i].Metrics[name]
+		for i := range trended {
+			v, ok := trended[i].Metrics[name]
 			tr.values = append(tr.values, v)
 			tr.ok = append(tr.ok, ok)
 			if ok {
@@ -165,7 +153,6 @@ func seriesStats(t *trend) (lo, hi, latest float64) {
 // comparable records plus the newest record's profile hotspots.
 // Output is deterministic for a fixed record set (golden-tested).
 func WriteTextReport(w io.Writer, recs []Record, opt ReportOptions) error {
-	opt = opt.withDefaults()
 	d, err := buildReport(recs, opt)
 	if err != nil {
 		return err
@@ -202,12 +189,12 @@ func WriteTextReport(w io.Writer, recs []Record, opt ReportOptions) error {
 				width, t.name, t.worse, lo, hi, latest, sparkline(t.values, t.ok))
 		}
 	}
-	writeTextHotspots(&b, d.newest.Profile, opt.TopN)
+	writeTextHotspots(&b, d.newest.Profile)
 	_, err = io.WriteString(w, b.String())
 	return err
 }
 
-func writeTextHotspots(b *strings.Builder, p *ProfileSummary, topN int) {
+func writeTextHotspots(b *strings.Builder, p *ProfileSummary) {
 	if p == nil {
 		return
 	}
@@ -216,8 +203,8 @@ func writeTextHotspots(b *strings.Builder, p *ProfileSummary, topN int) {
 			return
 		}
 		fmt.Fprintf(b, "-- %s hotspots (newest record)\n", label)
-		if len(spots) > topN {
-			spots = spots[:topN]
+		if len(spots) > hotspotRows {
+			spots = spots[:hotspotRows]
 		}
 		for _, h := range spots {
 			fmt.Fprintf(b, "%6.2f%% flat  %6.2f%% cum  %s\n", h.FlatPct, h.CumPct, h.Func)

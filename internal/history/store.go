@@ -6,15 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"repro/internal/telemetry"
 )
 
 // recordsFile is the single NDJSON file a store directory holds. One
 // record per line, append-only: the file is a time series, and a
-// single O_APPEND write per record keeps concurrent appenders (the
-// daemon's recorder, a bench harness, a manual accordionhist append)
-// from interleaving partial lines.
+// single O_APPEND write per record keeps concurrent appenders (an
+// `accordion -history` run, an `accordionhist append`) from
+// interleaving partial lines.
 const recordsFile = "records.ndjson"
 
 // Store is a run-history directory. The zero value is invalid; Dir
@@ -53,9 +51,6 @@ func (s Store) Append(r Record) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("history: append %s: %w", s.Path(), err)
 	}
-	telemetry.GetCounter("history.appends").Inc()
-	telemetry.NewEvent("history.appended").Str("tool", r.Tool).Str("kind", r.Kind).
-		Int("metrics", int64(len(r.Metrics))).Emit()
 	return nil
 }
 

@@ -83,17 +83,13 @@ func (e *PanicError) Error() string {
 // the sweep and returns the ctx error. A panic in fn is captured,
 // cancels the pool, and is re-raised on the caller's goroutine as a
 // *PanicError.
-func ForEach(ctx context.Context, n int, fn func(i int) error) error {
-	return ForEachCtx(ctx, n, func(_ context.Context, i int) error { return fn(i) })
-}
-
-// ForEachCtx is ForEach for work that wants the pool's per-worker
-// context: each worker runs a parallel.worker stage, and in a traced
-// context fn receives a context carrying it (a fresh lane under the
-// caller's current stage), so stages begun inside fn nest under the
-// worker that actually ran the task — the trace's worker attribution.
-// Untraced, the worker context is ctx itself.
-func ForEachCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+//
+// Each worker runs a parallel.worker stage, and in a traced context fn
+// receives a context carrying it (a fresh lane under the caller's
+// current stage), so stages begun inside fn nest under the worker that
+// actually ran the task — the trace's worker attribution. Untraced,
+// the worker context is ctx itself.
+func ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -204,19 +200,13 @@ func ForEachCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) 
 	return ctx.Err()
 }
 
-// Map runs fn(0..n-1) under ForEach's pool and returns the results in
-// index order, so the output is identical to a sequential loop. On any
-// error the partial results are discarded and the (lowest-index) error
-// returned.
-func Map[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(ctx, n, func(_ context.Context, i int) (T, error) { return fn(i) })
-}
-
-// MapCtx is Map with ForEachCtx's per-worker context: in a traced
-// context fn's ctx carries the running worker's stage.
-func MapCtx[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// Map runs fn(0..n-1) under ForEach's pool, with its per-worker
+// context, and returns the results in index order, so the output is
+// identical to a sequential loop. On any error the partial results are
+// discarded and the (lowest-index) error returned.
+func Map[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEachCtx(ctx, n, func(wctx context.Context, i int) error {
+	err := ForEach(ctx, n, func(wctx context.Context, i int) error {
 		v, e := fn(wctx, i)
 		if e != nil {
 			return e

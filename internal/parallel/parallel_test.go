@@ -35,7 +35,7 @@ func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 		restore := SetWorkers(w)
 		const n = 100
 		var counts [n]atomic.Int64
-		if err := ForEach(context.Background(), n, func(i int) error {
+		if err := ForEach(context.Background(), n, func(_ context.Context, i int) error {
 			counts[i].Add(1)
 			return nil
 		}); err != nil {
@@ -51,10 +51,10 @@ func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEachEmptyAndNilContext(t *testing.T) {
-	if err := ForEach(context.Background(), 0, func(int) error { return errors.New("boom") }); err != nil {
+	if err := ForEach(context.Background(), 0, func(context.Context, int) error { return errors.New("boom") }); err != nil {
 		t.Fatalf("n=0: %v", err)
 	}
-	if err := ForEach(nil, 4, func(int) error { return nil }); err != nil {
+	if err := ForEach(nil, 4, func(context.Context, int) error { return nil }); err != nil {
 		t.Fatalf("nil ctx: %v", err)
 	}
 }
@@ -63,7 +63,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 	restore := SetWorkers(8)
 	defer restore()
 	errAt := func(i int) error { return fmt.Errorf("fail@%d", i) }
-	err := ForEach(context.Background(), 50, func(i int) error {
+	err := ForEach(context.Background(), 50, func(_ context.Context, i int) error {
 		if i == 7 || i == 23 || i == 41 {
 			return errAt(i)
 		}
@@ -78,7 +78,7 @@ func TestForEachErrorCancelsRemainingWork(t *testing.T) {
 	restore := SetWorkers(2)
 	defer restore()
 	var ran atomic.Int64
-	err := ForEach(context.Background(), 10000, func(i int) error {
+	err := ForEach(context.Background(), 10000, func(_ context.Context, i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return errors.New("early")
@@ -96,7 +96,7 @@ func TestForEachErrorCancelsRemainingWork(t *testing.T) {
 func TestForEachContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := ForEach(ctx, 5, func(int) error { return nil }); !errors.Is(err, context.Canceled) {
+	if err := ForEach(ctx, 5, func(context.Context, int) error { return nil }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled ctx: err = %v", err)
 	}
 
@@ -107,7 +107,7 @@ func TestForEachContextCancellation(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int64
-	err := ForEach(ctx, 100000, func(i int) error {
+	err := ForEach(ctx, 100000, func(_ context.Context, i int) error {
 		if ran.Add(1) == 10 {
 			cancel()
 		}
@@ -140,7 +140,7 @@ func TestForEachPanicPropagates(t *testing.T) {
 			t.Fatal("PanicError.Stack empty")
 		}
 	}()
-	_ = ForEach(context.Background(), 20, func(i int) error {
+	_ = ForEach(context.Background(), 20, func(_ context.Context, i int) error {
 		if i == 3 {
 			panic("kaboom")
 		}
@@ -151,7 +151,7 @@ func TestForEachPanicPropagates(t *testing.T) {
 func TestMapOrdersResults(t *testing.T) {
 	for _, w := range []int{1, 8} {
 		restore := SetWorkers(w)
-		got, err := Map(context.Background(), 64, func(i int) (int, error) {
+		got, err := Map(context.Background(), 64, func(_ context.Context, i int) (int, error) {
 			return i * i, nil
 		})
 		restore()
@@ -167,7 +167,7 @@ func TestMapOrdersResults(t *testing.T) {
 }
 
 func TestMapErrorDiscardsResults(t *testing.T) {
-	got, err := Map(context.Background(), 8, func(i int) (int, error) {
+	got, err := Map(context.Background(), 8, func(_ context.Context, i int) (int, error) {
 		if i == 2 {
 			return 0, errors.New("nope")
 		}
@@ -307,7 +307,7 @@ func TestForEachYieldsBetweenTasks(t *testing.T) {
 	const tasks = 100
 	var last int64
 	advanced := 0
-	if err := ForEach(context.Background(), tasks, func(int) error {
+	if err := ForEach(context.Background(), tasks, func(context.Context, int) error {
 		if n := spins.Load(); n != last {
 			advanced++
 			last = n

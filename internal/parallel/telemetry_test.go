@@ -16,7 +16,7 @@ func TestPoolTelemetry(t *testing.T) {
 	defer telemetry.SetEnabled(true)()
 	telemetry.Reset()
 	const n = 50
-	err := ForEach(context.Background(), n, func(i int) error { return nil })
+	err := ForEach(context.Background(), n, func(_ context.Context, i int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestPoolTelemetryError(t *testing.T) {
 	defer telemetry.SetEnabled(true)()
 	telemetry.Reset()
 	boom := errors.New("boom")
-	err := ForEach(context.Background(), 8, func(i int) error {
+	err := ForEach(context.Background(), 8, func(_ context.Context, i int) error {
 		if i == 3 {
 			return boom
 		}
@@ -67,7 +67,7 @@ func TestPoolTelemetryPanic(t *testing.T) {
 				t.Error("expected the pool to re-raise the panic")
 			}
 		}()
-		_ = ForEach(context.Background(), 4, func(i int) error {
+		_ = ForEach(context.Background(), 4, func(_ context.Context, i int) error {
 			if i == 0 {
 				panic("kaboom")
 			}
@@ -88,7 +88,7 @@ func TestPoolTelemetryDisabled(t *testing.T) {
 	defer telemetry.SetEnabled(true)()
 	telemetry.Reset()
 	telemetry.SetEnabled(false)
-	if err := ForEach(context.Background(), 16, func(i int) error { return nil }); err != nil {
+	if err := ForEach(context.Background(), 16, func(_ context.Context, i int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if telTasksSubmitted.Value() != 0 || telTasksCompleted.Value() != 0 ||
