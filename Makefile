@@ -15,13 +15,14 @@ race:
 
 # The test, lint, race and history-gate jobs: build, lint
 # (accordionvet + gofmt -s + vet + shellcheck), gofmt cleanliness,
-# tests, the race tier, then the committed run history through the
-# gate.
+# tests, the experiment digests again from a 386 build (pure-Go math),
+# the race tier, then the committed run history through the gate.
 ci:
 	go build ./...
 	$(MAKE) lint
 	$(MAKE) fmt-check
 	go test ./...
+	GOARCH=386 go test ./internal/experiments -run '^TestExperimentDigests$$'
 	go test -race ./...
 	$(MAKE) history-check
 
@@ -54,6 +55,7 @@ fuzz:
 	go test ./internal/chip -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME)
 	go test ./internal/fault -run '^$$' -fuzz FuzzPlanInfected -fuzztime $(FUZZTIME)
 	go test ./internal/fault -run '^$$' -fuzz FuzzCorruptValue -fuzztime $(FUZZTIME)
+	go test ./internal/service -run '^$$' -fuzz FuzzRequestNormalize -fuzztime $(FUZZTIME)
 
 # Fail if any file needs gofmt, listing the offenders.
 fmt-check:

@@ -5,7 +5,7 @@
 //	accordion [-seed N] [-chip N] [-chips N] [-j N] [-telemetry text|json]
 //	          [-trace FILE] [-events FILE] [-atlas DIR] [-manifest FILE]
 //	          [-convergence FILE] [-progress] [-pprof addr]
-//	          [-history DIR [-selfprofile]]
+//	          [-history DIR]
 //	          [list | all | <experiment id>...]
 //	accordion -verify-manifest FILE
 //
@@ -53,12 +53,16 @@
 // Run history: -history DIR appends one record per completed run to
 // the store's records.ndjson — runner wall times, telemetry counters
 // and quantiles, cache hit rates, convergence CI widths, all stamped
-// with the binary's VCS revision and GOMAXPROCS. `accordionhist check`
-// gates the store's newest record against its baseline window (see
-// the README's "Run history & regression gate" section). -selfprofile
-// brackets the run with a pprof CPU+heap capture and stores the
-// top-N flat hotspots in the record, so hotspot drift is diffable
-// across runs without opening pprof.
+// with the binary's VCS revision and GOMAXPROCS. It also traces the
+// run and records each stage's self time as layer.<stage>.self_ns
+// (rms.<kernel>.run, quality.<kernel>.score, core.front.cell, ...),
+// so a record says which layer the run spent its time in.
+// `accordionhist check` gates the store's newest record against its
+// baseline window (see the README's "Run history & regression gate"
+// section). Function-level profiles stay one toolchain command away:
+//
+//	go test -run '^$' -bench 'BenchmarkRunAllSequential$' -benchtime 1x -cpuprofile cpu.out -o repro.test .
+//	go tool pprof -top repro.test cpu.out
 package main
 
 import (
@@ -102,8 +106,7 @@ func main() {
 		progress   = flag.Bool("progress", false, "print chips-done/ETA/CI-width progress lines to stderr during the run")
 		verifyMani = flag.String("verify-manifest", "", "re-hash a manifest's artifacts and exit non-zero on mismatch")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, /telemetryz, /metricsz and /eventsz on this address (e.g. localhost:6060)")
-		histDir    = flag.String("history", "", "append a run record (telemetry, convergence, runner timings) to this run-history store")
-		selfProf   = flag.Bool("selfprofile", false, "capture CPU+heap pprof around the run and store top hotspots in the history record (requires -history)")
+		histDir    = flag.String("history", "", "append a run record (telemetry, convergence, runner timings, per-stage self times) to this run-history store")
 	)
 	flag.Parse()
 	fail := func(code int, format string, args ...any) {
@@ -136,8 +139,6 @@ func main() {
 		fail(2, "-j must be non-negative (0 = GOMAXPROCS), got %d", *workers)
 	case *format != "text" && *format != "csv":
 		fail(2, "unknown format %q (want text or csv)", *format)
-	case *selfProf && *histDir == "":
-		fail(2, "-selfprofile requires -history DIR (the hotspot summary lives in the record)")
 	}
 	parallel.SetWorkers(*workers)
 
@@ -186,7 +187,9 @@ func main() {
 	}
 
 	ctx := context.Background()
-	if *tracePath != "" {
+	if *tracePath != "" || *histDir != "" {
+		// The history record's per-stage self times are read from the
+		// trace.
 		ctx = telemetry.TraceContext(ctx)
 	}
 	if monitor {
@@ -280,26 +283,7 @@ func main() {
 		}
 	}
 
-	// With -selfprofile the run is bracketed by a pprof capture whose
-	// hotspot digest lands in the history record; without it the call
-	// is exactly the pre-history direct path.
-	var results []experiments.RunResult
-	var prof *history.ProfileSummary
-	if *selfProf {
-		var runErr error
-		var perr error
-		prof, perr = history.CaptureProfile(func() error {
-			results, runErr = experiments.RunMany(ctx, cfg, args)
-			return runErr
-		})
-		if runErr == nil && perr != nil {
-			// A profiler complaint must not fail a healthy run.
-			fmt.Fprintf(os.Stderr, "accordion: selfprofile: %v\n", perr)
-		}
-		err = runErr
-	} else {
-		results, err = experiments.RunMany(ctx, cfg, args)
-	}
+	results, err := experiments.RunMany(ctx, cfg, args)
 	if err != nil {
 		fail(2, "%v (try `accordion list`)", err)
 	}
@@ -371,7 +355,7 @@ func main() {
 	finishObservability(results)
 
 	if *histDir != "" {
-		rec := buildHistoryRecord(results, time.Since(start), prof)
+		rec := buildHistoryRecord(results, time.Since(start))
 		st := history.Store{Dir: *histDir}
 		if err := st.Append(rec); err != nil {
 			fail(1, "%v", err)
@@ -382,19 +366,25 @@ func main() {
 }
 
 // buildHistoryRecord harvests the finished run into a history record:
-// run identity from the build info, per-runner wall times, and the
-// full telemetry snapshot (cache hit rates and convergence series
-// included).
-func buildHistoryRecord(results []experiments.RunResult, wall time.Duration, prof *history.ProfileSummary) history.Record {
+// run identity from the build info, per-runner wall times, the full
+// telemetry snapshot (cache hit rates and convergence series
+// included), and each traced stage's self time. A trace that dropped
+// events would understate some layers, so its self times are left
+// out.
+func buildHistoryRecord(results []experiments.RunResult, wall time.Duration) history.Record {
 	rec := history.NewRecord("accordion", "run")
 	rec.WallMs = wall.Milliseconds()
-	rec.Profile = prof
 	for _, r := range results {
 		if r.Err == nil {
 			rec.Set("runner."+r.ID+".wall_ms", float64(r.Elapsed.Milliseconds()))
 		}
 	}
 	rec.AddTelemetry(telemetry.Capture())
+	if telemetry.GetGauge("trace.dropped").Value() == 0 {
+		for name, d := range telemetry.SelfTimes() {
+			rec.Set("layer."+name+".self_ns", float64(d.Nanoseconds()))
+		}
+	}
 	return rec
 }
 

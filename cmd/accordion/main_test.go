@@ -71,6 +71,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-format", "xml", "table2"}, 2},
 		{[]string{"nosuch"}, 2},
 		{[]string{"-telemetry", "yaml", "table2"}, 2},
+		// Removed flags are unknown flags.
 		{[]string{"-history-check", "table2"}, 2},
 		{[]string{"-selfprofile", "table2"}, 2},
 		{[]string{"-history-margin", "0.5", "table2"}, 2},
@@ -87,11 +88,12 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestObservabilityKeepsStdout: -trace, -telemetry, -manifest, -events
-// and -convergence leave stdout byte-identical; the trace is one tree
-// under the run stage with worker lanes and chip draws under fig5a;
-// -telemetry alone records domain events, since the event log follows
-// the one switch; and the manifest verifies.
+// TestObservabilityKeepsStdout: -trace, -telemetry, -manifest, -events,
+// -convergence and -history leave stdout byte-identical; the trace is
+// one tree under the run stage with worker lanes and chip draws under
+// fig5a; -telemetry alone records domain events, since the event log
+// follows the one switch; the history record carries each stage's self
+// time; and the manifest verifies.
 func TestObservabilityKeepsStdout(t *testing.T) {
 	dir := t.TempDir()
 	ids := []string{"fig1a", "fig5a", "table2"}
@@ -114,6 +116,7 @@ func TestObservabilityKeepsStdout(t *testing.T) {
 		{"-manifest", "manifest.json"},
 		{"-events", "events.ndjson"},
 		{"-convergence", "convergence.json"},
+		{"-history", "hist"},
 	} {
 		got, stderr := run(flags...)
 		if !bytes.Equal(got, plain) {
@@ -125,6 +128,7 @@ func TestObservabilityKeepsStdout(t *testing.T) {
 	}
 
 	checkTrace(t, filepath.Join(dir, "trace.json"), ids)
+	checkLayers(t, filepath.Join(dir, "hist", "records.ndjson"), ids)
 
 	var doc struct {
 		Counters []struct {
@@ -147,6 +151,31 @@ func TestObservabilityKeepsStdout(t *testing.T) {
 
 	if _, stderr, code := accordion(t, dir, "-verify-manifest", "manifest.json"); code != 0 {
 		t.Errorf("-verify-manifest exited %d:\n%s", code, stderr)
+	}
+}
+
+// checkLayers reads the one history record and checks that it carries
+// the self time of the run stage and of each runner.
+func checkLayers(t *testing.T, path string, ids []string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Metrics map[string]float64 `json:"metrics"`
+	}
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatalf("history record is not one JSON line: %v", err)
+	}
+	want := []string{"layer.run.self_ns"}
+	for _, id := range ids {
+		want = append(want, "layer.experiments.run."+id+".self_ns")
+	}
+	for _, name := range want {
+		if v, ok := rec.Metrics[name]; !ok || v < 0 {
+			t.Errorf("record's %s = %v, %v; want a non-negative self time", name, v, ok)
+		}
 	}
 }
 

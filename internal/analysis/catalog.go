@@ -48,7 +48,8 @@ func DefaultCatalog() *Catalog {
 			"fault.drops",
 			"fault.injected",
 			// stages, each named once for its histogram and its trace
-			// events (plus experiments.run.<id> below)
+			// events (plus experiments.run.<id>, rms.<kernel>.run and
+			// quality.<kernel>.score below)
 			"run",
 			"parallel.worker",
 			"chip.draw",
@@ -74,6 +75,8 @@ func DefaultCatalog() *Catalog {
 		MetricPrefixes: []string{
 			"cache.",           // cache.<Name>.{hits,misses,evictions}
 			"experiments.run.", // experiments.run.<experiment id>
+			"rms.",             // rms.<kernel>.run stages
+			"quality.",         // quality.<kernel>.score stages
 		},
 		Events: set(
 			"chip.drawn",

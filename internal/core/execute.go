@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/fault"
@@ -55,7 +56,8 @@ func (s *Solver) Execute(op OperatingPoint, seed int64) (Execution, error) {
 
 	// 1. Algorithmic execution: the real kernel at the operating
 	//    problem size under the implied plan.
-	res, err := s.Bench.Run(op.Input, s.Bench.DefaultThreads(), plan, seed)
+	ctx := context.TODO() // Execute's signature carries no context
+	res, err := rms.Run(ctx, s.Bench, op.Input, s.Bench.DefaultThreads(), plan, seed)
 	if err != nil {
 		return Execution{}, err
 	}
@@ -63,7 +65,7 @@ func (s *Solver) Execute(op OperatingPoint, seed int64) (Execution, error) {
 	if err != nil {
 		return Execution{}, err
 	}
-	q, err := s.Bench.Quality(res, ref)
+	q, err := rms.Quality(ctx, s.Bench, res, ref)
 	if err != nil {
 		return Execution{}, err
 	}

@@ -60,14 +60,16 @@ func MeasureFronts(b rms.Benchmark, seed int64) (*QualityModel, error) {
 // MeasureFrontsCtx is MeasureFronts with ctx's stages as parents: the
 // whole measurement is a core.front stage, the reference execution a
 // core.front.reference stage, and every (scenario, input) profiling
-// cell a core.front.cell stage under the pool worker that ran it.
+// cell a core.front.cell stage under the pool worker that ran it. The
+// kernel runs and quality scores are rms.<name>.run and
+// quality.<name>.score stages inside the reference and the cells.
 func MeasureFrontsCtx(ctx context.Context, b rms.Benchmark, seed int64) (*QualityModel, error) {
 	st := stFront.Begin(ctx).Str("bench", b.Name())
 	defer st.End()
 	ctx = st.Context(ctx)
 
 	rst := stFrontRef.Begin(ctx)
-	ref, err := rms.ReferenceCtx(ctx, b, seed)
+	ref, err := rms.ReferenceCtx(rst.Context(ctx), b, seed)
 	rst.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: reference run: %w", err)
@@ -83,12 +85,14 @@ func MeasureFrontsCtx(ctx context.Context, b rms.Benchmark, seed int64) (*Qualit
 	sweep := b.Sweep()
 	qualities, err := parallel.Map(ctx, len(scenarios)*len(sweep), func(wctx context.Context, i int) (float64, error) {
 		sc, in := scenarios[i/len(sweep)], sweep[i%len(sweep)]
-		defer stCell.Begin(wctx).Str("scenario", sc.name).End()
-		res, err := b.Run(in, b.DefaultThreads(), sc.plan, seed)
+		cell := stCell.Begin(wctx).Str("scenario", sc.name)
+		defer cell.End()
+		wctx = cell.Context(wctx)
+		res, err := rms.Run(wctx, b, in, b.DefaultThreads(), sc.plan, seed)
 		if err != nil {
 			return 0, fmt.Errorf("core: %s %s at input %g: %w", b.Name(), sc.name, in, err)
 		}
-		q, err := b.Quality(res, ref)
+		q, err := rms.Quality(wctx, b, res, ref)
 		if err == nil {
 			telemetry.NewEvent("quality.scored").
 				Str("bench", b.Name()).

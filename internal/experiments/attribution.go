@@ -38,7 +38,9 @@ type AttributionResult struct {
 // for the -atlas export path, and the default `all` run's stdout must
 // not change.
 func RunAttribution(ctx context.Context, cfg Config) (AttributionResult, error) {
-	defer stAttribution.Begin(ctx).End()
+	st := stAttribution.Begin(ctx)
+	defer st.End()
+	ctx = st.Context(ctx)
 	// Like RunMany: a concurrent ResetCaches waits for this run.
 	defer holdCaches()()
 
@@ -70,11 +72,11 @@ func RunAttribution(ctx context.Context, cfg Config) (AttributionResult, error) 
 	plan.Ledger = led
 
 	input := b.DefaultInput()
-	run, err := b.Run(input, threads, plan, cfg.Seed)
+	run, err := rms.Run(ctx, b, input, threads, plan, cfg.Seed)
 	if err != nil {
 		return AttributionResult{}, fmt.Errorf("experiments: attribution run: %w", err)
 	}
-	ref, err := b.Run(input, threads, fault.Plan{}, cfg.Seed)
+	ref, err := rms.Run(ctx, b, input, threads, fault.Plan{}, cfg.Seed)
 	if err != nil {
 		return AttributionResult{}, fmt.Errorf("experiments: attribution reference: %w", err)
 	}

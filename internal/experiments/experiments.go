@@ -195,7 +195,13 @@ type frontKey struct {
 
 // fronts shares measured quality models across runners; a QualityModel
 // is read-only after MeasureFronts returns.
-var fronts = parallel.Cache[frontKey, *core.QualityModel]{Name: "experiments.MeasuredFronts"}
+var fronts = parallel.Cache[frontKey, *core.QualityModel]{Name: "experiments.MeasuredFronts", Max: frontsMax}
+
+// frontsMax bounds fronts at repChipsMax workload seeds' fronts of the
+// seven kernels: a run measures each kernel once at its one seed, so
+// no run evicts its own fronts, and a service asked for ever new seeds
+// holds a bounded number.
+const frontsMax = repChipsMax * 7
 
 // MeasuredFronts returns core.MeasureFronts(b, seed), memoized per
 // (benchmark, seed): the profiling sweep behind Figures 2 and 4 is the

@@ -300,11 +300,11 @@ func CorruptionWide(ctx context.Context, cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		nominal, err := b.Run(b.DefaultInput(), b.DefaultThreads(), fault.Plan{}, cfg.Seed)
+		nominal, err := rms.Run(ctx, b, b.DefaultInput(), b.DefaultThreads(), fault.Plan{}, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		qNom, err := b.Quality(nominal, ref)
+		qNom, err := rms.Quality(ctx, b, nominal, ref)
 		if err != nil {
 			return nil, err
 		}
@@ -313,11 +313,11 @@ func CorruptionWide(ctx context.Context, cfg Config) ([]*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			res, err := b.Run(b.DefaultInput(), b.DefaultThreads(), plan, cfg.Seed)
+			res, err := rms.Run(ctx, b, b.DefaultInput(), b.DefaultThreads(), plan, cfg.Seed)
 			if err != nil {
 				return 0, err
 			}
-			q, err := b.Quality(res, ref)
+			q, err := rms.Quality(ctx, b, res, ref)
 			if err != nil {
 				return 0, err
 			}

@@ -83,11 +83,11 @@ func measureDependence(ctx context.Context, b rms.Benchmark, seed int64) (psExp,
 	var ps, qs []float64
 	for _, in := range sweep {
 		ps = append(ps, b.ProblemSize(in))
-		res, err := b.Run(in, b.DefaultThreads(), fault.Plan{}, seed)
+		res, err := rms.Run(ctx, b, in, b.DefaultThreads(), fault.Plan{}, seed)
 		if err != nil {
 			return 0, 0, err
 		}
-		q, err := b.Quality(res, ref)
+		q, err := rms.Quality(ctx, b, res, ref)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -111,11 +111,11 @@ func Corruption(ctx context.Context, cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	nominal, err := b.Run(b.DefaultInput(), b.DefaultThreads(), fault.Plan{}, cfg.Seed)
+	nominal, err := rms.Run(ctx, b, b.DefaultInput(), b.DefaultThreads(), fault.Plan{}, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	qNom, err := b.Quality(nominal, ref)
+	qNom, err := rms.Quality(ctx, b, nominal, ref)
 	if err != nil {
 		return nil, err
 	}
@@ -134,11 +134,11 @@ func Corruption(ctx context.Context, cfg Config) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := b.Run(b.DefaultInput(), b.DefaultThreads(), plan, cfg.Seed)
+			res, err := rms.Run(ctx, b, b.DefaultInput(), b.DefaultThreads(), plan, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
-			q, err := b.Quality(res, ref)
+			q, err := rms.Quality(ctx, b, res, ref)
 			if err != nil {
 				return nil, err
 			}

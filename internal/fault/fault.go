@@ -154,7 +154,12 @@ func (p Plan) Active() bool { return p.Mode != None && p.Num > 0 }
 // showed was the simulator's single largest allocator (a Monte-Carlo
 // population corrupts the same task indices on every chip). Keying by
 // the split seed is exact: NewRNG sees nothing else.
-var flipMaskCache = parallel.Cache[int64, uint64]{Name: "fault.FlipMask"}
+var flipMaskCache = parallel.Cache[int64, uint64]{Name: "fault.FlipMask", Max: flipMaskMax}
+
+// flipMaskMax bounds flipMaskCache at eight plan seeds' masks for the
+// 64 task slots of the widest kernel, so a long-running service asked
+// for ever new seeds holds a bounded number and no run evicts its own.
+const flipMaskMax = 8 * 64
 
 // flipMask returns the Flip mode's XOR mask for one task, bit-identical
 // to drawing it from a fresh RNG seeded with SplitSeed(seed, task).

@@ -204,3 +204,24 @@ func TestContiguousPlan(t *testing.T) {
 		t.Errorf("uniform 16/64 plan has %d adjacent infections", maxRun)
 	}
 }
+
+// TestFlipMaskCacheBounded: flip masks for ever new plan seeds stay
+// within flipMaskMax entries, and a mask pushed out is recomputed
+// bit-identically.
+func TestFlipMaskCacheBounded(t *testing.T) {
+	ResetFlipMaskCache()
+	defer ResetFlipMaskCache()
+	const v = 1.2345
+	first := Plan{Mode: Flip, Num: 1, Den: 4, Seed: 1}.CorruptValue(v, 0)
+	for seed := int64(1); seed <= flipMaskMax+100; seed++ {
+		p := Plan{Mode: Flip, Num: 1, Den: 4, Seed: seed}
+		p.CorruptValue(v, 0)
+		if want := min(int(seed), flipMaskMax); flipMaskCache.Len() != want {
+			t.Fatalf("after %d seeds the memo holds %d masks, want %d", seed, flipMaskCache.Len(), want)
+		}
+	}
+	again := Plan{Mode: Flip, Num: 1, Den: 4, Seed: 1}.CorruptValue(v, 0)
+	if math.Float64bits(again) != math.Float64bits(first) {
+		t.Errorf("an evicted mask came back different: %v, first %v", again, first)
+	}
+}

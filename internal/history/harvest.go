@@ -18,11 +18,21 @@ import (
 //	converge.<series>.{count,mean,std,ci95}  telemetry series
 //	cache.<name>.hit_rate                    derived from cache.<name>.{hits,misses}
 //	runner.<id>.wall_ms                      accordion's per-experiment wall times
+//	layer.<stage>.self_ns                    accordion's per-stage self times, from its trace
 //	bench.<dotted json path>                 numeric leaves of a benchmark result
 //
 // The names are data, not code: they are record map keys, so the
 // analysis catalog, which governs telemetry's metric and event names,
 // does not cover them.
+//
+// A layer's self time is what its stage calls spent outside the stages
+// nested in them (telemetry.SelfTimes), so the layers of one record
+// sum to the traced wall time. `accordionhist report -metric 'layer.*'`
+// trends them; no direction gates them. For the functions inside a
+// layer, profile a benchmark with the toolchain instead:
+//
+//	go test -run '^$' -bench 'BenchmarkRunAllSequential$' -benchtime 1x -cpuprofile cpu.out -o repro.test .
+//	go tool pprof -top repro.test cpu.out
 
 // AddTelemetry folds a telemetry snapshot into the record. A series
 // lands under converge.<series>, the name the Monte-Carlo convergence
@@ -71,19 +81,21 @@ func (r *Record) AddTelemetry(snap telemetry.Snapshot) {
 // AddBenchJSON folds one benchmark result document (what
 // `benchmark/run.sh --out` writes) into the record. The top-level
 // identity keys it may stamp (vcs_revision, vcs_dirty, gomaxprocs) are
-// lifted into the record's identity fields; every numeric leaf
-// elsewhere lands under "bench." with its dotted path. Booleans become
-// 0/1 so gates can trend them; strings and nulls carry no trendable
-// value and are skipped.
+// lifted into the record's identity fields; a result that stamps a
+// revision also owns the dirty bit, clean unless it says otherwise,
+// since the bit of the binary ingesting it describes another build.
+// Every numeric leaf elsewhere lands under "bench." with its dotted
+// path. Booleans become 0/1 so gates can trend them; strings and nulls
+// carry no trendable value and are skipped.
 func (r *Record) AddBenchJSON(data []byte) error {
 	var doc map[string]any
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("history: bench blob: %w", err)
 	}
+	dirty, hasDirty := doc["vcs_dirty"].(bool)
 	if rev, ok := doc["vcs_revision"].(string); ok && rev != "" {
-		r.VCSRevision = rev
-	}
-	if dirty, ok := doc["vcs_dirty"].(bool); ok {
+		r.VCSRevision, r.VCSDirty = rev, dirty
+	} else if hasDirty {
 		r.VCSDirty = dirty
 	}
 	if gmp, ok := doc["gomaxprocs"].(float64); ok && gmp > 0 && !math.IsInf(gmp, 0) {

@@ -124,6 +124,29 @@ func TestAddBenchJSON(t *testing.T) {
 	}
 }
 
+// TestAddBenchJSONOwnsDirtyBit: a result that stamps a revision also
+// stamps the dirty bit, clean when it carries no vcs_dirty, whatever
+// the ingesting binary's own build said.
+func TestAddBenchJSONOwnsDirtyBit(t *testing.T) {
+	for _, tc := range []struct {
+		doc  string
+		want bool
+	}{
+		{`{"vcs_revision":"cafe1234","gomaxprocs":2}`, false},
+		{`{"vcs_revision":"cafe1234","vcs_dirty":true}`, true},
+		{`{"vcs_revision":"cafe1234","vcs_dirty":false}`, false},
+	} {
+		r := NewRecord("benchmark", "bench")
+		r.VCSRevision, r.VCSDirty = "ffff0000", true
+		if err := r.AddBenchJSON([]byte(tc.doc)); err != nil {
+			t.Fatal(err)
+		}
+		if r.VCSRevision != "cafe1234" || r.VCSDirty != tc.want {
+			t.Errorf("%s: revision %q dirty %v, want cafe1234 dirty %v", tc.doc, r.VCSRevision, r.VCSDirty, tc.want)
+		}
+	}
+}
+
 // sampleResult is a traced benchmark result document, shaped as
 // `benchmark/run.sh --out` writes it: run facts at the top, then one
 // report per workload whose metrics hold the end-to-end and per-layer

@@ -21,12 +21,15 @@
 //     re-run (zero band, value on the mean) is never a false
 //     positive.
 //   - WriteTextReport: per-metric trend lines (unicode sparklines)
-//     over the last K comparable records, plus the newest record's
-//     profile hotspots.
-//   - CaptureProfile: a pprof CPU+heap capture around a run
-//     (`accordion -selfprofile`) whose top-N flat hotspots are
-//     summarized into the record, so hotspot drift diffs across runs
-//     without opening pprof.
+//     over the last K comparable records.
+//
+// Per-layer cost comes from the run's own stages: an `accordion
+// -history` record carries each traced stage's self time as
+// layer.<stage>.self_ns, which `accordionhist report -metric
+// 'layer.*'` trends. Function-level profiles are one toolchain command
+// away (`go test -bench ... -cpuprofile`, then `go tool pprof -top`),
+// so the store keeps none. Older records that carry a `profile` block
+// still load; the block is ignored.
 //
 // The store is plain NDJSON so records are diffable, committable
 // (HISTORY/records.ndjson at the repo root is the checked-in
@@ -65,7 +68,6 @@ type Record struct {
 	Args        []string           `json:"args,omitempty"`
 	Note        string             `json:"note,omitempty"`
 	Metrics     map[string]float64 `json:"metrics"`
-	Profile     *ProfileSummary    `json:"profile,omitempty"`
 }
 
 // NewRecord starts a record for the named tool and kind, stamped with

@@ -6,10 +6,6 @@ import (
 	"strings"
 )
 
-// hotspotRows caps the hotspot rows shown from the newest record's
-// profile.
-const hotspotRows = 5
-
 // ReportOptions selects what the trend report shows.
 type ReportOptions struct {
 	// LastK is how many trailing comparable records to trend
@@ -150,8 +146,8 @@ func seriesStats(t *trend) (lo, hi, latest float64) {
 }
 
 // WriteTextReport renders per-metric trends over the last K
-// comparable records plus the newest record's profile hotspots.
-// Output is deterministic for a fixed record set (golden-tested).
+// comparable records. Output is deterministic for a fixed record set
+// (golden-tested).
 func WriteTextReport(w io.Writer, recs []Record, opt ReportOptions) error {
 	d, err := buildReport(recs, opt)
 	if err != nil {
@@ -189,27 +185,6 @@ func WriteTextReport(w io.Writer, recs []Record, opt ReportOptions) error {
 				width, t.name, t.worse, lo, hi, latest, sparkline(t.values, t.ok))
 		}
 	}
-	writeTextHotspots(&b, d.newest.Profile)
 	_, err = io.WriteString(w, b.String())
 	return err
-}
-
-func writeTextHotspots(b *strings.Builder, p *ProfileSummary) {
-	if p == nil {
-		return
-	}
-	write := func(label string, spots []Hotspot) {
-		if len(spots) == 0 {
-			return
-		}
-		fmt.Fprintf(b, "-- %s hotspots (newest record)\n", label)
-		if len(spots) > hotspotRows {
-			spots = spots[:hotspotRows]
-		}
-		for _, h := range spots {
-			fmt.Fprintf(b, "%6.2f%% flat  %6.2f%% cum  %s\n", h.FlatPct, h.CumPct, h.Func)
-		}
-	}
-	write("cpu", p.CPU)
-	write("heap", p.Heap)
 }

@@ -10,8 +10,7 @@ import (
 
 // goldenRecords is a fixed store exercising every renderer feature:
 // trended gated metrics, a metric absent from one record (sparkline
-// gap), an other-identity record (skipped count), and a profile on
-// the newest record.
+// gap), and an other-identity record (skipped count).
 func goldenRecords() []Record {
 	recs := []Record{}
 	p99 := []float64{2.00e6, 2.05e6, 1.98e6, 2.10e6, 4.20e6}
@@ -32,15 +31,6 @@ func goldenRecords() []Record {
 		Metrics: map[string]float64{"bench.results.0.ns_op": 5e7}}
 	recs = append(recs[:4], other, recs[4])
 	recs[len(recs)-1].VCSRevision = "0123456789abcdef0123"
-	recs[len(recs)-1].Profile = &ProfileSummary{
-		CPU: []Hotspot{
-			{Func: "repro/internal/rms.(*Kernel).Run", FlatPct: 41.25, CumPct: 63.5},
-			{Func: "repro/internal/variation.SampleField", FlatPct: 22.0, CumPct: 22.0},
-		},
-		Heap:           []Hotspot{{Func: "repro/internal/chip.Draw", FlatPct: 55.5, CumPct: 70.0}},
-		CPUTotalNs:     1_200_000_000,
-		HeapTotalBytes: 64 << 20,
-	}
 	return recs
 }
 
@@ -92,9 +82,6 @@ func TestReportStructure(t *testing.T) {
 	}
 	if strings.Contains(out, "counter.service.requests") {
 		t.Errorf("ungated metric leaked into the default report:\n%s", out)
-	}
-	if !strings.Contains(out, "cpu hotspots") || !strings.Contains(out, "heap hotspots") {
-		t.Errorf("profile section missing:\n%s", out)
 	}
 
 	// Explicit metric globs override the gated-set default.

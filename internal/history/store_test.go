@@ -89,6 +89,27 @@ func TestStoreLoadNamesCorruptLine(t *testing.T) {
 	}
 }
 
+// TestStoreLoadsRetiredProfileBlock: records written before the
+// self-profiler went carry a "profile" block of pprof hotspots (the
+// committed HISTORY/ store holds three). They still load, metrics
+// intact, and the block is dropped.
+func TestStoreLoadsRetiredProfileBlock(t *testing.T) {
+	st := Store{Dir: t.TempDir()}
+	line := `{"schema":1,"tool":"accordion","kind":"run","gomaxprocs":2,"metrics":{"runner.fig5a.wall_ms":412},` +
+		`"profile":{"cpu":[{"func":"repro/internal/rms/canneal.(*Benchmark).netCost","flat_pct":40.6,"cum_pct":40.6}],` +
+		`"heap":[{"func":"math/rand.newSource","flat_pct":25,"cum_pct":25}],"cpu_total_ns":14200000000,"heap_total_bytes":1048576}}` + "\n"
+	if err := os.WriteFile(st.Path(), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := st.Load()
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(recs) != 1 || recs[0].Metrics["runner.fig5a.wall_ms"] != 412 || recs[0].CompatKey() != "accordion/run/j2" {
+		t.Errorf("Load = %+v", recs)
+	}
+}
+
 func TestTailAndMatching(t *testing.T) {
 	var recs []Record
 	for i := 0; i < 5; i++ {

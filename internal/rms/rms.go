@@ -22,10 +22,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/parallel"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // Dependence classifies how problem size or quality responds to the
@@ -109,6 +111,55 @@ type Benchmark interface {
 	DefaultThreads() int
 }
 
+// kernelStages are one kernel's two stages, named like the
+// benchmark's per-layer metrics: rms.<name>.run times its executions
+// and quality.<name>.score its quality scores.
+type kernelStages struct{ run, score *telemetry.Stage }
+
+var (
+	stagesMu sync.Mutex
+	stages   = map[string]*kernelStages{}
+)
+
+// stagesOf returns the named kernel's stages, registering them on its
+// first timed call.
+func stagesOf(name string) *kernelStages {
+	stagesMu.Lock()
+	defer stagesMu.Unlock()
+	st, ok := stages[name]
+	if !ok {
+		st = &kernelStages{
+			run:   telemetry.NewStage("rms." + name + ".run"),
+			score: telemetry.NewStage("quality." + name + ".score"),
+		}
+		stages[name] = st
+	}
+	return st
+}
+
+// Run is b.Run timed as one call of the kernel's rms.<name>.run stage,
+// a child of the stage call ctx carries. Reference, the quality
+// fronts, the solver's Execute and the experiment runners run kernels
+// through it. While telemetry is off it costs one atomic load and
+// allocates nothing.
+func Run(ctx context.Context, b Benchmark, input float64, threads int, plan fault.Plan, seed int64) (Result, error) {
+	if !telemetry.On() {
+		return b.Run(input, threads, plan, seed)
+	}
+	defer stagesOf(b.Name()).run.Begin(ctx).End()
+	return b.Run(input, threads, plan, seed)
+}
+
+// Quality is b.Quality timed as one call of the kernel's
+// quality.<name>.score stage, at Run's cost.
+func Quality(ctx context.Context, b Benchmark, run, ref Result) (float64, error) {
+	if !telemetry.On() {
+		return b.Quality(run, ref)
+	}
+	defer stagesOf(b.Name()).score.Begin(ctx).End()
+	return b.Quality(run, ref)
+}
+
 // refKey identifies one reference execution: kernels are deterministic
 // functions of (name, input, threads, seed), so the tuple pins the
 // result exactly.
@@ -122,7 +173,13 @@ type refKey struct {
 // refCache memoizes reference executions with singleflight semantics,
 // so concurrent experiments profiling the same benchmark never
 // duplicate the error-free baseline run.
-var refCache = parallel.Cache[refKey, Result]{Name: "rms.Reference"}
+var refCache = parallel.Cache[refKey, Result]{Name: "rms.Reference", Max: refCacheMax}
+
+// refCacheMax bounds refCache at eight workload seeds' references of
+// the seven kernels: a run asks for one per kernel at its seed, so no
+// run evicts its own, and a service asked for ever new seeds holds a
+// bounded number.
+const refCacheMax = 8 * 7
 
 // Reference runs the hyper-accurate fault-free execution a benchmark's
 // quality is measured against. Results are memoized per (benchmark,
@@ -134,15 +191,16 @@ func Reference(b Benchmark, seed int64) (Result, error) {
 	return ReferenceCtx(context.Background(), b, seed)
 }
 
-// ReferenceCtx is Reference under per-scope telemetry attribution: the
-// memo cache's hit/miss counters tally into the telemetry scope ctx
-// carries (if any), so a service job's manifest reports the baseline
-// runs that job itself triggered. The context carries attribution
-// only, never cancellation of the baseline run.
+// ReferenceCtx is Reference under ctx's telemetry: the memo cache's
+// hit/miss counters tally into the telemetry scope ctx carries (if
+// any), so a service job's manifest reports the baseline runs that job
+// itself triggered, and the run that fills the memo is an
+// rms.<name>.run stage under ctx's stage call. The context carries
+// attribution only, never cancellation of the baseline run.
 func ReferenceCtx(ctx context.Context, b Benchmark, seed int64) (Result, error) {
 	key := refKey{b.Name(), b.HyperInput(), b.DefaultThreads(), seed}
 	res, err := refCache.DoCtx(ctx, key, func() (Result, error) {
-		return b.Run(b.HyperInput(), b.DefaultThreads(), fault.Plan{}, seed)
+		return Run(ctx, b, b.HyperInput(), b.DefaultThreads(), fault.Plan{}, seed)
 	})
 	if err != nil {
 		return Result{}, err

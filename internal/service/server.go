@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -391,14 +392,22 @@ func (s *Server) Mux() *http.ServeMux {
 // maxRequestBytes bounds a request body; a Request is tiny.
 const maxRequestBytes = 1 << 20
 
+// decodeRequest reads one request body strictly: an unknown field is
+// an error, not a silently ignored typo.
+func decodeRequest(body io.Reader) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
 // admitHTTP decodes, normalizes and admits the request body, writing
 // the mapped error response (400/429/503) on failure. The second
 // return reports coalescing for the access log.
 func (s *Server) admitHTTP(w http.ResponseWriter, r *http.Request) (*Job, bool, bool) {
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
 		n := writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding request: %w", err))
 		s.logRequest(r, nil, false, http.StatusBadRequest, n)
 		return nil, false, false

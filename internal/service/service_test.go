@@ -87,16 +87,18 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// spellings are four JSON spellings of one request.
+var spellings = []string{
+	`{"kind":"experiments","experiments":["fig1a"]}`,
+	`{ "experiments" : [ "fig1a" ] , "kind" : "experiments" }`,
+	`{"experiments":["fig1a"],"seed":1,"chips":20,"chip_seed":2014,"format":"text"}`,
+	`{"schema":1,"experiments":["fig1a"]}`,
+}
+
 // TestNormalizeCanonicalizes pins that JSON spelling differences —
 // whitespace, key order, explicitly-spelled defaults — all normalize
 // to the same job id, which is what request coalescing keys on.
 func TestNormalizeCanonicalizes(t *testing.T) {
-	spellings := []string{
-		`{"kind":"experiments","experiments":["fig1a"]}`,
-		`{ "experiments" : [ "fig1a" ] , "kind" : "experiments" }`,
-		`{"experiments":["fig1a"],"seed":1,"chips":20,"chip_seed":2014,"format":"text"}`,
-		`{"schema":1,"experiments":["fig1a"]}`,
-	}
 	ids := map[string]bool{}
 	for _, s := range spellings {
 		var req Request
@@ -113,29 +115,75 @@ func TestNormalizeCanonicalizes(t *testing.T) {
 	}
 }
 
+// rejected are requests Normalize refuses, with the error each dies of.
+var rejected = []struct {
+	name string
+	req  Request
+	want string
+}{
+	{"future schema", Request{Schema: 2}, "schema version"},
+	{"unknown kind", Request{Kind: "paretoscan"}, "unknown kind"},
+	{"unknown experiment", Request{Experiments: []string{"fig9z"}}, "unknown experiment"},
+	{"bad format", Request{Format: "yaml"}, "unknown format"},
+	{"chips overflow", Request{Chips: maxChips + 1}, "out of range"},
+	{"negative chips", Request{Chips: -1}, "out of range"},
+	{"attribution format", Request{Kind: KindAttribution, Format: "text"}, "not used"},
+	{"attribution experiments", Request{Kind: KindAttribution, Experiments: []string{"fig1a"}}, "not used"},
+}
+
 // TestNormalizeRejects covers the validation errors a request can die
 // of before it costs a queue slot.
 func TestNormalizeRejects(t *testing.T) {
-	cases := []struct {
-		name string
-		req  Request
-		want string
-	}{
-		{"future schema", Request{Schema: 2}, "schema version"},
-		{"unknown kind", Request{Kind: "paretoscan"}, "unknown kind"},
-		{"unknown experiment", Request{Experiments: []string{"fig9z"}}, "unknown experiment"},
-		{"bad format", Request{Format: "yaml"}, "unknown format"},
-		{"chips overflow", Request{Chips: maxChips + 1}, "out of range"},
-		{"negative chips", Request{Chips: -1}, "out of range"},
-		{"attribution format", Request{Kind: KindAttribution, Format: "text"}, "not used"},
-		{"attribution experiments", Request{Kind: KindAttribution, Experiments: []string{"fig1a"}}, "not used"},
-	}
-	for _, c := range cases {
+	for _, c := range rejected {
 		err := c.req.Normalize()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Normalize() = %v, want error containing %q", c.name, err, c.want)
 		}
 	}
+}
+
+// FuzzRequestNormalize drives arbitrary bodies through the decoder the
+// HTTP handler uses. For every body that decodes and normalizes,
+// Normalize is idempotent, and the canonical bytes decode, normalize
+// and re-encode to themselves under the same job id: a request cannot
+// drift into a second job by being echoed back.
+func FuzzRequestNormalize(f *testing.F) {
+	for _, body := range spellings {
+		f.Add([]byte(body))
+	}
+	for _, c := range rejected {
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, floor := range []string{`"NaN"`, `"+Inf"`, `"-Inf"`, `-0`} {
+		f.Add([]byte(`{"kind":"attribution","distortion_floor":` + floor + `}`))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeRequest(bytes.NewReader(body))
+		if err != nil || req.Normalize() != nil {
+			return
+		}
+		canon, id := req.Canonical(), req.JobID()
+		if err := req.Normalize(); err != nil {
+			t.Fatalf("Normalize rejected its own output %s: %v", canon, err)
+		}
+		if got := req.Canonical(); !bytes.Equal(got, canon) {
+			t.Fatalf("Normalize is not idempotent:\n once  %s\n twice %s", canon, got)
+		}
+		back, err := decodeRequest(bytes.NewReader(canon))
+		if err != nil {
+			t.Fatalf("canonical bytes %s do not decode: %v", canon, err)
+		}
+		if err := back.Normalize(); err != nil {
+			t.Fatalf("canonical bytes %s do not normalize: %v", canon, err)
+		}
+		if got := back.Canonical(); !bytes.Equal(got, canon) || back.JobID() != id {
+			t.Fatalf("canonical bytes re-encode differently:\n got  %s (%s)\n want %s (%s)", got, back.JobID(), canon, id)
+		}
+	})
 }
 
 // TestExecuteDeterministic pins the service's core contract end to

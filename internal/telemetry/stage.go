@@ -159,7 +159,7 @@ type event struct {
 }
 
 // traceCap bounds the trace buffer. A traced `accordion all` records
-// about 500 events and a 20,000-chip population about 20,000.
+// about 1,050 events and a 20,000-chip population about 20,100.
 const traceCap = 1 << 19
 
 // telTraceDropped counts the events the full buffer discarded, so a
@@ -220,6 +220,37 @@ func traceEvents() []event {
 		return out[a].ID < out[b].ID
 	})
 	return out
+}
+
+// SelfTimes sums the recorded trace's self time per stage name: each
+// traced call's duration minus the union of its children's intervals.
+// Children are clipped to the call's window, so a child that outlives
+// its parent charges only the part inside it, and pool children that
+// overlap in time count once. A traced run's layer costs then add up
+// to its root stage's wall time instead of double-counting nested or
+// concurrent work. Call it after the traced work has finished.
+func SelfTimes() map[string]time.Duration { return selfTimes(traceEvents()) }
+
+// selfTimes applies SelfTimes' rule to events sorted by start time.
+func selfTimes(events []event) map[string]time.Duration {
+	children := map[uint64][]event{}
+	for _, e := range events {
+		children[e.Parent] = append(children[e.Parent], e)
+	}
+	self := map[string]time.Duration{}
+	for _, e := range events {
+		end := e.Start + e.Dur
+		covered, cursor := int64(0), e.Start
+		for _, c := range children[e.ID] {
+			lo, hi := max(c.Start, cursor), min(c.Start+c.Dur, end)
+			if hi > lo {
+				covered += hi - lo
+				cursor = hi
+			}
+		}
+		self[e.Name] += time.Duration(e.Dur - covered)
+	}
+	return self
 }
 
 // Chrome trace-event JSON (the object flavor with a traceEvents key),

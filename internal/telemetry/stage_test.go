@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // traceOn enables telemetry and clears the trace buffer for one test.
@@ -216,6 +217,43 @@ func TestTraceDroppedGauge(t *testing.T) {
 	Reset()
 	if v := GetGauge("trace.dropped").Value(); v != 0 {
 		t.Fatalf("trace.dropped gauge after Reset = %d, want 0", v)
+	}
+}
+
+// TestSelfTimes pins the self-time rule on a synthetic trace: a call's
+// self time is its duration minus the union of its children's
+// intervals clipped to its window. Nesting subtracts each level once,
+// overlapping pool children count once, and a child that outlives its
+// parent charges the parent only up to the parent's end while keeping
+// its whole duration as its own.
+func TestSelfTimes(t *testing.T) {
+	ev := func(name string, id, parent uint64, start, end int64) event {
+		return event{Name: name, ID: id, Parent: parent, Start: start, Dur: end - start}
+	}
+	got := selfTimes([]event{
+		ev("run", 1, 0, 0, 100),
+		ev("cell", 2, 1, 10, 40),
+		ev("kernel", 3, 2, 15, 35), // nested: cell keeps 30 - 20
+		ev("worker", 4, 1, 50, 80), // three overlapping pool children
+		ev("worker", 5, 1, 55, 65), // inside worker 4
+		ev("worker", 6, 1, 60, 90), // union with 4 and 5: [50, 90)
+		ev("kernel", 8, 4, 70, 75), // under worker 4 only
+		ev("late", 7, 1, 95, 130),  // clipped to run's [95, 100)
+	})
+	want := map[string]time.Duration{
+		"run":    100 - 30 - 40 - 5,
+		"cell":   30 - 20,
+		"kernel": 20 + 5,
+		"worker": (30 - 5) + 10 + 30,
+		"late":   35,
+	}
+	if len(got) != len(want) {
+		t.Errorf("self times for %d stages, want %d: %v", len(got), len(want), got)
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("self time of %s = %d, want %d", name, got[name], w)
+		}
 	}
 }
 
