@@ -31,11 +31,16 @@
 // runner → worker → chip draw / front measurement / solver sweep) and
 // exports it as Chrome trace-event JSON loadable in Perfetto
 // (https://ui.perfetto.dev).
-// -manifest FILE writes a run-provenance manifest: the full flag set,
-// toolchain versions, per-runner wall times, cache hit rates, and a
-// SHA-256 of every artifact the run wrote; -verify-manifest FILE
-// re-hashes a manifest's artifacts and exits non-zero on any mismatch
-// (paths resolve relative to the current directory, as recorded).
+// -manifest FILE writes the run document (internal/history's Record)
+// as indented JSON: the full flag set, toolchain and VCS identity,
+// the run's metrics (per-runner wall times, cache hit rates, the
+// telemetry snapshot), the first runner error when one failed, and a
+// SHA-256 of every artifact the run wrote, each runner's stdout block
+// included; -verify-manifest FILE rejects a file that is not a run
+// document, re-hashes the files it lists and exits non-zero on any
+// mismatch (paths resolve relative to the current directory, as
+// recorded). It says how many files it checked and how many in-memory
+// artifacts it could not.
 // -convergence FILE runs the experiments under a monitored context, so
 // each distinct chip drawn feeds the telemetry series of its summary
 // metrics, and dumps their streaming mean/CI95 statistics as JSON;
@@ -50,13 +55,15 @@
 // event-log endpoint for live scraping. With all of these off, the run
 // is byte-identical to one without the observability tier.
 //
-// Run history: -history DIR appends one record per completed run to
-// the store's records.ndjson — runner wall times, telemetry counters
-// and quantiles, cache hit rates, convergence CI widths, all stamped
-// with the binary's VCS revision and GOMAXPROCS. It also traces the
-// run and records each stage's self time as layer.<stage>.self_ns
-// (rms.<kernel>.run, quality.<kernel>.score, core.front.cell, ...),
-// so a record says which layer the run spent its time in.
+// Run history: -history DIR appends the same run document to the
+// store's records.ndjson, one line per completed run — runner wall
+// times, telemetry counters and quantiles, cache hit rates,
+// convergence CI widths and artifact hashes, all stamped with the
+// binary's VCS revision and the worker-pool width (-j), which is the
+// record's parallelism. It also traces the run and records each
+// stage's self time as layer.<stage>.self_ns (rms.<kernel>.run,
+// quality.<kernel>.score, core.front.cell, ...), so a record says
+// which layer the run spent its time in and which bytes it produced.
 // `accordionhist check` gates the store's newest record against its
 // baseline window (see the README's "Run history & regression gate"
 // section). Function-level profiles stay one toolchain command away:
@@ -71,7 +78,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	_ "net/http/pprof"
@@ -84,7 +90,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/history"
 	"repro/internal/parallel"
-	"repro/internal/provenance"
 	"repro/internal/telemetry"
 )
 
@@ -101,12 +106,12 @@ func main() {
 		outDir     = flag.String("out", "", "also write each experiment to <out>/<id>.<ext>")
 		obs        = telemetry.RegisterFlags(flag.CommandLine)
 		tracePath  = flag.String("trace", "", "record stages and write a Chrome trace-event JSON file (open in Perfetto)")
-		maniPath   = flag.String("manifest", "", "write a run-provenance manifest (flags, versions, wall times, artifact SHA-256s)")
+		maniPath   = flag.String("manifest", "", "write the run document (flags, versions, metrics, artifact SHA-256s) as indented JSON")
 		convPath   = flag.String("convergence", "", "monitor Monte-Carlo convergence and write the statistics as JSON")
 		progress   = flag.Bool("progress", false, "print chips-done/ETA/CI-width progress lines to stderr during the run")
-		verifyMani = flag.String("verify-manifest", "", "re-hash a manifest's artifacts and exit non-zero on mismatch")
+		verifyMani = flag.String("verify-manifest", "", "re-hash the files a run document lists and exit non-zero on mismatch")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, /telemetryz, /metricsz and /eventsz on this address (e.g. localhost:6060)")
-		histDir    = flag.String("history", "", "append a run record (telemetry, convergence, runner timings, per-stage self times) to this run-history store")
+		histDir    = flag.String("history", "", "append the run document (telemetry, convergence, runner timings, per-stage self times, artifact SHA-256s) to this run-history store")
 	)
 	flag.Parse()
 	fail := func(code int, format string, args ...any) {
@@ -115,17 +120,19 @@ func main() {
 	}
 
 	if *verifyMani != "" {
-		man, err := provenance.Load(*verifyMani)
+		rec, err := history.ReadRecord(*verifyMani)
 		if err != nil {
 			fail(1, "%v", err)
 		}
-		if errs := man.VerifyArtifacts(); len(errs) > 0 {
+		checked, errs := rec.VerifyArtifacts()
+		if len(errs) > 0 {
 			for _, e := range errs {
 				fmt.Fprintf(os.Stderr, "accordion: verify-manifest: %v\n", e)
 			}
-			fail(1, "%d of %d artifacts failed verification", len(errs), len(man.Artifacts))
+			fail(1, "%d of %d artifact files failed verification", len(errs), checked)
 		}
-		fmt.Printf("manifest %s: %d artifacts verified\n", *verifyMani, len(man.Artifacts))
+		fmt.Printf("manifest %s: %d artifact files verified, %d in-memory artifacts not checkable\n",
+			*verifyMani, checked, len(rec.Artifacts)-checked)
 		return
 	}
 
@@ -146,10 +153,10 @@ func main() {
 	if err != nil {
 		fail(2, "%v", err)
 	}
-	// The manifest and the history record report cache hit rates and
-	// runner times, a trace is made of stage calls, and convergence
-	// statistics are telemetry series, all of which telemetry records,
-	// so recording must be on even without a -telemetry dump.
+	// The run document reports cache hit rates and runner times, a
+	// trace is made of stage calls, and convergence statistics are
+	// telemetry series, all of which telemetry records, so recording
+	// must be on even without a -telemetry dump.
 	monitor := *convPath != "" || *progress || *histDir != ""
 	if *pprofAddr != "" || *maniPath != "" || *tracePath != "" || monitor {
 		telemetry.SetEnabled(true)
@@ -167,12 +174,6 @@ func main() {
 		}()
 	}
 
-	var man *provenance.Manifest
-	if *maniPath != "" {
-		man = provenance.New("accordion")
-		man.SetFlags(flag.CommandLine)
-	}
-
 	cfg := experiments.Config{Seed: *seed, ChipSeed: *chip, Chips: *chips}
 
 	args := flag.Args()
@@ -188,7 +189,7 @@ func main() {
 
 	ctx := context.Background()
 	if *tracePath != "" || *histDir != "" {
-		// The history record's per-stage self times are read from the
+		// A -history record's per-stage self times are read from the
 		// trace.
 		ctx = telemetry.TraceContext(ctx)
 	}
@@ -198,6 +199,11 @@ func main() {
 	run := stRun.Begin(ctx).Int("experiments", int64(len(args)))
 	ctx = run.Context(ctx)
 
+	// rec is the run document: -manifest writes it and -history appends
+	// it. Its parallelism is the pool width, so -j sets its compat key.
+	rec := history.NewRecord("accordion", "run")
+	rec.GOMAXPROCS = parallel.Workers()
+	rec.SetFlags(flag.CommandLine)
 	start := time.Now()
 	stopProgress := func() {}
 	if *progress {
@@ -223,29 +229,32 @@ func main() {
 		}
 	}
 
-	// finishObservability ends the run stage and writes every enabled
-	// observability artifact and the -telemetry report; called on the
-	// error path too, so a failed run still leaves its trace,
-	// convergence report and manifest (with the error recorded) behind.
+	// addFile records a file the run wrote in the run document.
+	addFile := func(name, path string) {
+		if err := rec.AddArtifactFile(name, path); err != nil {
+			fmt.Fprintf(os.Stderr, "accordion: %v\n", err)
+		}
+	}
+	// finishObservability ends the run stage, writes every enabled
+	// observability artifact and the -telemetry report, and fills and
+	// writes the run document; called on the error path too, so a
+	// failed run still leaves its trace, convergence report and
+	// manifest (with the error as its note) behind.
 	finishObservability := func(results []experiments.RunResult) {
 		stopProgress()
 		run.End()
 		if *tracePath != "" {
 			if err := writeTrace(*tracePath); err != nil {
 				fmt.Fprintf(os.Stderr, "accordion: trace: %v\n", err)
-			} else if man != nil {
-				if err := man.AddArtifactFile("trace.json", *tracePath); err != nil {
-					fmt.Fprintf(os.Stderr, "accordion: manifest: %v\n", err)
-				}
+			} else {
+				addFile("trace.json", *tracePath)
 			}
 		}
 		if *convPath != "" {
 			if err := writeConvergence(*convPath); err != nil {
 				fmt.Fprintf(os.Stderr, "accordion: convergence: %v\n", err)
-			} else if man != nil {
-				if err := man.AddArtifactFile("convergence.json", *convPath); err != nil {
-					fmt.Fprintf(os.Stderr, "accordion: manifest: %v\n", err)
-				}
+			} else {
+				addFile("convergence.json", *convPath)
 			}
 		}
 		// The atlas export runs before the event dump so its atlas.built
@@ -254,30 +263,19 @@ func main() {
 			paths, err := writeAtlas(ctx, obs.Atlas, cfg)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "accordion: atlas: %v\n", err)
-			} else if man != nil {
-				for _, p := range paths {
-					if err := man.AddArtifactFile(filepath.Base(p), p); err != nil {
-						fmt.Fprintf(os.Stderr, "accordion: manifest: %v\n", err)
-					}
-				}
+			}
+			for _, p := range paths {
+				addFile(filepath.Base(p), p)
 			}
 		}
 		if err := finishObs(os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "accordion: %v\n", err)
-		} else if man != nil && obs.Events != "" {
-			if err := man.AddArtifactFile("events.ndjson", obs.Events); err != nil {
-				fmt.Fprintf(os.Stderr, "accordion: manifest: %v\n", err)
-			}
+		} else if obs.Events != "" {
+			addFile("events.ndjson", obs.Events)
 		}
-		if man != nil {
-			for _, r := range results {
-				man.AddRunner(r.ID, r.Elapsed, r.Err)
-			}
-			for _, c := range telemetry.Caches(telemetry.Capture().Counters) {
-				man.AddCache(c.Name, c.Hits, c.Misses)
-			}
-			man.Finish()
-			if err := man.WriteFile(*maniPath); err != nil {
+		harvest(&rec, results, time.Since(start))
+		if *maniPath != "" {
+			if err := rec.WriteFile(*maniPath); err != nil {
 				fmt.Fprintf(os.Stderr, "accordion: manifest: %v\n", err)
 			}
 		}
@@ -293,69 +291,43 @@ func main() {
 		finishObservability(results)
 		fail(1, "%v", err)
 	}
-	render := func(w io.Writer, tables []*experiments.Table) error {
-		for _, t := range tables {
-			var err error
-			switch *format {
-			case "text":
-				err = t.Render(w)
-			case "csv":
-				err = t.RenderCSV(w)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	ext := "txt"
 	if *format == "csv" {
 		ext = "csv"
 	}
 	for _, r := range results {
-		out := io.Writer(os.Stdout)
-		var buf *bytes.Buffer
-		if man != nil {
-			// Render through a buffer so the manifest can hash exactly
-			// the bytes stdout received; the stream itself is unchanged.
-			buf = &bytes.Buffer{}
-			out = buf
-		}
-		if err := render(out, r.Tables); err != nil {
-			fail(2, "%v", err)
-		}
-		if buf != nil {
-			if _, err := os.Stdout.Write(buf.Bytes()); err != nil {
-				fail(1, "%v", err)
+		// Render through a buffer so the run document hashes exactly
+		// the bytes stdout received.
+		var buf bytes.Buffer
+		for _, t := range r.Tables {
+			render := t.Render
+			if *format == "csv" {
+				render = t.RenderCSV
 			}
-			man.AddArtifactBytes("stdout:"+r.ID, buf.Bytes())
+			if err := render(&buf); err != nil {
+				fail(2, "%v", err)
+			}
 		}
+		if _, err := os.Stdout.Write(buf.Bytes()); err != nil {
+			fail(1, "%v", err)
+		}
+		rec.AddArtifactBytes("stdout:"+r.ID, buf.Bytes())
 		if *outDir != "" {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
 				fail(1, "%v", err)
 			}
 			path := filepath.Join(*outDir, r.ID+"."+ext)
-			f, err := os.Create(path)
-			if err != nil {
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 				fail(1, "%v", err)
 			}
-			if err := render(f, r.Tables); err != nil {
+			if err := rec.AddArtifactFile(r.ID+"."+ext, path); err != nil {
 				fail(1, "%v", err)
-			}
-			if err := f.Close(); err != nil {
-				fail(1, "%v", err)
-			}
-			if man != nil {
-				if err := man.AddArtifactFile(r.ID+"."+ext, path); err != nil {
-					fail(1, "%v", err)
-				}
 			}
 		}
 	}
 	finishObservability(results)
 
 	if *histDir != "" {
-		rec := buildHistoryRecord(results, time.Since(start))
 		st := history.Store{Dir: *histDir}
 		if err := st.Append(rec); err != nil {
 			fail(1, "%v", err)
@@ -365,15 +337,17 @@ func main() {
 	}
 }
 
-// buildHistoryRecord harvests the finished run into a history record:
-// run identity from the build info, per-runner wall times, the full
+// harvest fills the run document once the run is over: its wall time,
+// the first runner error as its note, per-runner wall times, the full
 // telemetry snapshot (cache hit rates and convergence series
 // included), and each traced stage's self time. A trace that dropped
 // events would understate some layers, so its self times are left
 // out.
-func buildHistoryRecord(results []experiments.RunResult, wall time.Duration) history.Record {
-	rec := history.NewRecord("accordion", "run")
+func harvest(rec *history.Record, results []experiments.RunResult, wall time.Duration) {
 	rec.WallMs = wall.Milliseconds()
+	if err := experiments.FirstErr(results); err != nil {
+		rec.Note = err.Error()
+	}
 	for _, r := range results {
 		if r.Err == nil {
 			rec.Set("runner."+r.ID+".wall_ms", float64(r.Elapsed.Milliseconds()))
@@ -385,7 +359,6 @@ func buildHistoryRecord(results []experiments.RunResult, wall time.Duration) his
 			rec.Set("layer."+name+".self_ns", float64(d.Nanoseconds()))
 		}
 	}
-	return rec
 }
 
 // writeTrace exports every recorded trace event as Chrome trace-event
@@ -408,7 +381,7 @@ func writeTrace(path string) error {
 // writeAtlas runs the fault-attribution pass on the representative
 // chip and writes the spatial export set (atlas.json, atlas.csv, the
 // SVG heatmaps) plus the per-core distortion ledger into dir. It
-// returns every path written so the manifest can hash them.
+// returns every path written so the run document can hash them.
 func writeAtlas(ctx context.Context, dir string, cfg experiments.Config) ([]string, error) {
 	res, err := experiments.RunAttribution(ctx, cfg)
 	if err != nil {

@@ -8,8 +8,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/history"
 )
 
 // bin is the accordion binary TestMain builds once for every test.
@@ -54,12 +57,24 @@ func accordion(t *testing.T, dir string, args ...string) (stdout, stderr []byte,
 
 // TestExitCodes pins the statuses the flag checks promise: 2 for a
 // usage mistake, with one "accordion: ..." line on stderr, and 1 for a
-// run that fails writing its output.
+// run that fails writing its output or a -verify-manifest file that is
+// not a run document: a bare tool, or a manifest in the format that
+// predates the run document.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	existing := filepath.Join(dir, "file")
-	if err := os.WriteFile(existing, nil, 0o644); err != nil {
-		t.Fatal(err)
+	bare := filepath.Join(dir, "bare.json")
+	oldManifest := filepath.Join(dir, "old.json")
+	for path, body := range map[string]string{
+		existing: "",
+		bare:     `{"tool":"x"}`,
+		oldManifest: `{"tool":"accordion","args":["fig1a"],"flags":{"j":"0"},"go_version":"go1.24.0",` +
+			`"start":"2026-01-01T00:00:00Z","end":"2026-01-01T00:00:01Z","wall_ms":1000,` +
+			`"artifacts":[{"name":"stdout:fig1a","sha256":"476f","bytes":10}]}`,
+	} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, tc := range []struct {
 		args []string
@@ -76,6 +91,9 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-selfprofile", "table2"}, 2},
 		{[]string{"-history-margin", "0.5", "table2"}, 2},
 		{[]string{"-out", existing, "table2"}, 1},
+		{[]string{"-verify-manifest", bare}, 1},
+		{[]string{"-verify-manifest", oldManifest}, 1},
+		{[]string{"-verify-manifest", filepath.Join(dir, "none.json")}, 1},
 	} {
 		stdout, stderr, code := accordion(t, dir, tc.args...)
 		if code != tc.want {
@@ -93,7 +111,9 @@ func TestExitCodes(t *testing.T) {
 // one tree under the run stage with worker lanes and chip draws under
 // fig5a; -telemetry alone records domain events, since the event log
 // follows the one switch; the history record carries each stage's self
-// time; and the manifest verifies.
+// time and the hash of each stdout block, and equals the -manifest
+// document of the same run; and the manifest verifies, saying that its
+// three stdout hashes had no file to check.
 func TestObservabilityKeepsStdout(t *testing.T) {
 	dir := t.TempDir()
 	ids := []string{"fig1a", "fig5a", "table2"}
@@ -116,7 +136,7 @@ func TestObservabilityKeepsStdout(t *testing.T) {
 		{"-manifest", "manifest.json"},
 		{"-events", "events.ndjson"},
 		{"-convergence", "convergence.json"},
-		{"-history", "hist"},
+		{"-history", "hist", "-manifest", "doc.json"},
 	} {
 		got, stderr := run(flags...)
 		if !bytes.Equal(got, plain) {
@@ -128,7 +148,7 @@ func TestObservabilityKeepsStdout(t *testing.T) {
 	}
 
 	checkTrace(t, filepath.Join(dir, "trace.json"), ids)
-	checkLayers(t, filepath.Join(dir, "hist", "records.ndjson"), ids)
+	checkRecord(t, filepath.Join(dir, "hist", "records.ndjson"), filepath.Join(dir, "doc.json"), ids)
 
 	var doc struct {
 		Counters []struct {
@@ -149,24 +169,77 @@ func TestObservabilityKeepsStdout(t *testing.T) {
 		t.Errorf("-telemetry json reports events.emitted = %d, want > 0", emitted)
 	}
 
-	if _, stderr, code := accordion(t, dir, "-verify-manifest", "manifest.json"); code != 0 {
+	stdout, stderr, code := accordion(t, dir, "-verify-manifest", "manifest.json")
+	if code != 0 {
 		t.Errorf("-verify-manifest exited %d:\n%s", code, stderr)
+	}
+	if want := "0 artifact files verified, 3 in-memory artifacts not checkable"; !bytes.Contains(stdout, []byte(want)) {
+		t.Errorf("-verify-manifest printed %q, want it to say %q", stdout, want)
 	}
 }
 
-// checkLayers reads the one history record and checks that it carries
-// the self time of the run stage and of each runner.
-func checkLayers(t *testing.T, path string, ids []string) {
+// TestHistoryKeyFollowsJ: the record's parallelism is the worker-pool
+// width, so on a two-thread process -j 1 appends under
+// accordion/run/j1 and the default -j under accordion/run/j2.
+func TestHistoryKeyFollowsJ(t *testing.T) {
+	t.Setenv("GOMAXPROCS", "2")
+	dir := t.TempDir()
+	for i, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-j", "1"}, "accordion/run/j1"},
+		{nil, "accordion/run/j2"},
+	} {
+		hist := filepath.Join(dir, fmt.Sprint("h", i))
+		args := append(append([]string{"-history", hist}, tc.flags...), "fig1a")
+		if _, stderr, code := accordion(t, dir, args...); code != 0 {
+			t.Fatalf("accordion %q exited %d:\n%s", args, code, stderr)
+		}
+		recs, err := history.Store{Dir: hist}.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 {
+			t.Fatalf("accordion %q appended %d records, want 1", args, len(recs))
+		}
+		if got := recs[0].CompatKey(); got != tc.want {
+			t.Errorf("accordion %q appended a record keyed %q, want %q", args, got, tc.want)
+		}
+	}
+}
+
+// checkRecord reads the one history record and checks that it carries
+// the flag map, the self time of the run stage and of each runner, and
+// a stdout:<id> hash per runner equal to that id's line in the
+// experiments' digests.txt; and that the -manifest document written by
+// the same run decodes to the same value.
+func checkRecord(t *testing.T, path, manifest string, ids []string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec struct {
-		Metrics map[string]float64 `json:"metrics"`
+	doc, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, &rec); err != nil {
+	var line, indented any
+	if err := json.Unmarshal(data, &line); err != nil {
 		t.Fatalf("history record is not one JSON line: %v", err)
+	}
+	if err := json.Unmarshal(doc, &indented); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(line, indented) {
+		t.Errorf("-history record and -manifest document of one run differ:\n%s\n%s", data, doc)
+	}
+	var rec history.Record
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Flags["history"] != "hist" {
+		t.Errorf("record's flags = %v, want the resolved flag map", rec.Flags)
 	}
 	want := []string{"layer.run.self_ns"}
 	for _, id := range ids {
@@ -175,6 +248,28 @@ func checkLayers(t *testing.T, path string, ids []string) {
 	for _, name := range want {
 		if v, ok := rec.Metrics[name]; !ok || v < 0 {
 			t.Errorf("record's %s = %v, %v; want a non-negative self time", name, v, ok)
+		}
+	}
+
+	digests, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", "digests.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, l := range strings.Split(strings.TrimSpace(string(digests)), "\n") {
+		if id, sum, ok := strings.Cut(l, " "); ok {
+			golden[id] = sum
+		}
+	}
+	hashed := map[string]string{}
+	for _, a := range rec.Artifacts {
+		if id, ok := strings.CutPrefix(a.Name, "stdout:"); ok {
+			hashed[id] = a.SHA256
+		}
+	}
+	for _, id := range ids {
+		if hashed[id] == "" || hashed[id] != golden[id] {
+			t.Errorf("record's stdout:%s sha256 = %q, digests.txt has %q", id, hashed[id], golden[id])
 		}
 	}
 }

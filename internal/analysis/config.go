@@ -108,7 +108,6 @@ func DefaultConfig(startDir string) (*Config, error) {
 		AllowedDeps: map[string][]string{
 			"mathx":         {},
 			"telemetry":     {"mathx"},
-			"provenance":    {},
 			"parallel":      {"telemetry"},
 			"tech":          {"mathx"},
 			"variation":     {"mathx", "parallel", "telemetry"},
@@ -134,7 +133,7 @@ func DefaultConfig(startDir string) (*Config, error) {
 			"experiments": {"baseline", "chip", "core", "fault", "mathx", "parallel", "power",
 				"rms", "rms/bodytrack", "rms/btcmine", "rms/canneal", "rms/ferret",
 				"rms/hotspot", "rms/srad", "rms/xh264", "sim", "tech", "telemetry", "variation"},
-			"service": {"experiments", "provenance", "telemetry"},
+			"service": {"experiments", "history", "telemetry"},
 			"history": {"mathx", "telemetry"},
 		},
 		// Substrate purity: the numeric substrate and the device models

@@ -12,7 +12,7 @@ import (
 
 // RunResult is one experiment's outcome under RunMany: the tables it
 // produced, or the error that stopped it, plus the runner's wall time
-// (for the provenance manifest's per-runner accounting).
+// (a run document's runner.<id>.wall_ms).
 type RunResult struct {
 	ID     string
 	Tables []*Table

@@ -1,6 +1,6 @@
-// Package history is the cross-run observability tier: an append-only
-// NDJSON store of run records, a noise-aware regression gate, and a
-// trend report renderer.
+// Package history is the cross-run observability tier: the run
+// document, an append-only NDJSON store of those documents, a
+// noise-aware regression gate, and a trend report renderer.
 //
 // Every other observability surface in this repository — telemetry
 // counters, histograms and convergence series, benchmark results —
@@ -9,7 +9,16 @@
 // of them a run produced, stamped with enough identity
 // (tool, kind, VCS revision, dirty flag, GOMAXPROCS) to know which
 // records are comparable, and appended as one NDJSON line to a store
-// directory. On top of the store sit:
+// directory.
+//
+// A Record is also the run's one document of what it produced
+// (document.go): the resolved flag map and a SHA-256 of every artifact
+// the run wrote, each stdout block included. `accordion -manifest FILE`
+// writes the same value as indented JSON that `-history DIR` appends,
+// `accordion -verify-manifest FILE` re-hashes its files, and
+// accordiond's /jobs/<id> status carries one per job. So a record says
+// which bytes a run produced, not only what it cost. On top of the
+// store sit:
 //
 //   - Check: the regression gate. The newest record is compared
 //     against a baseline window of earlier records sharing its
@@ -51,23 +60,32 @@ import (
 // accept only this version; bumping it is a reviewable event.
 const Schema = 1
 
-// Record is one run's harvested observation set. Metrics is flat on
-// purpose: the gate and the report treat every value as an
+// Record is one run's document: its harvested observation set, and
+// the flags and artifacts that say what it produced. Metrics is flat
+// on purpose: the gate and the report treat every value as an
 // independently trended time series keyed by its dotted name
-// (harvest.go documents the namespace).
+// (harvest.go documents the namespace). Flags and Artifacts are
+// omitted when empty, so schema 1 covers records with and without
+// them.
 type Record struct {
-	Schema      int                `json:"schema"`
-	Tool        string             `json:"tool"` // accordion | benchmark
-	Kind        string             `json:"kind"` // run | bench
-	StartUnixNs int64              `json:"start_unix_ns,omitempty"`
-	WallMs      int64              `json:"wall_ms,omitempty"`
-	GoVersion   string             `json:"go_version,omitempty"`
+	Schema      int    `json:"schema"`
+	Tool        string `json:"tool"` // accordion | accordiond | benchmark
+	Kind        string `json:"kind"` // run | bench
+	StartUnixNs int64  `json:"start_unix_ns,omitempty"`
+	WallMs      int64  `json:"wall_ms,omitempty"`
+	GoVersion   string `json:"go_version,omitempty"`
+	// GOMAXPROCS is the run's parallelism, the last part of its compat
+	// key: the process's GOMAXPROCS, except in accordion's document,
+	// which stamps its worker-pool width (-j), and in a benchmark
+	// record, which takes the result's own.
 	GOMAXPROCS  int                `json:"gomaxprocs,omitempty"`
 	VCSRevision string             `json:"vcs_revision,omitempty"`
 	VCSDirty    bool               `json:"vcs_dirty,omitempty"`
 	Args        []string           `json:"args,omitempty"`
+	Flags       map[string]string  `json:"flags,omitempty"`
 	Note        string             `json:"note,omitempty"`
 	Metrics     map[string]float64 `json:"metrics"`
+	Artifacts   []Artifact         `json:"artifacts,omitempty"`
 }
 
 // NewRecord starts a record for the named tool and kind, stamped with

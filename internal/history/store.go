@@ -77,11 +77,8 @@ func (s Store) Load() ([]Record, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			return nil, fmt.Errorf("history: %s:%d: %w", s.Path(), lineNo, err)
-		}
-		if err := r.Validate(); err != nil {
+		r, err := decode(line)
+		if err != nil {
 			return nil, fmt.Errorf("history: %s:%d: %w", s.Path(), lineNo, err)
 		}
 		recs = append(recs, r)

@@ -70,7 +70,7 @@ func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 // DoCtx is Do with per-scope telemetry attribution: when ctx carries a
 // telemetry.Scope (the accordiond server installs one per job), the
 // cache's hit/miss counters are additionally tallied into that scope,
-// so a job's provenance manifest can report the cache traffic that job
+// so a job's run document can report the cache traffic that job
 // itself generated rather than the process-wide totals. The context is
 // used only for attribution — cancellation still belongs to fn.
 func (c *Cache[K, V]) DoCtx(ctx context.Context, key K, fn func() (V, error)) (V, error) {

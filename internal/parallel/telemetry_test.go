@@ -148,8 +148,9 @@ func TestCacheUnnamedNoTelemetry(t *testing.T) {
 }
 
 // TestCacheDoCtxScopeAttribution: DoCtx tallies hits/misses into the
-// telemetry scope the context carries, so per-job manifests can report
-// a job's own cache traffic. A ctx without a scope behaves like Do.
+// telemetry scope the context carries, so per-job run documents can
+// report a job's own cache traffic. A ctx without a scope behaves like
+// Do.
 func TestCacheDoCtxScopeAttribution(t *testing.T) {
 	defer telemetry.SetEnabled(true)()
 	telemetry.Reset()

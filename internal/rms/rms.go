@@ -193,8 +193,8 @@ func Reference(b Benchmark, seed int64) (Result, error) {
 
 // ReferenceCtx is Reference under ctx's telemetry: the memo cache's
 // hit/miss counters tally into the telemetry scope ctx carries (if
-// any), so a service job's manifest reports the baseline runs that job
-// itself triggered, and the run that fills the memo is an
+// any), so a service job's run document reports the baseline runs
+// that job itself triggered, and the run that fills the memo is an
 // rms.<name>.run stage under ctx's stage call. The context carries
 // attribution only, never cancellation of the baseline run.
 func ReferenceCtx(ctx context.Context, b Benchmark, seed int64) (Result, error) {

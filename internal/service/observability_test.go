@@ -53,10 +53,10 @@ func TestRetryAfterDerivedHTTP(t *testing.T) {
 }
 
 // TestScopedManifestSum is the acceptance pin for per-job attribution:
-// two concurrent jobs with different chip seeds produce manifests
-// whose per-job cache hit+miss counts sum exactly to the global delta
-// for the fully ctx-threaded caches. Run with -race: the scopes are
-// written from concurrent workers.
+// two concurrent jobs with different chip seeds produce run documents
+// whose per-job counter.cache.* hit+miss counts sum exactly to the
+// global delta for the fully ctx-threaded caches. Run with -race: the
+// scopes are written from concurrent workers.
 func TestScopedManifestSum(t *testing.T) {
 	defer telemetry.SetEnabled(true)()
 	experiments.ResetCaches()
@@ -95,15 +95,12 @@ func TestScopedManifestSum(t *testing.T) {
 			if st.State != StateDone {
 				t.Fatalf("job %s state = %s (%s), want done", j.ID(), st.State, st.Error)
 			}
-			for _, c := range st.Manifest.Caches {
-				if c.Name == name {
-					jobSum += c.Hits + c.Misses
-				}
-			}
+			m := st.Manifest.Metrics
+			jobSum += int64(m["counter.cache."+name+".hits"] + m["counter.cache."+name+".misses"])
 		}
 		global := counterDelta("cache."+name+".hits") + counterDelta("cache."+name+".misses")
 		if jobSum != global {
-			t.Errorf("%s: per-job manifests sum to %d, global delta is %d", name, jobSum, global)
+			t.Errorf("%s: per-job documents sum to %d, global delta is %d", name, jobSum, global)
 		}
 	}
 	// The chip cache specifically: distinct seeds → one miss each, and
@@ -118,8 +115,8 @@ func TestScopedManifestSum(t *testing.T) {
 }
 
 // TestScopedManifestAfterReset pins the edge satellite: a cache reset
-// racing a job must not corrupt that job's own attribution — the
-// manifest still reports exactly the hits+misses the job's scope saw.
+// racing a job must not corrupt that job's own attribution — the run
+// document still reports exactly the hits+misses the job's scope saw.
 func TestScopedManifestAfterReset(t *testing.T) {
 	defer telemetry.SetEnabled(true)()
 	experiments.ResetCaches()
@@ -130,7 +127,7 @@ func TestScopedManifestAfterReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ResetCaches blocks until the in-flight run finishes (the cache
-	// gate), so this exercises reset-vs-manifest ordering, then the
+	// gate), so this exercises reset-vs-document ordering, then the
 	// next identical job re-misses with a fresh scope.
 	<-j.Done()
 	experiments.ResetCaches()
@@ -143,15 +140,8 @@ func TestScopedManifestAfterReset(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("job after reset: state %s (%s)", st.State, st.Error)
 	}
-	var chip *int64
-	for _, c := range st.Manifest.Caches {
-		if c.Name == "experiments.RepresentativeChip" {
-			v := c.Misses
-			chip = &v
-		}
-	}
-	if chip == nil || *chip != 1 {
-		t.Errorf("post-reset job's chip misses = %v, want exactly its own re-miss", chip)
+	if chip, ok := st.Manifest.Metrics["counter.cache.experiments.RepresentativeChip.misses"]; !ok || chip != 1 {
+		t.Errorf("post-reset job's chip misses = %v, %v; want exactly its own re-miss", chip, ok)
 	}
 	telemetry.Reset()
 }

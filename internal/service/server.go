@@ -11,7 +11,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/provenance"
+	"repro/internal/history"
 	"repro/internal/telemetry"
 )
 
@@ -33,9 +33,9 @@ type Config struct {
 	// default of 64; negative retains nothing, so every identical
 	// request re-executes.
 	Retain int
-	// Now supplies timestamps for job status, latency telemetry, and
-	// provenance manifests. Response bodies never depend on it. The
-	// default is the wall clock; tests inject fakes.
+	// Now supplies timestamps for job status and latency telemetry.
+	// Response bodies never depend on it. The default is the wall
+	// clock; tests inject fakes.
 	Now func() time.Time
 }
 
@@ -65,11 +65,11 @@ type Job struct {
 	finished time.Time
 	resp     []byte
 	err      error
-	manifest *provenance.Manifest
+	manifest *history.Record
 	// scope attributes telemetry recorded while this job executes —
 	// most importantly the memo caches' hit/miss counters — to this
-	// job, so its manifest reports its own cache traffic rather than
-	// the process-wide totals.
+	// job, so its run document reports its own cache traffic rather
+	// than the process-wide totals.
 	scope *telemetry.Scope
 }
 
@@ -129,8 +129,8 @@ func New(cfg Config) *Server {
 		cfg.Retain = -1
 	}
 	if cfg.Now == nil {
-		// The wall clock feeds status, telemetry and manifests only;
-		// response bytes are a pure function of the request.
+		// The wall clock feeds status and telemetry only; response
+		// bytes are a pure function of the request.
 		cfg.Now = time.Now
 	}
 	return &Server{
@@ -211,11 +211,11 @@ func (s *Server) Worker(ctx context.Context) {
 	}
 }
 
-// run executes one job and records its outcome, latency, and
-// provenance manifest. The job's telemetry scope rides the context so
-// the memo caches attribute their hits and misses to this job; the
-// manifest then reports the job's own cache traffic, not the
-// process-wide totals.
+// run executes one job and records its outcome, latency, and run
+// document. The job's telemetry scope rides the context so the memo
+// caches attribute their hits and misses to this job; the document
+// then reports the job's own cache traffic, not the process-wide
+// totals.
 func (s *Server) run(ctx context.Context, j *Job) {
 	s.mu.Lock()
 	if j.state != StateQueued {
@@ -230,32 +230,35 @@ func (s *Server) run(ctx context.Context, j *Job) {
 	s.mu.Unlock()
 
 	ctx = telemetry.NewScopeContext(ctx, j.scope)
-	man := provenance.New("accordiond")
 	resp, results, err := Execute(ctx, j.req)
 	var body []byte
 	if err == nil {
 		body, err = resp.Encode()
 	}
+	// The job's run document leaves wall_ms unset, since run_ms is in
+	// the status and this package reads no clock of its own.
+	rec := history.NewRecord("accordiond", "run")
 	for _, r := range results {
-		man.AddRunner(r.ID, r.Elapsed, r.Err)
-	}
-	if err == nil {
-		man.AddArtifactBytes("response:"+j.id, body)
+		if r.Err == nil {
+			rec.Set("runner."+r.ID+".wall_ms", float64(r.Elapsed.Milliseconds()))
+		}
 	}
 	// The job's own cache traffic, from its scope: concurrent jobs'
-	// manifests each report what their own execution incurred, and the
+	// documents each report what their own execution incurred, and the
 	// per-job counts sum to the global delta.
-	for _, c := range telemetry.Caches(j.scope.Counters()) {
-		man.AddCache(c.Name, c.Hits, c.Misses)
+	rec.AddTelemetry(telemetry.Snapshot{Counters: j.scope.Counters()})
+	if err == nil {
+		rec.AddArtifactBytes("response:"+j.id, body)
+	} else {
+		rec.Note = err.Error()
 	}
-	man.Finish()
-	s.finish(j, body, err, man)
+	s.finish(j, body, err, &rec)
 }
 
 // finish moves a job to its terminal state exactly once; late arrivals
 // (a worker completing a job a shutdown deadline already failed) are
 // dropped.
-func (s *Server) finish(j *Job, body []byte, err error, man *provenance.Manifest) {
+func (s *Server) finish(j *Job, body []byte, err error, rec *history.Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j.state == StateDone || j.state == StateFailed {
@@ -264,7 +267,7 @@ func (s *Server) finish(j *Job, body []byte, err error, man *provenance.Manifest
 	j.finished = s.cfg.Now()
 	j.resp = body
 	j.err = err
-	j.manifest = man
+	j.manifest = rec
 	if err != nil {
 		j.state = StateFailed
 	} else {
@@ -374,7 +377,7 @@ func (s *Server) failPending(err error) {
 //
 //	POST /run             submit and wait; the body is the Response
 //	POST /jobs            submit without waiting; the body is a status
-//	GET  /jobs/{id}       job status (timings, manifest when done)
+//	GET  /jobs/{id}       job status (timings, run document when done)
 //	GET  /jobs/{id}/result the completed job's response bytes
 //	GET  /healthz         liveness + drain state
 //
@@ -463,16 +466,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.logRequest(r, j, coalesced, status, n)
 }
 
-// JobStatus is the /jobs/{id} document.
+// JobStatus is the /jobs/{id} document. Manifest is the job's run
+// document, the type `accordion -manifest` writes.
 type JobStatus struct {
-	Schema   int                  `json:"schema"`
-	JobID    string               `json:"job_id"`
-	Kind     string               `json:"kind"`
-	State    string               `json:"state"`
-	QueuedMs int64                `json:"queued_ms"`
-	RunMs    int64                `json:"run_ms,omitempty"`
-	Error    string               `json:"error,omitempty"`
-	Manifest *provenance.Manifest `json:"manifest,omitempty"`
+	Schema   int             `json:"schema"`
+	JobID    string          `json:"job_id"`
+	Kind     string          `json:"kind"`
+	State    string          `json:"state"`
+	QueuedMs int64           `json:"queued_ms"`
+	RunMs    int64           `json:"run_ms,omitempty"`
+	Error    string          `json:"error,omitempty"`
+	Manifest *history.Record `json:"manifest,omitempty"`
 }
 
 // statusOf snapshots a job under the lock.

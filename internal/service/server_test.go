@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -138,8 +140,9 @@ func TestRunDeterministicBytes(t *testing.T) {
 }
 
 // TestJobStatusAndManifest follows the async path end to end: submit,
-// wait, read status (with the provenance manifest) and the result
-// bytes, and check they match the synchronous answer.
+// wait, read status (with the run document) and the result bytes, and
+// check they match the synchronous answer and the document's hash of
+// them.
 func TestJobStatusAndManifest(t *testing.T) {
 	_, ts := startServer(t, Config{QueueDepth: 4, Workers: 1})
 
@@ -164,7 +167,7 @@ func TestJobStatusAndManifest(t *testing.T) {
 		t.Errorf("status = %+v, want done/%s/%s", st, id, KindExperiments)
 	}
 	if st.Manifest == nil {
-		t.Error("completed job status carries no provenance manifest")
+		t.Fatal("completed job status carries no run document")
 	}
 
 	resp, resultBody := getJSON(t, ts.URL+"/jobs/"+id+"/result")
@@ -173,6 +176,16 @@ func TestJobStatusAndManifest(t *testing.T) {
 	}
 	if !bytes.Equal(resultBody, body) {
 		t.Errorf("/jobs/%s/result differs from the /run body", id)
+	}
+	sum := sha256.Sum256(resultBody)
+	var hashed bool
+	for _, a := range st.Manifest.Artifacts {
+		if a.Name == "response:"+id {
+			hashed = a.SHA256 == hex.EncodeToString(sum[:]) && a.Bytes == int64(len(resultBody))
+		}
+	}
+	if !hashed {
+		t.Errorf("run document's response:%s artifact does not hash the result bytes: %+v", id, st.Manifest.Artifacts)
 	}
 
 	resp, _ = getJSON(t, ts.URL+"/jobs/nope")

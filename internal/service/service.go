@@ -9,8 +9,8 @@
 //
 // The package is a simulation package under accordionvet's
 // determinism analyzer: it never reads the wall clock (the server's
-// clock is injected via Config.Now and feeds only job status, latency
-// telemetry, and provenance manifests — never response bytes), never
+// clock is injected via Config.Now and feeds only job status and
+// latency telemetry — never response bytes), never
 // draws from global math/rand, and never spawns goroutines. Worker
 // loops are plain blocking methods the daemon runs on goroutines it
 // owns, so the scheduling nondeterminism lives in cmd/accordiond, not
@@ -235,8 +235,8 @@ type Attribution struct {
 // normalized request (so a response is self-describing) and carries
 // either the rendered experiment tables or the attribution ledger.
 // Nothing time- or load-dependent is allowed in here — timings, cache
-// statistics, and provenance live in the job status, never in the
-// response body.
+// statistics, and the run document live in the job status, never in
+// the response body.
 type Response struct {
 	Schema      int          `json:"schema"`
 	JobID       string       `json:"job_id"`
@@ -258,7 +258,7 @@ func (r *Response) Encode() ([]byte, error) {
 
 // Execute runs a normalized request to completion on the calling
 // goroutine and returns the response plus the per-runner results (for
-// provenance accounting; nil for attribution requests). The response
+// the job's run document; nil for attribution requests). The response
 // depends only on the request: experiments run through the same
 // deterministic drivers the CLI uses, in the order the ids were given.
 func Execute(ctx context.Context, req Request) (*Response, []experiments.RunResult, error) {
