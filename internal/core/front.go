@@ -63,17 +63,16 @@ func MeasureFronts(b rms.Benchmark, seed int64) (*QualityModel, error) {
 // cell a core.front.cell stage under the pool worker that ran it. The
 // kernel runs and quality scores are rms.<name>.run and
 // quality.<name>.score stages inside the reference and the cells.
+//
+// The reference is task 0 of the cells' pool, so the cells run beside
+// it. A cell takes its run from the rms run memo and scores it as soon
+// as the reference is ready; a cell that finishes first is scored after
+// the pool, under the core.front stage.
 func MeasureFrontsCtx(ctx context.Context, b rms.Benchmark, seed int64) (*QualityModel, error) {
 	st := stFront.Begin(ctx).Str("bench", b.Name())
 	defer st.End()
 	ctx = st.Context(ctx)
 
-	rst := stFrontRef.Begin(ctx)
-	ref, err := rms.ReferenceCtx(rst.Context(ctx), b, seed)
-	rst.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: reference run: %w", err)
-	}
 	scenarios := []struct {
 		name string
 		plan fault.Plan
@@ -83,28 +82,47 @@ func MeasureFrontsCtx(ctx context.Context, b rms.Benchmark, seed int64) (*Qualit
 		{"drop-1/2", fault.DropHalf()},
 	}
 	sweep := b.Sweep()
-	qualities, err := parallel.Map(ctx, len(scenarios)*len(sweep), func(wctx context.Context, i int) (float64, error) {
-		sc, in := scenarios[i/len(sweep)], sweep[i%len(sweep)]
+	var ref rms.Result // written by task 0, read after the pool
+	runs, err := parallel.Map(ctx, 1+len(scenarios)*len(sweep), func(wctx context.Context, i int) (*rms.Memo, error) {
+		if i == 0 {
+			rst := stFrontRef.Begin(wctx)
+			defer rst.End()
+			var err error
+			if ref, err = rms.ReferenceCtx(rst.Context(wctx), b, seed); err != nil {
+				return nil, fmt.Errorf("core: reference run: %w", err)
+			}
+			return nil, nil
+		}
+		sc, in := scenarios[(i-1)/len(sweep)], sweep[(i-1)%len(sweep)]
 		cell := stCell.Begin(wctx).Str("scenario", sc.name)
 		defer cell.End()
 		wctx = cell.Context(wctx)
-		res, err := rms.Run(wctx, b, in, b.DefaultThreads(), sc.plan, seed)
+		run, err := rms.RunMemo(wctx, b, in, b.DefaultThreads(), sc.plan, seed)
 		if err != nil {
-			return 0, fmt.Errorf("core: %s %s at input %g: %w", b.Name(), sc.name, in, err)
+			return nil, fmt.Errorf("core: %s %s at input %g: %w", b.Name(), sc.name, in, err)
 		}
-		q, err := rms.Quality(wctx, b, res, ref)
-		if err == nil {
-			telemetry.NewEvent("quality.scored").
-				Str("bench", b.Name()).
-				Str("scenario", sc.name).
-				Float("input", in).
-				Float("quality", q).
-				Emit()
+		if r, ok := rms.ReadyReference(b, seed); ok {
+			_, err = run.Score(wctx, b, r)
 		}
-		return q, err
+		return run, err
 	})
 	if err != nil {
 		return nil, err
+	}
+	qualities := make([]float64, len(runs)-1)
+	for c, run := range runs[1:] {
+		// The cell has scored its run if the reference was ready.
+		q, err := run.Score(ctx, b, ref)
+		if err != nil {
+			return nil, err
+		}
+		telemetry.NewEvent("quality.scored").
+			Str("bench", b.Name()).
+			Str("scenario", scenarios[c/len(sweep)].name).
+			Float("input", sweep[c%len(sweep)]).
+			Float("quality", q).
+			Emit()
+		qualities[c] = q
 	}
 	telemetry.NewEvent("front.measured").
 		Str("bench", b.Name()).

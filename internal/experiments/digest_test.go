@@ -23,11 +23,24 @@ func TestExperimentDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	ids := IDs()
-	results, err := RunMany(context.Background(), DefaultConfig(), ids)
+	results, err := RunMany(context.Background(), DefaultConfig(), IDs())
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := digestLines(t, results)
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(digestPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	checkDigests(t, got)
+}
+
+// digestLines renders each result on its own and returns one
+// "<id> <hex>" line per result, in digestPath's format.
+func digestLines(t *testing.T, results []RunResult) []byte {
+	t.Helper()
 	var got bytes.Buffer
 	for _, r := range results {
 		var buf bytes.Buffer
@@ -36,18 +49,19 @@ func TestExperimentDigests(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "%s %x\n", r.ID, sha256.Sum256(buf.Bytes()))
 	}
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(digestPath, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
+	return got.Bytes()
+}
+
+// checkDigests fails t unless got, digestLines of a run of every id at
+// DefaultConfig, equals digestPath.
+func checkDigests(t *testing.T, got []byte) {
+	t.Helper()
 	want, err := os.ReadFile(digestPath)
 	if err != nil {
 		t.Fatalf("missing digest file (run `make golden` to create): %v", err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
+	if !bytes.Equal(got, want) {
 		t.Errorf("experiment output drifted from %s; if intentional, run `make golden` and update EXPERIMENTS.md\n--- got ---\n%s--- want ---\n%s",
-			digestPath, got.String(), want)
+			digestPath, got, want)
 	}
 }

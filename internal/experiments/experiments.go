@@ -102,9 +102,10 @@ func (t *Table) Render(w io.Writer) error {
 // kernels memoizes the constructed benchmark sets. Kernels are
 // stateless after construction (MeasureFronts already shares one
 // instance across concurrent Run calls), but constructing them is not
-// free — canneal's netlist and ferret's database dominate — and the
-// experiment drivers rebuild the set once per experiment. Each call
-// still returns a fresh slice so callers may reorder or truncate it.
+// free — canneal's netlist and ferret's database dominate. Every
+// runner takes its kernels from here, so one instance per kernel
+// serves them all. Each call still returns a fresh slice so callers
+// may reorder or truncate it.
 var kernels = parallel.Cache[string, []rms.Benchmark]{Name: "experiments.Kernels"}
 
 func cachedKernels(set string, build func() ([]rms.Benchmark, error)) ([]rms.Benchmark, error) {
@@ -236,7 +237,7 @@ func holdCaches() (release func()) {
 
 // ResetCaches empties every process-wide memoization layer the
 // experiments depend on (shared chips, quality fronts, reference
-// executions, covariance factorizations). It exists for benchmarks and
+// executions and kernel runs, covariance factorizations). It exists for benchmarks and
 // equivalence tests that must measure or exercise cold-cache runs, and
 // for long-running services that want to shed memory between bursts.
 // The reset is atomic with respect to RunMany/RunAttribution: it

@@ -10,8 +10,6 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/parallel"
 	"repro/internal/power"
-	"repro/internal/rms"
-	"repro/internal/rms/btcmine"
 	"repro/internal/sim"
 )
 
@@ -27,7 +25,10 @@ func Weakscale(ctx context.Context, cfg Config) ([]*Table, error) {
 		return nil, err
 	}
 	pm := power.NewModel(rep)
-	miner := btcmine.New()
+	miner, err := BenchmarkByName("btcmine")
+	if err != nil {
+		return nil, err
+	}
 
 	t, err := paretoTable(ctx, "weakscale", miner, cfg)
 	if err != nil {
@@ -295,49 +296,28 @@ func CorruptionWide(ctx context.Context, cfg Config) ([]*Table, error) {
 		Title:   "quality vs nominal under Drop 1/4 and Flip 1/4, all kernels",
 		Columns: []string{"benchmark", "drop 1/4", "flip 1/4", "stuck-all-0 1/4", "verdict"},
 	}
-	for _, b := range all {
-		ref, err := rms.ReferenceCtx(ctx, b, cfg.Seed)
+	// Per kernel: the nominal run, then Drop, Flip and StuckAll0 at 1/4.
+	plans := []fault.Plan{{}}
+	for _, mode := range []fault.Mode{fault.Drop, fault.Flip, fault.StuckAll0} {
+		plan, err := fault.NewPlan(mode, 1, 4, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		nominal, err := rms.Run(ctx, b, b.DefaultInput(), b.DefaultThreads(), fault.Plan{}, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		qNom, err := rms.Quality(ctx, b, nominal, ref)
-		if err != nil {
-			return nil, err
-		}
-		rel := func(mode fault.Mode) (float64, error) {
-			plan, err := fault.NewPlan(mode, 1, 4, cfg.Seed)
-			if err != nil {
-				return 0, err
+		plans = append(plans, plan)
+	}
+	qs, err := defaultQualities(ctx, all, plans, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	for k, b := range all {
+		q := qs[k*len(plans) : (k+1)*len(plans)]
+		rel := func(j int) float64 {
+			if q[0] == 0 {
+				return 0
 			}
-			res, err := rms.Run(ctx, b, b.DefaultInput(), b.DefaultThreads(), plan, cfg.Seed)
-			if err != nil {
-				return 0, err
-			}
-			q, err := rms.Quality(ctx, b, res, ref)
-			if err != nil {
-				return 0, err
-			}
-			if qNom == 0 {
-				return 0, nil
-			}
-			return q / qNom, nil
+			return q[j] / q[0]
 		}
-		drop, err := rel(fault.Drop)
-		if err != nil {
-			return nil, err
-		}
-		flip, err := rel(fault.Flip)
-		if err != nil {
-			return nil, err
-		}
-		stuck, err := rel(fault.StuckAll0)
-		if err != nil {
-			return nil, err
-		}
+		drop, flip, stuck := rel(1), rel(2), rel(3)
 		verdict := "corruption bounded by Drop"
 		if flip < drop || stuck < drop {
 			verdict = "excessive corruption (paper's bin ii: CC guard territory)"

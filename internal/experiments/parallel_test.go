@@ -1,65 +1,107 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/parallel"
+	"repro/internal/rms"
 )
 
-// renderIDs runs the given experiments through RunMany under a fixed
-// pool width, from cold caches, and renders everything to one buffer.
-// A trimmed population keeps the sweep affordable; determinism does not
-// depend on the sample size.
-func renderIDs(t *testing.T, ids []string, workers int) []byte {
+// runArgs is every argument a kernel run is a pure function of.
+type runArgs struct {
+	name    string
+	input   float64
+	threads int
+	plan    fault.Plan // with a nil Ledger
+	seed    int64
+}
+
+// runCounter counts kernel runs by their arguments.
+type runCounter struct {
+	mu   sync.Mutex
+	runs map[runArgs]int
+}
+
+// countingKernel counts its Run calls in c, like the benchmark's
+// timing wrapper. x264's ProblemSize calls its own concrete Run, which
+// the wrapper does not see, so those runs are not counted.
+type countingKernel struct {
+	rms.Benchmark
+	c *runCounter
+}
+
+func (k countingKernel) Run(input float64, threads int, plan fault.Plan, seed int64) (rms.Result, error) {
+	key := runArgs{k.Name(), input, threads, plan, seed}
+	key.plan.Ledger = nil
+	k.c.mu.Lock()
+	k.c.runs[key]++
+	k.c.mu.Unlock()
+	return k.Benchmark.Run(input, threads, plan, seed)
+}
+
+// countKernelRuns empties every cache and installs counting wrappers
+// around all seven kernels in the kernels memo, so every runner's
+// kernel runs are counted.
+func countKernelRuns(t *testing.T) *runCounter {
 	t.Helper()
-	defer parallel.SetWorkers(workers)()
 	ResetCaches()
-	cfg := DefaultConfig()
-	cfg.Chips = 6
-	results, err := RunMany(context.Background(), cfg, ids)
+	all, err := AllKernels()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := RenderAll(&buf, results); err != nil {
-		t.Fatal(err)
+	kernels.Reset()
+	c := &runCounter{runs: map[runArgs]int{}}
+	wrapped := make([]rms.Benchmark, len(all))
+	for i, b := range all {
+		wrapped[i] = countingKernel{b, c}
 	}
-	return buf.Bytes()
+	install := func(set string, ks []rms.Benchmark) {
+		if _, err := kernels.Do(set, func() ([]rms.Benchmark, error) { return ks, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	install("table3", wrapped[:len(wrapped)-1]) // AllBenchmarks: all but btcmine
+	install("all", wrapped)
+	return c
 }
 
-// TestParallelEquivalence is the engine's acceptance test: a wide pool
-// must render byte-identical artifacts to a sequential run, across
-// every parallel path (population draws, quality-front profiling,
+// TestParallelEquivalence is the engine's acceptance test: every
+// experiment, rendered from cold caches by a sequential pool and by a
+// wide one, must match its pinned digest — across every parallel path
+// (population draws, quality-front profiling, the corruption fan-outs,
 // solver sweeps, the experiment driver itself, and all the caches they
-// share).
+// share) — and no kernel run may execute twice in one RunAll.
 func TestParallelEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-second equivalence sweep")
+		t.Skip("runs every experiment twice")
 	}
-	cases := []struct {
-		name string
-		ids  []string
-	}{
-		{"population-and-chips", []string{"fig5a", "population"}},
-		{"fronts-and-solver", []string{"fig6", "fig2"}},
-		{"mixed-drivers", []string{"fig1a", "table2", "vddsweep"}},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			sequential := renderIDs(t, c.ids, 1)
-			if len(sequential) == 0 {
-				t.Fatal("empty sequential render")
+	defer ResetCaches()
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("width-%d", workers), func(t *testing.T) {
+			defer parallel.SetWorkers(workers)()
+			counter := countKernelRuns(t)
+			results, err := RunAll(context.Background(), DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, workers := range []int{8} {
-				parallelOut := renderIDs(t, c.ids, workers)
-				if !bytes.Equal(sequential, parallelOut) {
-					t.Errorf("workers=%d rendering of %v differs from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s",
-						workers, c.ids, sequential, parallelOut)
+			checkDigests(t, digestLines(t, results))
+			var repeats []string
+			for args, n := range counter.runs {
+				if n > 1 {
+					repeats = append(repeats, fmt.Sprintf("%+v ran %d times", args, n))
 				}
+			}
+			sort.Strings(repeats)
+			if len(repeats) > 0 {
+				t.Errorf("%d of %d distinct kernel runs repeated:\n%s",
+					len(repeats), len(counter.runs), strings.Join(repeats, "\n"))
 			}
 		})
 	}

@@ -9,8 +9,8 @@ import (
 	"repro/internal/chip"
 	"repro/internal/fault"
 	"repro/internal/mathx"
+	"repro/internal/parallel"
 	"repro/internal/rms"
-	cannealpkg "repro/internal/rms/canneal"
 	"repro/internal/sim"
 )
 
@@ -47,7 +47,9 @@ func Table2(ctx context.Context, cfg Config) ([]*Table, error) {
 
 // Table3 reports, per benchmark, the Accordion input, quality metric,
 // and the measured problem-size and quality dependence exponents
-// against the paper's linear/complex classification.
+// against the paper's linear/complex classification. The exponents are
+// fitted over the Default front of Figures 2 and 4: every kernel's
+// problem size ascends over its sweep, so the front keeps sweep order.
 func Table3(ctx context.Context, cfg Config) ([]*Table, error) {
 	all, err := AllBenchmarks()
 	if err != nil {
@@ -60,10 +62,13 @@ func Table3(ctx context.Context, cfg Config) ([]*Table, error) {
 			"PS dep (paper)", "PS exponent", "Q dep (paper)", "Q slope r2"},
 	}
 	for _, b := range all {
-		psExp, qR2, err := measureDependence(ctx, b, cfg.Seed)
+		qm, err := MeasuredFronts(ctx, b, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
+		f := qm.Default
+		_, psExp, _ := mathx.PowerFit(f.Inputs, f.ProblemSizes)
+		_, _, qR2 := mathx.LinFit(f.Inputs, f.Quality)
 		t.AddRow(b.Name(), b.Domain(), b.AccordionInput(), b.QualityMetricName(),
 			b.DependencePS().String(), f2(psExp), b.DependenceQ().String(), f2(qR2))
 	}
@@ -73,49 +78,30 @@ func Table3(ctx context.Context, cfg Config) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// measureDependence fits problem size ~ input^p and quality ~ input.
-func measureDependence(ctx context.Context, b rms.Benchmark, seed int64) (psExp, qLinearR2 float64, err error) {
-	sweep := b.Sweep()
-	ref, err := rms.ReferenceCtx(ctx, b, seed)
-	if err != nil {
-		return 0, 0, err
-	}
-	var ps, qs []float64
-	for _, in := range sweep {
-		ps = append(ps, b.ProblemSize(in))
-		res, err := rms.Run(ctx, b, in, b.DefaultThreads(), fault.Plan{}, seed)
-		if err != nil {
-			return 0, 0, err
-		}
-		q, err := rms.Quality(ctx, b, res, ref)
-		if err != nil {
-			return 0, 0, err
-		}
-		qs = append(qs, q)
-	}
-	_, psExp, _ = mathx.PowerFit(sweep, ps)
-	_, _, qLinearR2 = mathx.LinFit(sweep, qs)
-	return psExp, qLinearR2, nil
-}
-
 // Corruption regenerates the Section 6.2/6.3 validation study on
 // canneal: end-result corruption modes versus Drop, including the
 // decision-inversion case the paper quantifies (77%/69% quality vs
 // Drop's 98%/96%).
 func Corruption(ctx context.Context, cfg Config) ([]*Table, error) {
-	b, err := cannealpkg.New()
+	b, err := BenchmarkByName("canneal")
 	if err != nil {
 		return nil, err
 	}
-	ref, err := rms.ReferenceCtx(ctx, b, cfg.Seed)
-	if err != nil {
-		return nil, err
+	modes := append([]fault.Mode{fault.Drop}, fault.CorruptionModes()...)
+	modes = append(modes, fault.Invert)
+	// Plan 0 is the nominal run; plans 2k+1 and 2k+2 infect 1/4 and
+	// 1/2 of the tasks under modes[k].
+	plans := []fault.Plan{{}}
+	for _, m := range modes {
+		for _, den := range []int{4, 2} {
+			plan, err := fault.NewPlan(m, 1, den, cfg.Seed)
+			if err != nil {
+				return nil, err
+			}
+			plans = append(plans, plan)
+		}
 	}
-	nominal, err := rms.Run(ctx, b, b.DefaultInput(), b.DefaultThreads(), fault.Plan{}, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	qNom, err := rms.Quality(ctx, b, nominal, ref)
+	qs, err := defaultQualities(ctx, []rms.Benchmark{b}, plans, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -124,26 +110,9 @@ func Corruption(ctx context.Context, cfg Config) ([]*Table, error) {
 		Title:   "canneal: quality vs nominal under error modes (1/4 and 1/2 of threads infected)",
 		Columns: []string{"mode", "Q(1/4)/Qnom", "Q(1/2)/Qnom"},
 	}
-	modes := append([]fault.Mode{fault.Drop}, fault.CorruptionModes()...)
-	modes = append(modes, fault.Invert)
 	var dropQ, invertQ [2]float64
-	for _, m := range modes {
-		var rel [2]float64
-		for i, den := range []int{4, 2} {
-			plan, err := fault.NewPlan(m, 1, den, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			res, err := rms.Run(ctx, b, b.DefaultInput(), b.DefaultThreads(), plan, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			q, err := rms.Quality(ctx, b, res, ref)
-			if err != nil {
-				return nil, err
-			}
-			rel[i] = q / qNom
-		}
+	for k, m := range modes {
+		rel := [2]float64{qs[2*k+1] / qs[0], qs[2*k+2] / qs[0]}
 		if m == fault.Drop {
 			dropQ = rel
 		}
@@ -156,6 +125,30 @@ func Corruption(ctx context.Context, cfg Config) ([]*Table, error) {
 		fmt.Sprintf("Drop: %.0f%%/%.0f%% of nominal (paper 98%%/96%%); Invert: %.0f%%/%.0f%% (paper 77%%/69%%)",
 			dropQ[0]*100, dropQ[1]*100, invertQ[0]*100, invertQ[1]*100))
 	return []*Table{t}, nil
+}
+
+// defaultQualities scores each kernel's run at its default input and
+// threads under every plan against the kernel's reference, kernel-major
+// by index. The runs fan out on the pool and come from the rms run
+// memo, so runners that share a run execute it once.
+func defaultQualities(ctx context.Context, benches []rms.Benchmark, plans []fault.Plan, seed int64) ([]float64, error) {
+	refs := make([]rms.Result, len(benches))
+	for k, b := range benches {
+		ref, err := rms.ReferenceCtx(ctx, b, seed)
+		if err != nil {
+			return nil, err
+		}
+		refs[k] = ref
+	}
+	return parallel.Map(ctx, len(benches)*len(plans), func(wctx context.Context, i int) (float64, error) {
+		k := i / len(plans)
+		b := benches[k]
+		run, err := rms.RunMemo(wctx, b, b.DefaultInput(), b.DefaultThreads(), plans[i%len(plans)], seed)
+		if err != nil {
+			return 0, err
+		}
+		return run.Score(wctx, b, refs[k])
+	})
 }
 
 // Baselines compares Accordion's substrate against the related-work

@@ -204,8 +204,8 @@ func (r Report) WriteJSON(w io.Writer) error {
 
 // The fault counters count every note, ledger or not: the tasks Drop
 // plans suppress in fault.drops, the tasks every other mode corrupts
-// in fault.injected. A default `accordion all` notes 181,544 drops and
-// 17,456 injections, too many to log one event each.
+// in fault.injected. A default `accordion all` notes 181,160 drops and
+// 16,688 injections, too many to log one event each.
 var (
 	telDrops    = telemetry.GetCounter("fault.drops")
 	telInjected = telemetry.GetCounter("fault.injected")

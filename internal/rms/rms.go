@@ -170,6 +170,10 @@ type refKey struct {
 	seed    int64
 }
 
+func refKeyOf(b Benchmark, seed int64) refKey {
+	return refKey{b.Name(), b.HyperInput(), b.DefaultThreads(), seed}
+}
+
 // refCache memoizes reference executions with singleflight semantics,
 // so concurrent experiments profiling the same benchmark never
 // duplicate the error-free baseline run.
@@ -198,8 +202,7 @@ func Reference(b Benchmark, seed int64) (Result, error) {
 // rms.<name>.run stage under ctx's stage call. The context carries
 // attribution only, never cancellation of the baseline run.
 func ReferenceCtx(ctx context.Context, b Benchmark, seed int64) (Result, error) {
-	key := refKey{b.Name(), b.HyperInput(), b.DefaultThreads(), seed}
-	res, err := refCache.DoCtx(ctx, key, func() (Result, error) {
+	res, err := refCache.DoCtx(ctx, refKeyOf(b, seed), func() (Result, error) {
 		return Run(ctx, b, b.HyperInput(), b.DefaultThreads(), fault.Plan{}, seed)
 	})
 	if err != nil {
@@ -209,9 +212,94 @@ func ReferenceCtx(ctx context.Context, b Benchmark, seed int64) (Result, error) 
 	return res, nil
 }
 
-// ResetReferenceCache empties the memoized reference executions; it
-// exists for benchmarks that need to measure cold-cache behavior.
-func ResetReferenceCache() { refCache.Reset() }
+// ReadyReference returns Reference(b, seed) if that run has finished,
+// without running or copying it: the Output is the memo's own, so
+// callers must only read it. ok is false while the reference is still
+// running or was never asked for.
+func ReadyReference(b Benchmark, seed int64) (ref Result, ok bool) {
+	return refCache.Get(refKeyOf(b, seed))
+}
+
+// runKey identifies one kernel run by every argument Run is a pure
+// function of. Its plan never carries a Ledger.
+type runKey struct {
+	name    string
+	input   float64
+	threads int
+	plan    fault.Plan
+	seed    int64
+}
+
+// runCache memoizes kernel runs with singleflight semantics, so the
+// fronts and the experiment runners that ask for the same run share
+// one execution.
+var runCache = parallel.Cache[runKey, *Memo]{Name: "rms.Run", Max: runCacheMax}
+
+// runCacheMax bounds runCache at eight workload seeds' runs, like
+// refCacheMax: `accordion all` memoizes 226 runs at its seed (189 front
+// cells, 19 corruption and 24 corruptionwide runs, 6 of them shared),
+// so no run evicts its own.
+const runCacheMax = 8 * 240
+
+// Memo is one memoized kernel run. It holds the run's Result until the
+// run is scored against its reference, and from then on only the
+// score, so the memo keeps no kernel output for long.
+type Memo struct {
+	mu     sync.Mutex
+	res    Result
+	q      float64
+	scored bool
+}
+
+// RunMemo returns b's run at (input, threads, plan, seed). The first
+// call for those arguments executes it through Run under ctx's stage
+// call; later and concurrent callers share that run, and the memo's
+// hits and misses tally into ctx's telemetry scope as well. A plan
+// that carries a Ledger bypasses the memo, since its run's point is
+// the notes it makes.
+func RunMemo(ctx context.Context, b Benchmark, input float64, threads int, plan fault.Plan, seed int64) (*Memo, error) {
+	run := func() (*Memo, error) {
+		res, err := Run(ctx, b, input, threads, plan, seed)
+		if err != nil {
+			return nil, err
+		}
+		return &Memo{res: res}, nil
+	}
+	if plan.Ledger != nil {
+		return run()
+	}
+	return runCache.DoCtx(ctx, runKey{b.Name(), input, threads, plan, seed}, run)
+}
+
+// Score returns the run's quality against ref, which must be the
+// run's Reference(b, seed). A call scores the run through Quality and
+// drops its Result, unless an earlier call has: then it returns that
+// score. Callers that score one run at the same moment may both score
+// it, and store the same value.
+func (m *Memo) Score(ctx context.Context, b Benchmark, ref Result) (float64, error) {
+	m.mu.Lock()
+	res, q, scored := m.res, m.q, m.scored
+	m.mu.Unlock()
+	if scored {
+		return q, nil
+	}
+	q, err := Quality(ctx, b, res, ref)
+	if err != nil {
+		return 0, err
+	}
+	m.mu.Lock()
+	m.res, m.q, m.scored = Result{}, q, true
+	m.mu.Unlock()
+	return q, nil
+}
+
+// ResetReferenceCache empties the memoized reference executions and
+// the run memo, whose scores were taken against them; it exists for
+// benchmarks that need to measure cold-cache behavior.
+func ResetReferenceCache() {
+	refCache.Reset()
+	runCache.Reset()
+}
 
 // ValidateInput rejects non-positive, NaN and infinite knob values.
 func ValidateInput(name string, input float64) error {

@@ -96,3 +96,90 @@ func TestReferenceCacheBounded(t *testing.T) {
 		}
 	}
 }
+
+// countedBench counts its Run calls and scores a run by its input.
+type countedBench struct {
+	stubBench
+	mu   sync.Mutex
+	runs int
+}
+
+func (c *countedBench) Run(input float64, threads int, plan fault.Plan, seed int64) (Result, error) {
+	c.mu.Lock()
+	c.runs++
+	c.mu.Unlock()
+	return Result{Output: []float64{input}, Ops: input}, nil
+}
+
+func (*countedBench) Quality(run, ref Result) (float64, error) { return run.Output[0], nil }
+
+// TestRunMemo: concurrent callers of one run share one execution and
+// its one score, the score outlives the Result, and a plan that carries
+// a Ledger runs every time.
+func TestRunMemo(t *testing.T) {
+	ResetReferenceCache()
+	defer ResetReferenceCache()
+	b := &countedBench{}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run, err := RunMemo(ctx, b, 3, 4, fault.DropQuarter(), 7)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if q, err := run.Score(ctx, b, Result{}); err != nil || q != 3 {
+				t.Errorf("Score = %g, %v; want 3", q, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if b.runs != 1 {
+		t.Fatalf("4 callers of one run executed it %d times", b.runs)
+	}
+	run, err := RunMemo(ctx, b, 3, 4, fault.DropQuarter(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.res.Output != nil {
+		t.Error("a scored memo entry still holds its Result")
+	}
+	if _, err := RunMemo(ctx, b, 3, 4, fault.DropQuarter(), 8); err != nil || b.runs != 2 {
+		t.Errorf("another seed: %d runs, %v; want 2", b.runs, err)
+	}
+	led, err := fault.NewLedger(1, []fault.CoreRef{{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := fault.DropQuarter()
+	plan.Ledger = led
+	for want := 3; want <= 4; want++ {
+		if _, err := RunMemo(ctx, b, 3, 4, plan, 7); err != nil || b.runs != want {
+			t.Fatalf("ledger plan: %d runs, %v; want %d", b.runs, err, want)
+		}
+	}
+	if n := runCache.Len(); n != 2 {
+		t.Errorf("the memo holds %d runs, want 2 (ledger runs bypass it)", n)
+	}
+}
+
+// TestReadyReference: the reference is readable without running it
+// only once Reference has finished it.
+func TestReadyReference(t *testing.T) {
+	ResetReferenceCache()
+	defer ResetReferenceCache()
+	b := &countedBench{}
+	if _, ok := ReadyReference(b, 7); ok {
+		t.Fatal("ReadyReference found a reference nothing ran")
+	}
+	if _, err := Reference(b, 7); err != nil {
+		t.Fatal(err)
+	}
+	ref, ok := ReadyReference(b, 7)
+	if !ok || len(ref.Output) != 1 || b.runs != 1 {
+		t.Errorf("ReadyReference = %v, %v after %d runs; want the one finished reference", ref, ok, b.runs)
+	}
+}
