@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -56,12 +57,29 @@ func digestLines(t *testing.T, results []RunResult) []byte {
 // DefaultConfig, equals digestPath.
 func checkDigests(t *testing.T, got []byte) {
 	t.Helper()
-	want, err := os.ReadFile(digestPath)
-	if err != nil {
-		t.Fatalf("missing digest file (run `make golden` to create): %v", err)
-	}
+	want := readDigests(t)
 	if !bytes.Equal(got, want) {
 		t.Errorf("experiment output drifted from %s; if intentional, run `make golden` and update EXPERIMENTS.md\n--- got ---\n%s--- want ---\n%s",
 			digestPath, got, want)
 	}
+}
+
+// readDigests returns digestPath's contents.
+func readDigests(t *testing.T) []byte {
+	t.Helper()
+	want, err := os.ReadFile(digestPath)
+	if err != nil {
+		t.Fatalf("missing digest file (run `make golden` to create): %v", err)
+	}
+	return want
+}
+
+// digestsByID splits "<id> <hex>" lines into a map from id to hex.
+func digestsByID(lines []byte) map[string]string {
+	digests := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(lines)), "\n") {
+		id, hex, _ := strings.Cut(line, " ")
+		digests[id] = hex
+	}
+	return digests
 }

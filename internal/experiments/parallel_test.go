@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -77,34 +78,76 @@ func countKernelRuns(t *testing.T) *runCounter {
 // wide one, must match its pinned digest — across every parallel path
 // (population draws, quality-front profiling, the corruption fan-outs,
 // solver sweeps, the experiment driver itself, and all the caches they
-// share) — and no kernel run may execute twice in one RunAll.
+// share) — and no kernel run may execute twice in one RunAll. One
+// RunAll per width renders all of IDs(); each subtest checks one group
+// of ids at both widths.
 func TestParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
 	}
+	cases := []struct {
+		name string
+		ids  []string
+	}{
+		{"population-and-chips", []string{"fig5a", "population", "fig5b", "dynamic", "ccratio", "baselines"}},
+		{"fronts-and-solver", []string{"fig6", "fig2", "fig4", "fig7", "table3", "headline", "corruption", "corruptionwide", "weakscale"}},
+		{"mixed-drivers", []string{"fig1a", "table2", "vddsweep", "fig1b", "fig1c", "cpi"}},
+	}
+	var grouped []string
+	for _, c := range cases {
+		grouped = append(grouped, c.ids...)
+	}
+	all := IDs()
+	sort.Strings(grouped)
+	sort.Strings(all)
+	if !slices.Equal(grouped, all) {
+		t.Fatalf("the cases cover %v, want each of %v once", grouped, all)
+	}
+
 	defer ResetCaches()
-	for _, workers := range []int{1, 8} {
-		t.Run(fmt.Sprintf("width-%d", workers), func(t *testing.T) {
-			defer parallel.SetWorkers(workers)()
-			counter := countKernelRuns(t)
-			results, err := RunAll(context.Background(), DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkDigests(t, digestLines(t, results))
-			var repeats []string
-			for args, n := range counter.runs {
-				if n > 1 {
-					repeats = append(repeats, fmt.Sprintf("%+v ran %d times", args, n))
+	widths := []int{1, 8}
+	got := make([]map[string]string, len(widths))
+	for i, workers := range widths {
+		got[i] = renderAllCounted(t, workers)
+	}
+	want := digestsByID(readDigests(t))
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, id := range c.ids {
+				for i, workers := range widths {
+					if got[i][id] != want[id] {
+						t.Errorf("%s at width %d drifted from %s: digest %s, want %s; if intentional, run `make golden` and update EXPERIMENTS.md",
+							id, workers, digestPath, got[i][id], want[id])
+					}
 				}
-			}
-			sort.Strings(repeats)
-			if len(repeats) > 0 {
-				t.Errorf("%d of %d distinct kernel runs repeated:\n%s",
-					len(repeats), len(counter.runs), strings.Join(repeats, "\n"))
 			}
 		})
 	}
+}
+
+// renderAllCounted runs RunAll from cold caches on a pool of the given
+// width, fails t if any kernel run repeats, and returns each id's
+// digest.
+func renderAllCounted(t *testing.T, workers int) map[string]string {
+	t.Helper()
+	defer parallel.SetWorkers(workers)()
+	counter := countKernelRuns(t)
+	results, err := RunAll(context.Background(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var repeats []string
+	for args, n := range counter.runs {
+		if n > 1 {
+			repeats = append(repeats, fmt.Sprintf("%+v ran %d times", args, n))
+		}
+	}
+	sort.Strings(repeats)
+	if len(repeats) > 0 {
+		t.Errorf("width %d: %d of %d distinct kernel runs repeated:\n%s",
+			workers, len(repeats), len(counter.runs), strings.Join(repeats, "\n"))
+	}
+	return digestsByID(digestLines(t, results))
 }
 
 // TestRunManyOrdersResults pins that results come back in argument
