@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/mathx"
 	"repro/internal/parallel"
@@ -139,6 +140,9 @@ type Chip struct {
 	// once with the voltages: the frequency and leakage calibration
 	// constants and the error-free path-delay quantile.
 	freqK, staticK, zSafe float64
+
+	// tables memoizes CoreTable per supply voltage (keyed by its bits).
+	tables *parallel.Cache[uint64, *CoreTable]
 }
 
 // layout returns the sampling points: for each cluster, CoresPer core
@@ -227,6 +231,7 @@ func (f *Factory) sample(ctx context.Context, seed int64) *Chip {
 	}
 	// Memory blocks: a private block co-located with each core, plus a
 	// cluster block at each cluster-memory point.
+	ch.Blocks = make([]MemBlock, 0, f.nCore+cfg.Clusters)
 	for i := 0; i < f.nCore; i++ {
 		dv := vthDev[i] * cfg.Tech.VthNom
 		ch.Blocks = append(ch.Blocks, MemBlock{
@@ -314,6 +319,7 @@ func (ch *Chip) deriveVoltages() {
 	tp := ch.Cfg.Tech
 	ch.freqK, ch.staticK = tp.FreqK(), tp.StaticK()
 	ch.zSafe = tp.PerrQuantile(tech.ErrorFreePerr)
+	ch.tables = &parallel.Cache[uint64, *CoreTable]{Name: "chip.CoreTable", Max: coreTablesPerChip}
 	ch.clusterVddMIN = make([]float64, ch.Cfg.Clusters)
 	for _, b := range ch.Blocks {
 		if b.VddMIN > ch.clusterVddMIN[b.Cluster] {
@@ -348,7 +354,7 @@ func (ch *Chip) VddNTV() float64 { return ch.vddNTV }
 // threshold, scaled by its channel-length deviation (longer channels
 // are slower).
 func (ch *Chip) CoreFmax(i int, vdd float64) float64 {
-	return ch.timing(i, vdd).Fmax / (1 + ch.Cores[i].LeffDev)
+	return ch.fmax(i, ch.timing(i, vdd))
 }
 
 // timing returns core i's critical-path delay distribution at vdd.
@@ -356,15 +362,27 @@ func (ch *Chip) timing(i int, vdd float64) tech.Timing {
 	return ch.Cfg.Tech.Timing(ch.freqK, vdd, ch.Cores[i].Vth(ch.Cfg.Tech))
 }
 
+// fmax returns core i's maximum frequency given its timing t.
+func (ch *Chip) fmax(i int, t tech.Timing) float64 {
+	return t.Fmax / (1 + ch.Cores[i].LeffDev)
+}
+
+// freqAt returns core i's highest frequency at path-delay quantile z
+// given its timing t: the one formula behind every per-core frequency
+// at an error-rate target, here and in CoreTable.
+func (ch *Chip) freqAt(i int, t tech.Timing, z float64) float64 {
+	return t.FreqAt(z) / (1 + ch.Cores[i].LeffDev)
+}
+
 // CoreSafeFreq returns core i's highest error-free frequency at vdd.
 func (ch *Chip) CoreSafeFreq(i int, vdd float64) float64 {
-	return ch.timing(i, vdd).FreqAt(ch.zSafe) / (1 + ch.Cores[i].LeffDev)
+	return ch.freqAt(i, ch.timing(i, vdd), ch.zSafe)
 }
 
 // CoreFreqAtPerr returns the highest frequency at which core i's
 // per-cycle timing-error probability stays at or below perr.
 func (ch *Chip) CoreFreqAtPerr(i int, vdd, perr float64) float64 {
-	return ch.timing(i, vdd).FreqAt(ch.Cfg.Tech.PerrQuantile(perr)) / (1 + ch.Cores[i].LeffDev)
+	return ch.freqAt(i, ch.timing(i, vdd), ch.Cfg.Tech.PerrQuantile(perr))
 }
 
 // CoreFreqsAt writes core i's highest frequency at vdd for each
@@ -372,9 +390,9 @@ func (ch *Chip) CoreFreqAtPerr(i int, vdd, perr float64) float64 {
 // target) into out[g]. It evaluates the core's timing once; each entry
 // equals CoreFreqAtPerr at the quantile's target bit for bit.
 func (ch *Chip) CoreFreqsAt(i int, vdd float64, zs, out []float64) {
-	t, leff := ch.timing(i, vdd), 1+ch.Cores[i].LeffDev
+	t := ch.timing(i, vdd)
 	for g, z := range zs {
-		out[g] = t.FreqAt(z) / leff
+		out[g] = ch.freqAt(i, t, z)
 	}
 }
 
@@ -412,10 +430,16 @@ func (ch *Chip) CorePower(i int, vdd, f float64) float64 {
 // ClusterSlowestCore returns the index of the slowest core of cluster c
 // at supply vdd (the core that dictates the cluster's f domain).
 func (ch *Chip) ClusterSlowestCore(c int, vdd float64) int {
-	lo, hi := c*ch.Cfg.CoresPer, (c+1)*ch.Cfg.CoresPer
+	return ch.slowestCore(c, func(i int) float64 { return ch.CoreFmax(i, vdd) })
+}
+
+// slowestCore returns the core of cluster c with the lowest fmax, the
+// first one on a tie.
+func (ch *Chip) slowestCore(c int, fmax func(i int) float64) int {
+	lo, hi := ch.ClusterCores(c)
 	best, bestF := lo, math.Inf(1)
 	for i := lo; i < hi; i++ {
-		if f := ch.CoreFmax(i, vdd); f < bestF {
+		if f := fmax(i); f < bestF {
 			best, bestF = i, f
 		}
 	}
@@ -458,43 +482,19 @@ func (p SelectPolicy) String() string {
 
 // SelectCores returns the IDs of n cores chosen under the policy at
 // supply vdd, ordered best-first. It returns fewer than n only if the
-// chip has fewer cores.
+// chip has fewer cores. The efficient and fastest orders are copied
+// from the chip's CoreTable at vdd, so the caller owns the slice.
 func (ch *Chip) SelectCores(n int, vdd float64, policy SelectPolicy) []int {
-	if n > len(ch.Cores) {
-		n = len(ch.Cores)
-	}
-	ids := make([]int, len(ch.Cores))
-	for i := range ids {
-		ids[i] = i
-	}
+	ids := make([]int, min(n, len(ch.Cores)))
 	switch policy {
-	case SelectFastest:
-		safe := make([]float64, len(ch.Cores))
-		for i := range safe {
-			safe[i] = ch.CoreSafeFreq(i, vdd)
+	case SelectEfficient, SelectFastest:
+		copy(ids, ch.CoreTable(vdd).Order(policy))
+	default: // SelectSequential keeps layout order
+		for i := range ids {
+			ids[i] = i
 		}
-		sort.Slice(ids, func(a, b int) bool { return safe[ids[a]] > safe[ids[b]] })
-	case SelectEfficient:
-		// Greedy per-core performance-per-Watt at the core's own safe
-		// frequency, the paper's "most energy-efficient NNTV cores".
-		// Note the set-level coupling this greedy ignores: the slowest
-		// engaged core caps the whole set's frequency, so at voltages
-		// well above VddNTV (where frequency spreads compress and
-		// leakage differences dominate the metric) the ordering can
-		// pull slow, cool cores forward and cost set frequency.
-		eff := make([]float64, len(ch.Cores))
-		for i := range eff {
-			f := ch.CoreSafeFreq(i, vdd)
-			p := ch.CorePower(i, vdd, f)
-			if p > 0 {
-				eff[i] = f / p
-			}
-		}
-		sort.Slice(ids, func(a, b int) bool { return eff[ids[a]] > eff[ids[b]] })
-	case SelectSequential:
-		// keep layout order
 	}
-	return ids[:n]
+	return ids
 }
 
 // SetFreq returns the frequency at which a set of engaged cores can run
@@ -502,9 +502,10 @@ func (ch *Chip) SelectCores(n int, vdd float64, policy SelectPolicy) []int {
 // target per-cycle error probability (ErrorFreePerr for safe
 // operation). Accordion runs all engaged cores at one f (Section 4).
 func (ch *Chip) SetFreq(cores []int, vdd, perr float64) float64 {
+	z := ch.Cfg.Tech.PerrQuantile(perr)
 	f := math.Inf(1)
 	for _, i := range cores {
-		if fi := ch.CoreFreqAtPerr(i, vdd, perr); fi < f {
+		if fi := ch.freqAt(i, ch.timing(i, vdd), z); fi < f {
 			f = fi
 		}
 	}
@@ -513,6 +514,120 @@ func (ch *Chip) SetFreq(cores []int, vdd, perr float64) float64 {
 	}
 	return f
 }
+
+// CoreTable is a chip's per-core characterization at one supply
+// voltage: each core's critical-path timing, safe frequency and
+// leakage, and the Efficient and Fastest engagement orders. It depends
+// on (chip, Vdd) alone, so Chip.CoreTable builds it once per supply
+// and SelectCores, the power model and every solver on the chip share
+// it. Each entry is the value the per-core method computes (timing,
+// CoreSafeFreq, CoreStaticPower) bit for bit. The slices are shared:
+// read them, never write them.
+type CoreTable struct {
+	Vdd      float64
+	Timing   []tech.Timing // each core's critical-path delay distribution
+	SafeFreq []float64     // GHz, CoreSafeFreq
+	Leakage  []float64     // W, CoreStaticPower
+
+	ch                 *Chip
+	efficient, fastest ranking
+}
+
+// ranking is an engagement order a CoreTable sorts on first use: most
+// tables are read under one policy or none.
+type ranking struct {
+	once sync.Once
+	ids  []int
+}
+
+// coreTablesPerChip bounds each chip's CoreTable memo. A population
+// chip reads two tables, at VddNTV and at the STV nominal; a supply
+// sweep pushes them out, and they are rebuilt on the next use.
+const coreTablesPerChip = 2
+
+// CoreTable returns the chip's per-core table at supply vdd, building
+// it on first use. The chip keeps the coreTablesPerChip tables built
+// last, and concurrent callers share one build.
+func (ch *Chip) CoreTable(vdd float64) *CoreTable {
+	t, _ := ch.tables.Do(math.Float64bits(vdd), func() (*CoreTable, error) {
+		n := len(ch.Cores)
+		t := &CoreTable{
+			Vdd:      vdd,
+			Timing:   make([]tech.Timing, n),
+			SafeFreq: make([]float64, n),
+			Leakage:  make([]float64, n),
+			ch:       ch,
+		}
+		for i := range ch.Cores {
+			t.Timing[i] = ch.timing(i, vdd)
+			t.SafeFreq[i] = ch.freqAt(i, t.Timing[i], ch.zSafe)
+			t.Leakage[i] = ch.CoreStaticPower(i, vdd)
+		}
+		return t, nil
+	})
+	return t
+}
+
+// Order returns every core id in SelectCores order under policy p at
+// the table's supply, ranking the cores on the first call; it is nil
+// for a policy other than SelectEfficient and SelectFastest. The slice
+// is shared: read it, never write it.
+func (t *CoreTable) Order(p SelectPolicy) []int {
+	switch p {
+	case SelectFastest:
+		t.fastest.once.Do(func() { t.fastest.ids = rankDescending(t.SafeFreq) })
+		return t.fastest.ids
+	case SelectEfficient:
+		t.efficient.once.Do(func() {
+			// Greedy per-core performance-per-Watt at the core's own
+			// safe frequency, the paper's "most energy-efficient NNTV
+			// cores". Note the set-level coupling this greedy ignores:
+			// the slowest engaged core caps the whole set's frequency,
+			// so at voltages well above VddNTV (where frequency spreads
+			// compress and leakage differences dominate the metric) the
+			// ordering can pull slow, cool cores forward and cost set
+			// frequency.
+			eff := make([]float64, len(t.SafeFreq))
+			for i, f := range t.SafeFreq {
+				if p := t.Power(i, f); p > 0 {
+					eff[i] = f / p
+				}
+			}
+			t.efficient.ids = rankDescending(eff)
+		})
+		return t.efficient.ids
+	}
+	return nil
+}
+
+// rankDescending returns the indices of key sorted by key, highest
+// first.
+func rankDescending(key []float64) []int {
+	ids := make([]int, len(key))
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(a, b int) bool { return key[ids[a]] > key[ids[b]] })
+	return ids
+}
+
+// Fmax is CoreFmax(i, t.Vdd).
+func (t *CoreTable) Fmax(i int) float64 { return t.ch.fmax(i, t.Timing[i]) }
+
+// FreqsAt is CoreFreqsAt(i, t.Vdd, zs, out), from the stored timing.
+func (t *CoreTable) FreqsAt(i int, zs, out []float64) {
+	for g, z := range zs {
+		out[g] = t.ch.freqAt(i, t.Timing[i], z)
+	}
+}
+
+// Power is CorePower(i, t.Vdd, f).
+func (t *CoreTable) Power(i int, f float64) float64 {
+	return t.ch.Cfg.Tech.DynPower(t.Vdd, f) + t.Leakage[i]
+}
+
+// SlowestCore is ClusterSlowestCore(c, t.Vdd).
+func (t *CoreTable) SlowestCore(c int) int { return t.ch.slowestCore(c, t.Fmax) }
 
 // Summary bundles the chip-level metrics the Monte-Carlo convergence
 // series track per drawn chip, all evaluated at the chip's own

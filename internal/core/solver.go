@@ -134,29 +134,33 @@ func (s *Solver) SetClusterGranular(on bool) {
 // ClusterGranular reports the engagement granularity.
 func (s *Solver) ClusterGranular() bool { return s.clusterGranular }
 
+// rebuild derives the engagement order and the frequency table from the
+// chip's CoreTable at the solver's supply, which the chip shares with
+// every other solver on it.
 func (s *Solver) rebuild() {
+	tab := s.Chip.CoreTable(s.vdd)
 	if s.clusterGranular {
-		s.order = s.clusterOrder()
+		s.order = s.clusterOrder(tab)
 	} else {
 		s.order = s.Chip.SelectCores(len(s.Chip.Cores), s.vdd, s.policy)
 	}
-	s.buildFreqTable()
+	s.buildFreqTable(tab)
 }
 
 // clusterOrder ranks whole clusters by the policy metric of their
 // slowest core and emits core ids cluster by cluster.
-func (s *Solver) clusterOrder() []int {
+func (s *Solver) clusterOrder(tab *chip.CoreTable) []int {
 	type rank struct {
 		id  int
 		key float64
 	}
 	ranks := make([]rank, s.Chip.Cfg.Clusters)
 	for c := range ranks {
-		slow := s.Chip.ClusterSlowestCore(c, s.vdd)
-		f := s.Chip.CoreSafeFreq(slow, s.vdd)
+		slow := tab.SlowestCore(c)
+		f := tab.SafeFreq[slow]
 		key := f
 		if s.policy == chip.SelectEfficient {
-			if p := s.Chip.CorePower(slow, s.vdd, f); p > 0 {
+			if p := tab.Power(slow, f); p > 0 {
 				key = f / p
 			}
 		}
@@ -193,10 +197,10 @@ func (s *Solver) STVTime() float64 {
 // exactly whenever one slowest core dominates the prefix, which is the
 // regime the chip operates in.
 //
-// Each core's timing is evaluated once and each grid target's quantile
-// once per build (Chip.CoreFreqsAt), in the same pass that finds the
-// control-core frequency.
-func (s *Solver) buildFreqTable() {
+// Each core's timing comes from the chip's CoreTable and each grid
+// target's quantile is evaluated once per build (CoreTable.FreqsAt), in
+// the same pass that finds the control-core frequency.
+func (s *Solver) buildFreqTable(tab *chip.CoreTable) {
 	s.perrGrid = []float64{tech.ErrorFreePerr, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}
 	g := len(s.perrGrid)
 	s.logPerr = make([]float64, g)
@@ -218,7 +222,7 @@ func (s *Solver) buildFreqTable() {
 	s.fCC = 0
 	for i, id := range s.order {
 		row := rows[i*g : (i+1)*g]
-		s.Chip.CoreFreqsAt(id, s.vdd, zs, row)
+		tab.FreqsAt(id, zs, row)
 		if row[0] > s.fCC {
 			s.fCC = row[0]
 		}

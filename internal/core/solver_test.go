@@ -12,6 +12,7 @@ import (
 	"repro/internal/rms/canneal"
 	"repro/internal/rms/hotspot"
 	"repro/internal/tech"
+	"repro/internal/telemetry"
 )
 
 // Shared fixtures: measuring fronts and factorizing the chip are the
@@ -455,5 +456,39 @@ func TestFreqTableMatchesPerCallModel(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSolversShareTheChipsCoreTables: Headline's shape, seven solvers
+// on one fresh chip each solving Safe and Speculative, characterizes
+// the chip twice, once at the STV nominal for the baseline and once at
+// VddNTV; every other lookup is a hit.
+func TestSolversShareTheChipsCoreTables(t *testing.T) {
+	_, _, b, qm := fixtures(t)
+	defer telemetry.SetEnabled(true)()
+	hits := telemetry.GetCounter("cache.chip.CoreTable.hits")
+	misses := telemetry.GetCounter("cache.chip.CoreTable.misses")
+	ch, err := chip.New(chip.DefaultConfig(), 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm := power.NewModel(ch)
+	hits0, misses0 := hits.Value(), misses.Value()
+	for k := 0; k < 7; k++ {
+		s, err := NewSolver(ch, pm, b, qm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, flavor := range []Flavor{Safe, Speculative} {
+			if _, err := s.Solve(b.DefaultInput(), flavor); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := misses.Value() - misses0; got != 2 {
+		t.Errorf("7 solvers built %d core tables, want 2 (STV nominal and VddNTV)", got)
+	}
+	if got := hits.Value() - hits0; got < 12 {
+		t.Errorf("7 solvers hit the core tables %d times, want at least 12", got)
 	}
 }

@@ -144,10 +144,13 @@ func Headline(ctx context.Context, cfg Config) ([]*Table, error) {
 	// Section 6.3's "8-41% f increase across chip": per-core gain from
 	// tolerating a realistic task-level error rate (~1e-8/cycle) over
 	// error-free operation.
-	vdd := rep.VddNTV()
+	tp := rep.Cfg.Tech
+	tab := rep.CoreTable(rep.VddNTV())
+	zs, fs := []float64{tp.PerrQuantile(1e-8), tp.PerrQuantile(1e-16)}, make([]float64, 2)
 	minCore, maxCore := 1e9, -1e9
 	for i := range rep.Cores {
-		g := rep.CoreFreqAtPerr(i, vdd, 1e-8)/rep.CoreFreqAtPerr(i, vdd, 1e-16) - 1
+		tab.FreqsAt(i, zs, fs)
+		g := fs[0]/fs[1] - 1
 		if g < minCore {
 			minCore = g
 		}

@@ -72,18 +72,23 @@ func (b Breakdown) Total() float64 {
 // Engaged prices running the given cores at supply vdd and common
 // frequency f GHz. Clusters containing no engaged core are power-gated
 // and contribute nothing; each active cluster pays its memory leakage.
+// Core leakage comes from the chip's CoreTable at vdd.
 func (m *Model) Engaged(cores []int, vdd, f float64) Breakdown {
 	var b Breakdown
-	activeClusters := map[int]bool{}
+	leak := m.Chip.CoreTable(vdd).Leakage
+	active := make([]bool, m.Chip.Cfg.Clusters)
+	clusters := 0
 	tp := m.Chip.Cfg.Tech
 	for _, i := range cores {
-		co := m.Chip.Cores[i]
 		b.CoreDynamic += tp.DynPower(vdd, f)
-		b.CoreStatic += m.Chip.CoreStaticPower(i, vdd)
-		activeClusters[co.Cluster] = true
+		b.CoreStatic += leak[i]
+		if c := m.Chip.Cores[i].Cluster; !active[c] {
+			active[c] = true
+			clusters++
+		}
 	}
 	memLeakNom := tp.StaticPower(vdd, tp.VthNom) * m.ClusterMemLeakFactor
-	b.Memory = float64(len(activeClusters)) * memLeakNom
+	b.Memory = float64(clusters) * memLeakNom
 	b.Network = b.CoreDynamic * m.NetworkFracDyn
 	return b
 }
@@ -128,7 +133,7 @@ func (m *Model) fits(b Breakdown) bool { return b.Total() <= m.Budget()+1e-9 }
 // operating point.
 type STVBaseline struct {
 	N     int     // NSTV: cores engaged
-	Cores []int   // which cores
+	Cores []int   // which cores; the caller's own copy
 	Vdd   float64 // STV nominal supply
 	Freq  float64 // GHz, nominal STV frequency (variation neglected, §6.3)
 	Power float64 // W
@@ -139,14 +144,17 @@ type STVBaseline struct {
 // frequency fit PMAX. Following Section 6.3, STV operation neglects
 // variation, so all cores run at the nominal fSTV.
 //
-// Each prefix is priced by extending the previous prefix's Breakdown
-// with one core, adding in the same order Engaged would, so N and Power
-// are exactly those of pricing every prefix from scratch.
+// The order and the leakage come from the chip's CoreTable at the STV
+// nominal, which every solver on the chip shares. Each prefix is priced
+// by extending the previous prefix's Breakdown with one core, adding in
+// the same order Engaged would, so N and Power are exactly those of
+// pricing every prefix from scratch.
 func (m *Model) Baseline() STVBaseline {
 	tp := m.Chip.Cfg.Tech
 	vdd := tp.VddNomSTV
 	f := tp.FSTV()
-	all := m.Chip.SelectCores(len(m.Chip.Cores), vdd, chip.SelectEfficient)
+	tab := m.Chip.CoreTable(vdd)
+	all := tab.Order(chip.SelectEfficient)
 	dyn := tp.DynPower(vdd, f)
 	memLeakNom := tp.StaticPower(vdd, tp.VthNom) * m.ClusterMemLeakFactor
 	active := make([]bool, m.Chip.Cfg.Clusters)
@@ -160,19 +168,20 @@ func (m *Model) Baseline() STVBaseline {
 			clusters++
 		}
 		b.CoreDynamic += dyn
-		b.CoreStatic += m.Chip.CoreStaticPower(i, vdd)
+		b.CoreStatic += tab.Leakage[i]
 		b.Memory = float64(clusters) * memLeakNom
 		b.Network = b.CoreDynamic * m.NetworkFracDyn
 		if !m.fits(b) {
 			break
 		}
 	}
+	cores := append([]int(nil), all[:n]...)
 	return STVBaseline{
 		N:     n,
-		Cores: all[:n],
+		Cores: cores,
 		Vdd:   vdd,
 		Freq:  f,
-		Power: m.Engaged(all[:n], vdd, f).Total(),
+		Power: m.Engaged(cores, vdd, f).Total(),
 	}
 }
 
