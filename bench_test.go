@@ -318,6 +318,48 @@ func BenchmarkKernelX264(b *testing.B)      { benchKernel(b, "x264") }
 func BenchmarkKernelHotspot(b *testing.B)   { benchKernel(b, "hotspot") }
 func BenchmarkKernelSrad(b *testing.B)      { benchKernel(b, "srad") }
 
+// BenchmarkKernelFaults times one round of the benchmark's faults
+// workload per kernel: a default-input run under each of the workload's
+// six fault plans, scored against the kernel's reference, which is
+// built before the timer starts.
+func BenchmarkKernelFaults(b *testing.B) {
+	plans := []struct {
+		mode     fault.Mode
+		num, den int
+	}{
+		{fault.None, 0, 1}, {fault.Drop, 1, 4}, {fault.Drop, 1, 2},
+		{fault.Flip, 1, 4}, {fault.StuckAll0, 1, 4}, {fault.StuckHigh1, 1, 4},
+	}
+	for _, name := range []string{"ferret", "bodytrack", "x264", "hotspot", "srad", "btcmine"} {
+		b.Run(name, func(b *testing.B) {
+			bench, err := experiments.BenchmarkByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ref, err := rms.Reference(bench, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range plans {
+					plan, err := fault.NewPlan(p.mode, p.num, p.den, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					run, err := bench.Run(bench.DefaultInput(), bench.DefaultThreads(), plan, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := bench.Quality(run, ref); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // --- Section 7 extensions -------------------------------------------
 
 func BenchmarkWeakscale(b *testing.B) { runExperiment(b, "weakscale") }

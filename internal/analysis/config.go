@@ -147,8 +147,7 @@ func DefaultConfig(startDir string) (*Config, error) {
 			"internal/fault.(*Ledger).Report": true,
 			// Deterministic sort tie-breaks: equal keys must compare
 			// exactly equal or the ordering depends on evaluation order.
-			"internal/rms/ferret.(*Benchmark).Run": true,
-			"internal/sim.(eventQueue).Less":       true,
+			"internal/sim.(eventQueue).Less": true,
 			// CorruptValue returns either the bit-identical original or
 			// different bits; the inequality detects corruption exactly.
 			"internal/rms/btcmine.(*Benchmark).Run": true,

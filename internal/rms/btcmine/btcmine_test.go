@@ -27,7 +27,7 @@ func TestSolutionRate(t *testing.T) {
 	}
 	// Every reported nonce actually solves.
 	for _, v := range res.Output {
-		if !b.solves(uint64(v)) {
+		if !solves(b, uint64(v)) {
 			t.Fatalf("nonce %v does not solve", v)
 		}
 	}
@@ -100,7 +100,7 @@ func TestCorruptedSubmissionsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range res.Output {
-		if !b.solves(uint64(v)) {
+		if !solves(b, uint64(v)) {
 			t.Fatal("corrupted non-solution accepted")
 		}
 	}
@@ -121,11 +121,11 @@ func TestInvertRejected(t *testing.T) {
 
 func TestDigestDeterministicAndSpread(t *testing.T) {
 	b := New()
-	if b.digest(42) != b.digest(42) {
+	if b.headerWords().digest(42) != b.headerWords().digest(42) {
 		t.Fatal("digest not deterministic")
 	}
 	// Crude avalanche check: adjacent nonces differ in many bits.
-	diff := b.digest(1000) ^ b.digest(1001)
+	diff := b.headerWords().digest(1000) ^ b.headerWords().digest(1001)
 	bits := 0
 	for ; diff != 0; diff &= diff - 1 {
 		bits++
@@ -133,4 +133,9 @@ func TestDigestDeterministicAndSpread(t *testing.T) {
 	if bits < 16 {
 		t.Errorf("adjacent digests differ in only %d bits", bits)
 	}
+}
+
+// solves reports whether a nonce's digest clears b's difficulty target.
+func solves(b *Benchmark, nonce uint64) bool {
+	return b.headerWords().digest(nonce)>>(64-b.targetBits) == 0
 }

@@ -21,7 +21,6 @@ package ferret
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/rms"
@@ -125,20 +124,74 @@ func similarity(query, dbimg [][]float64) (score float64, comparisons int) {
 	total := 0.0
 	for _, qr := range query {
 		best := math.Inf(1)
-		for _, dr := range dbimg {
-			d := 0.0
-			for k := range qr {
-				diff := qr[k] - dr[k]
-				d += diff * diff
+		// Two database regions per pass keep two sums in flight. Each
+		// sum keeps its own order, and best takes them in region order;
+		// an odd last region pairs with itself.
+		for j := 0; j < len(dbimg); j += 2 {
+			a := dbimg[j][:len(qr)]
+			c := a
+			if j+1 < len(dbimg) {
+				c = dbimg[j+1][:len(qr)]
 			}
-			if d < best {
-				best = d
+			d0, d1 := 0.0, 0.0
+			for k, q := range qr {
+				e0 := q - a[k]
+				d0 += e0 * e0
+				e1 := q - c[k]
+				d1 += e1 * e1
 			}
-			comparisons++
+			if d0 < best {
+				best = d0
+			}
+			if d1 < best {
+				best = d1
+			}
 		}
+		comparisons += len(dbimg)
 		total += best
 	}
 	return -total / float64(len(query)), comparisons
+}
+
+// ranking holds the best TopN candidates offered so far, best first:
+// score descending, then id ascending.
+type ranking struct {
+	n     int
+	id    [TopN]int
+	score [TopN]float64
+}
+
+// offer inserts a candidate where it ranks, if it ranks among the best
+// TopN. The order is strict and total over distinct ids and non-NaN
+// scores (similarity is finite, and CorruptValue maps NaN and Inf to
+// MaxFloat64), so the list is the head of the fully sorted candidate
+// list, whatever the offer order.
+func (r *ranking) offer(id int, score float64) {
+	i := r.n
+	if i == TopN {
+		if !ranksAbove(id, score, r.id[i-1], r.score[i-1]) {
+			return
+		}
+		i--
+	} else {
+		r.n++
+	}
+	for ; i > 0 && ranksAbove(id, score, r.id[i-1], r.score[i-1]); i-- {
+		r.id[i], r.score[i] = r.id[i-1], r.score[i-1]
+	}
+	r.id[i], r.score[i] = id, score
+}
+
+// ranksAbove reports whether candidate (id, score) ranks above (id2,
+// score2).
+func ranksAbove(id int, score float64, id2 int, score2 float64) bool {
+	if score > score2 {
+		return true
+	}
+	if score < score2 {
+		return false
+	}
+	return id < id2
 }
 
 // Run implements rms.Benchmark. The output encodes, per query, the
@@ -157,14 +210,10 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 	nImages := len(b.db.Images)
 	ops := 0.0
 
-	type cand struct {
-		id    int
-		score float64
-	}
 	out := make([]float64, 0, len(b.db.Queries)*TopN)
 	for qi, query := range b.db.Queries {
 		q := workload.Coarsen(query, nRegions)
-		var cands []cand
+		var top ranking
 		// Data-parallel phase: each task scans one database shard.
 		for t := 0; t < threads; t++ {
 			if plan.Mode == fault.Drop && plan.Infected(t) {
@@ -182,19 +231,13 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 				if corrupt {
 					score = plan.CorruptValue(score, t)
 				}
-				cands = append(cands, cand{id: i, score: score})
+				top.offer(i, score)
 			}
 		}
-		// Control phase: merge and rank (the CC's reduce step).
-		sort.Slice(cands, func(a, c int) bool {
-			if cands[a].score != cands[c].score {
-				return cands[a].score > cands[c].score
-			}
-			return cands[a].id < cands[c].id
-		})
+		// Control phase: the merged ranking (the CC's reduce step).
 		for k := 0; k < TopN; k++ {
-			if k < len(cands) {
-				out = append(out, float64(cands[k].id))
+			if k < top.n {
+				out = append(out, float64(top.id[k]))
 			} else {
 				out = append(out, -1)
 			}

@@ -1,9 +1,12 @@
 package ferret
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/mathx"
 	"repro/internal/rms"
 	"repro/internal/rms/rmstest"
 )
@@ -113,5 +116,65 @@ func TestTable3Classification(t *testing.T) {
 	b := newBench(t)
 	if b.DependencePS() != rms.Complex || b.DependenceQ() != rms.Complex {
 		t.Error("ferret should be complex/complex per Table 3")
+	}
+}
+
+// TestRankingMatchesFullSort checks the streaming top-TopN selection
+// against sorting every candidate, as Run once did: score descending,
+// then id ascending, offered in shuffled id order.
+func TestRankingMatchesFullSort(t *testing.T) {
+	type cand struct {
+		id    int
+		score float64
+	}
+	rng := mathx.NewRNG(26)
+	check := func(name string, cands []cand) {
+		t.Helper()
+		var r ranking
+		for _, c := range cands {
+			r.offer(c.id, c.score)
+		}
+		sorted := append([]cand(nil), cands...)
+		sort.Slice(sorted, func(a, c int) bool {
+			if sorted[a].score != sorted[c].score {
+				return sorted[a].score > sorted[c].score
+			}
+			return sorted[a].id < sorted[c].id
+		})
+		want := min(len(sorted), TopN)
+		if r.n != want {
+			t.Fatalf("%s: kept %d candidates, want %d", name, r.n, want)
+		}
+		for k := 0; k < want; k++ {
+			if r.id[k] != sorted[k].id || math.Float64bits(r.score[k]) != math.Float64bits(sorted[k].score) {
+				t.Fatalf("%s: rank %d is (%d, %g), want (%d, %g)", name, k, r.id[k], r.score[k], sorted[k].id, sorted[k].score)
+			}
+		}
+	}
+	draw := func(n int, score func() float64) []cand {
+		cands := make([]cand, n)
+		for i, id := range rng.Perm(n) {
+			cands[i] = cand{id: id, score: score()}
+		}
+		return cands
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(256)
+		// Few distinct values, so most ranks are decided by the id.
+		check("duplicates", draw(n, func() float64 { return -float64(rng.Intn(6)) }))
+		check("maxfloat", draw(n, func() float64 {
+			switch rng.Intn(4) {
+			case 0:
+				return math.MaxFloat64 // what CorruptValue makes of NaN and Inf
+			case 1:
+				return math.Copysign(0, -1) // ties +0
+			case 2:
+				return 0
+			}
+			return -rng.Float64()
+		}))
+	}
+	for n := 0; n <= TopN; n++ {
+		check("short", draw(n, func() float64 { return -float64(rng.Intn(3)) }))
 	}
 }

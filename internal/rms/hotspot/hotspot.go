@@ -118,9 +118,11 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 	next := cur.Clone()
 
 	rowOwner := func(y int) int { return y * threads / h }
+	alpha, beta, cooling := b.alpha, b.beta, b.cooling
 	for it := 0; it < iters; it++ {
 		for y := 0; y < h; y++ {
 			t := rowOwner(y)
+			row, nextRow := cur.V[y*w:(y+1)*w], next.V[y*w:(y+1)*w]
 			// Hotspot's parallel task unit is (iteration, row band): each
 			// iteration spawns a fresh task set, so uniformly dropped
 			// tasks rotate across the bands rather than starving a fixed
@@ -132,29 +134,30 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 				}
 				// The equation is not solved for these cells; copy the
 				// stale values forward.
-				for x := 0; x < w; x++ {
-					next.Set(x, y, cur.At(x, y))
-				}
+				copy(nextRow, row)
 				continue
 			}
-			for x := 0; x < w; x++ {
-				c := cur.At(x, y)
-				up, down, left, right := c, c, c, c // adiabatic borders
-				if y > 0 {
-					up = cur.At(x, y-1)
-				}
-				if y < h-1 {
-					down = cur.At(x, y+1)
-				}
+			// Row slices hold the cells At read (a border row reads itself,
+			// as c), and every expression keeps its operands and order.
+			up, down := row, row // adiabatic borders
+			if y > 0 {
+				up = cur.V[(y-1)*w : y*w]
+			}
+			if y < h-1 {
+				down = cur.V[(y+1)*w : (y+2)*w]
+			}
+			powerRow := b.power.V[y*w : (y+1)*w]
+			for x := range row {
+				c := row[x]
+				left, right := c, c
 				if x > 0 {
-					left = cur.At(x-1, y)
+					left = row[x-1]
 				}
 				if x < w-1 {
-					right = cur.At(x+1, y)
+					right = row[x+1]
 				}
-				lap := up + down + left + right - 4*c
-				v := c + b.alpha*lap + b.beta*b.power.At(x, y) - b.cooling*c
-				next.Set(x, y, v)
+				lap := up[x] + down[x] + left + right - 4*c
+				nextRow[x] = c + alpha*lap + beta*powerRow[x] - cooling*c
 			}
 		}
 		cur, next = next, cur

@@ -202,34 +202,12 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 			}
 		}
 		if frame > 0 {
-			prevBase := base - frameW*frameH
-			bestSAD := math.Inf(1)
-			bestDX, bestDY := 0, 0
-			for dy := -searchRange; dy <= searchRange; dy++ {
-				for dx := -searchRange; dx <= searchRange; dx++ {
-					px, py := bx+dx, by+dy
-					if px < 0 || py < 0 || px+blockSize > frameW || py+blockSize > frameH {
-						continue
-					}
-					sad := 0.0
-					for y := 0; y < blockSize; y++ {
-						for x := 0; x < blockSize; x++ {
-							d := src.At(bx+x, by+y) - out[prevBase+(py+y)*frameW+px+x]
-							if d < 0 {
-								d = -d
-							}
-							sad += d
-						}
-					}
-					ops += blockSize * blockSize // SAD work
-					if sad < bestSAD {
-						bestSAD, bestDX, bestDY = sad, dx, dy
-					}
-				}
-			}
+			prev := out[base-frameW*frameH : base]
+			dx, dy, searchOps := motionSearch(src.V, prev, bx, by)
+			ops += searchOps
 			for y := 0; y < blockSize; y++ {
 				for x := 0; x < blockSize; x++ {
-					pred[y][x] = out[prevBase+(by+bestDY+y)*frameW+bx+bestDX+x]
+					pred[y][x] = prev[(by+dy+y)*frameW+bx+dx+x]
 				}
 			}
 		}
@@ -268,6 +246,39 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 		}
 	}
 	return rms.Result{Output: out, Ops: ops}, nil
+}
+
+// motionSearch returns the displacement (dx, dy), within +-searchRange
+// px, of the block of prev that best predicts the block of src at
+// (bx, by): the first strict SAD minimum in dy-major, dx-minor order.
+// Both frames are frameW-strided. Every candidate costs its full SAD
+// work in ops, though its sum stops once it reaches the best so far.
+func motionSearch(src, prev []float64, bx, by int) (bestDX, bestDY int, ops float64) {
+	bestSAD := math.Inf(1)
+	for dy := -searchRange; dy <= searchRange; dy++ {
+		for dx := -searchRange; dx <= searchRange; dx++ {
+			px, py := bx+dx, by+dy
+			if px < 0 || py < 0 || px+blockSize > frameW || py+blockSize > frameH {
+				continue
+			}
+			// A partial sum of |d| >= 0 never falls as rows add to it, so
+			// one at bestSAD cannot win; math.Abs differs from a sign
+			// branch only on -0, which a sum from +0 absorbs.
+			sad := 0.0
+			for y := 0; y < blockSize && sad < bestSAD; y++ {
+				s := src[(by+y)*frameW+bx : (by+y)*frameW+bx+blockSize]
+				p := prev[(py+y)*frameW+px : (py+y)*frameW+px+blockSize]
+				for x := range s {
+					sad += math.Abs(s[x] - p[x])
+				}
+			}
+			ops += blockSize * blockSize // SAD work
+			if sad < bestSAD {
+				bestSAD, bestDX, bestDY = sad, dx, dy
+			}
+		}
+	}
+	return bestDX, bestDY, ops
 }
 
 // OwnerOfValue implements rms.ValueOwner: output value i is a decoded

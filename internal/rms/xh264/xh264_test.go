@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/mathx"
 	"repro/internal/quality"
 	"repro/internal/rms"
 	"repro/internal/rms/rmstest"
@@ -180,5 +181,110 @@ func TestOwnerOfValue(t *testing.T) {
 	}
 	if got := b.OwnerOfValue(0, 7, threads); got != 0 {
 		t.Errorf("mismatched value count owner = %d, want 0", got)
+	}
+}
+
+// fullSearch is the reference motion search: the full SAD of every
+// in-range candidate, with a sign branch, keeping the first strict
+// minimum in dy-major, dx-minor order.
+func fullSearch(src, prev []float64, bx, by int) (bestDX, bestDY int, ops float64) {
+	bestSAD := math.Inf(1)
+	for dy := -searchRange; dy <= searchRange; dy++ {
+		for dx := -searchRange; dx <= searchRange; dx++ {
+			px, py := bx+dx, by+dy
+			if px < 0 || py < 0 || px+blockSize > frameW || py+blockSize > frameH {
+				continue
+			}
+			sad := 0.0
+			for y := 0; y < blockSize; y++ {
+				for x := 0; x < blockSize; x++ {
+					d := src[(by+y)*frameW+bx+x] - prev[(py+y)*frameW+px+x]
+					if d < 0 {
+						d = -d
+					}
+					sad += d
+				}
+			}
+			ops += blockSize * blockSize
+			if sad < bestSAD {
+				bestSAD, bestDX, bestDY = sad, dx, dy
+			}
+		}
+	}
+	return bestDX, bestDY, ops
+}
+
+// TestMotionSearchMatchesFullSearch checks the early-exit search
+// against the full one at every block position, on frames built to
+// tie, to match exactly, and to put the best match last in the scan.
+func TestMotionSearchMatchesFullSearch(t *testing.T) {
+	const n = frameW * frameH
+	rng := mathx.NewRNG(264)
+	noise := func() []float64 {
+		f := make([]float64, n)
+		for i := range f {
+			f[i] = math.Round(rng.Float64() * 255)
+		}
+		return f
+	}
+	// shifted returns the frame whose pixel (x+dx, y+dy) is src's (x, y),
+	// with noise where src has no pixel.
+	shifted := func(src []float64, dx, dy int) []float64 {
+		f := noise()
+		for y := 0; y < frameH; y++ {
+			for x := 0; x < frameW; x++ {
+				if x+dx >= 0 && x+dx < frameW && y+dy >= 0 && y+dy < frameH {
+					f[(y+dy)*frameW+x+dx] = src[y*frameW+x]
+				}
+			}
+		}
+		return f
+	}
+	flat := func(v float64) []float64 {
+		f := make([]float64, n)
+		for i := range f {
+			f[i] = v
+		}
+		return f
+	}
+	periodic := make([]float64, n) // period 2: candidates tie in fours
+	signedZeros := make([]float64, n)
+	for i := range periodic {
+		x, y := i%frameW, i/frameW
+		periodic[i] = float64(50 * ((x + y) % 2))
+		if (x+y)%3 == 0 {
+			signedZeros[i] = math.Copysign(0, -1)
+		}
+	}
+	ramp := make([]float64, n) // SAD falls toward the match at (+4, +4)
+	for i := range ramp {
+		ramp[i] = float64(i%frameW + 3*(i/frameW))
+	}
+	src := noise()
+	cases := []struct {
+		name      string
+		src, prev []float64
+	}{
+		{"flat tie", flat(10), flat(40)},
+		{"periodic ties", periodic, noise()},
+		{"periodic both", periodic, periodic},
+		{"zero SAD early", src, shifted(src, -3, -2)},
+		{"zero SAD at the centre", src, src},
+		{"best match last", src, shifted(src, searchRange, searchRange)},
+		{"ramp to the last candidate", ramp, shifted(ramp, searchRange, searchRange)},
+		{"signed zeros", signedZeros, flat(0)},
+		{"noise", noise(), noise()},
+	}
+	for _, c := range cases {
+		for by := 0; by < frameH; by += blockSize {
+			for bx := 0; bx < frameW; bx += blockSize {
+				dx, dy, ops := motionSearch(c.src, c.prev, bx, by)
+				wdx, wdy, wops := fullSearch(c.src, c.prev, bx, by)
+				if dx != wdx || dy != wdy || ops != wops {
+					t.Fatalf("%s, block (%d,%d): got (%d,%d) ops %g, want (%d,%d) ops %g",
+						c.name, bx, by, dx, dy, ops, wdx, wdy, wops)
+				}
+			}
+		}
 	}
 }
