@@ -43,7 +43,7 @@ func TestExitCodes(t *testing.T) {
 // TestReportAndListWriteText checks the two read-only subcommands
 // render the committed store as non-empty text on stdout, and that the
 // report trends the newest record's benchmark metrics: the committed
-// store ends with two serve runs of the benchmark.
+// store ends with two faults runs of the benchmark.
 func TestReportAndListWriteText(t *testing.T) {
 	for _, sub := range []string{"report", "list"} {
 		var stdout, stderr bytes.Buffer
@@ -53,8 +53,8 @@ func TestReportAndListWriteText(t *testing.T) {
 		if strings.TrimSpace(stdout.String()) == "" {
 			t.Errorf("%s wrote no text", sub)
 		}
-		if sub == "report" && !strings.Contains(stdout.String(), "bench.serve.metrics.op_p50_ms.value") {
-			t.Errorf("report does not trend the serve workload's op_p50_ms:\n%s", stdout.String())
+		if sub == "report" && !strings.Contains(stdout.String(), "bench.faults.metrics.op_p50_ms.value") {
+			t.Errorf("report does not trend the faults workload's op_p50_ms:\n%s", stdout.String())
 		}
 	}
 }
