@@ -15,7 +15,7 @@ race:
 
 # The test, lint, race and history-gate jobs: build, lint
 # (accordionvet + gofmt -s + vet + shellcheck), gofmt cleanliness,
-# tests, the experiment digests and four kernels' golden runs again
+# tests, the experiment digests and five kernels' golden runs again
 # from a 386 build (pure-Go math), one pass of each kernel benchmark,
 # the race tier, then the committed run history through the gate.
 ci:
@@ -24,7 +24,7 @@ ci:
 	$(MAKE) fmt-check
 	go test ./...
 	GOARCH=386 go test ./internal/experiments -run '^TestExperimentDigests$$'
-	GOARCH=386 go test ./internal/rms/ferret ./internal/rms/xh264 ./internal/rms/hotspot ./internal/rms/btcmine -run '^TestRunGolden$$'
+	GOARCH=386 go test ./internal/rms/canneal ./internal/rms/ferret ./internal/rms/xh264 ./internal/rms/hotspot ./internal/rms/btcmine -run '^TestRunGolden$$'
 	go test -run '^$$' -bench '^BenchmarkKernel' -benchtime 1x .
 	go test -race ./...
 	$(MAKE) history-check
@@ -52,7 +52,6 @@ lint:
 # checked-in corpus; mirrors the CI fuzz-smoke job.
 FUZZTIME ?= 30s
 fuzz:
-	go test ./internal/telemetry -run '^$$' -fuzz FuzzEventsNDJSONRoundTrip -fuzztime $(FUZZTIME)
 	go test ./internal/experiments -run '^$$' -fuzz FuzzFirstFloat -fuzztime $(FUZZTIME)
 	go test ./internal/mathx -run '^$$' -fuzz FuzzFFTSizes -fuzztime $(FUZZTIME)
 	go test ./internal/chip -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME)

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	accordion [-seed N] [-chip N] [-chips N] [-j N] [-telemetry text|json]
-//	          [-trace FILE] [-events FILE] [-atlas DIR] [-manifest FILE]
+//	          [-trace FILE] [-atlas DIR] [-manifest FILE]
 //	          [-convergence FILE] [-progress] [-pprof addr]
 //	          [-history DIR]
 //	          [list | all | <experiment id>...]
@@ -19,18 +19,17 @@
 // output is byte-identical to a sequential -j 1 run, in the order the
 // ids were given.
 //
-// Observability: telemetry has one switch, which -telemetry, -events,
-// -trace, -manifest, -convergence, -progress, -history and -pprof each
-// turn on. -telemetry text|json dumps the report (pool utilization,
-// cache hit rates, fault counts, chip-draw latency, per-runner stage
+// Observability: telemetry has one switch, which -telemetry, -trace,
+// -manifest, -convergence, -progress, -history and -pprof each turn
+// on. -telemetry text|json dumps the report (pool utilization, cache
+// hit rates, fault counts, chip-draw latency, per-runner stage
 // timings, convergence series) to stderr after the run, so stdout
-// stays a clean artifact stream. -events FILE
-// writes the simulation-domain event log (chip drawn, front measured,
-// quality scored, atlas built, ledger-attributed faults) as NDJSON.
-// -trace FILE records every stage of the run as a hierarchy (run →
-// runner → worker → chip draw / front measurement / solver sweep) and
-// exports it as Chrome trace-event JSON loadable in Perfetto
-// (https://ui.perfetto.dev).
+// stays a clean artifact stream. -trace FILE records every stage of
+// the run as a hierarchy (run → runner → worker → chip draw / front
+// measurement / solver sweep) and exports it as Chrome trace-event
+// JSON loadable in Perfetto (https://ui.perfetto.dev). Each chip.draw
+// event carries the chip's seed and vddntv, each core.front.cell its
+// scenario and input, and each quality.<kernel>.score its quality.
 // -manifest FILE writes the run document (internal/history's Record)
 // as indented JSON: the full flag set, toolchain and VCS identity,
 // the run's metrics (per-runner wall times, cache hit rates, the
@@ -50,10 +49,10 @@
 // representative chip and writes the per-chip spatial export set —
 // atlas.json, atlas.csv, one atlas_<metric>.svg heatmap per metric,
 // and ledger.json with the per-core distortion breakdown. -pprof
-// <addr> serves net/http/pprof plus the /telemetryz JSON endpoint, the
-// /metricsz Prometheus text endpoint, and the /eventsz NDJSON
-// event-log endpoint for live scraping. With all of these off, the run
-// is byte-identical to one without the observability tier.
+// <addr> serves net/http/pprof plus the /telemetryz JSON endpoint and
+// the /metricsz Prometheus text endpoint for live scraping. With all
+// of these off, the run is byte-identical to one without the
+// observability tier.
 //
 // Run history: -history DIR appends the same run document to the
 // store's records.ndjson, one line per completed run — runner wall
@@ -110,7 +109,7 @@ func main() {
 		convPath   = flag.String("convergence", "", "monitor Monte-Carlo convergence and write the statistics as JSON")
 		progress   = flag.Bool("progress", false, "print chips-done/ETA/CI-width progress lines to stderr during the run")
 		verifyMani = flag.String("verify-manifest", "", "re-hash the files a run document lists and exit non-zero on mismatch")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, /telemetryz, /metricsz and /eventsz on this address (e.g. localhost:6060)")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, /telemetryz and /metricsz on this address (e.g. localhost:6060)")
 		histDir    = flag.String("history", "", "append the run document (telemetry, convergence, runner timings, per-stage self times, artifact SHA-256s) to this run-history store")
 	)
 	flag.Parse()
@@ -163,10 +162,9 @@ func main() {
 	}
 	if *pprofAddr != "" {
 		// net/http/pprof registered its handlers on the default mux at
-		// import; /telemetryz, /metricsz and /eventsz join them there.
+		// import; /telemetryz and /metricsz join them there.
 		http.Handle("/telemetryz", telemetry.Handler())
 		http.Handle("/metricsz", telemetry.MetricsHandler())
-		http.Handle("/eventsz", telemetry.EventsHandler())
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "accordion: pprof server: %v\n", err)
@@ -257,8 +255,6 @@ func main() {
 				addFile("convergence.json", *convPath)
 			}
 		}
-		// The atlas export runs before the event dump so its atlas.built
-		// and fault-provenance events land in events.ndjson too.
 		if obs.Atlas != "" {
 			paths, err := writeAtlas(ctx, obs.Atlas, cfg)
 			if err != nil {
@@ -270,8 +266,6 @@ func main() {
 		}
 		if err := finishObs(os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "accordion: %v\n", err)
-		} else if obs.Events != "" {
-			addFile("events.ndjson", obs.Events)
 		}
 		harvest(&rec, results, time.Since(start))
 		if *maniPath != "" {

@@ -90,6 +90,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-history-check", "table2"}, 2},
 		{[]string{"-selfprofile", "table2"}, 2},
 		{[]string{"-history-margin", "0.5", "table2"}, 2},
+		{[]string{"-events", "x", "table2"}, 2},
 		{[]string{"-out", existing, "table2"}, 1},
 		{[]string{"-verify-manifest", bare}, 1},
 		{[]string{"-verify-manifest", oldManifest}, 1},
@@ -106,14 +107,14 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestObservabilityKeepsStdout: -trace, -telemetry, -manifest, -events,
+// TestObservabilityKeepsStdout: -trace, -telemetry, -manifest,
 // -convergence and -history leave stdout byte-identical; the trace is
 // one tree under the run stage with worker lanes and chip draws under
-// fig5a; -telemetry alone records domain events, since the event log
-// follows the one switch; the history record carries each stage's self
-// time and the hash of each stdout block, and equals the -manifest
-// document of the same run; and the manifest verifies, saying that its
-// three stdout hashes had no file to check.
+// fig5a; -telemetry's report counts the chips drawn; the history
+// record carries each stage's self time and the hash of each stdout
+// block, and equals the -manifest document of the same run; and the
+// manifest verifies, saying that its three stdout hashes had no file
+// to check.
 func TestObservabilityKeepsStdout(t *testing.T) {
 	dir := t.TempDir()
 	ids := []string{"fig1a", "fig5a", "table2"}
@@ -134,7 +135,6 @@ func TestObservabilityKeepsStdout(t *testing.T) {
 		{"-trace", "trace.json"},
 		{"-telemetry", "json"},
 		{"-manifest", "manifest.json"},
-		{"-events", "events.ndjson"},
 		{"-convergence", "convergence.json"},
 		{"-history", "hist", "-manifest", "doc.json"},
 	} {
@@ -159,14 +159,14 @@ func TestObservabilityKeepsStdout(t *testing.T) {
 	if err := json.Unmarshal(report, &doc); err != nil {
 		t.Fatalf("-telemetry json report is not JSON: %v\n%s", err, report)
 	}
-	emitted := int64(-1)
+	drawn := int64(-1)
 	for _, c := range doc.Counters {
-		if c.Name == "events.emitted" {
-			emitted = c.Value
+		if c.Name == "chip.factory.chips_drawn" {
+			drawn = c.Value
 		}
 	}
-	if emitted <= 0 {
-		t.Errorf("-telemetry json reports events.emitted = %d, want > 0", emitted)
+	if drawn <= 0 {
+		t.Errorf("-telemetry json reports chip.factory.chips_drawn = %d, want > 0", drawn)
 	}
 
 	stdout, stderr, code := accordion(t, dir, "-verify-manifest", "manifest.json")
@@ -277,7 +277,8 @@ func checkRecord(t *testing.T, path, manifest string, ids []string) {
 // checkTrace reads a Chrome trace and checks its tree: one parentless
 // run event, every parent present, one experiments.run.<id> per id
 // under it, parallel.worker events each on a lane of its own, and
-// chip.draw events under fig5a's runner.
+// chip.draw events under fig5a's runner, each carrying its seed and
+// vddntv.
 func checkTrace(t *testing.T, path string, ids []string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -290,8 +291,10 @@ func checkTrace(t *testing.T, path string, ids []string) {
 			Ph   string `json:"ph"`
 			Tid  uint64 `json:"tid"`
 			Args struct {
-				Span   uint64 `json:"span"`
-				Parent uint64 `json:"parent"`
+				Span   uint64   `json:"span"`
+				Parent uint64   `json:"parent"`
+				Seed   *int64   `json:"seed"`
+				VddNTV *float64 `json:"vddntv"`
 			} `json:"args"`
 		} `json:"traceEvents"`
 	}
@@ -311,6 +314,9 @@ func checkTrace(t *testing.T, path string, ids []string) {
 		}
 		byID[e.Args.Span] = ev{e.Name, e.Args.Parent, e.Tid}
 		count[e.Name]++
+		if e.Name == "chip.draw" && (e.Args.Seed == nil || e.Args.VddNTV == nil) {
+			t.Errorf("a chip.draw event lacks its seed or vddntv")
+		}
 		if e.Args.Parent == 0 {
 			if root != 0 || e.Name != "run" {
 				t.Errorf("parentless event %q; want exactly one, named run", e.Name)

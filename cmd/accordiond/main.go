@@ -19,8 +19,6 @@
 //	GET  /healthz          liveness and drain state (ok or draining)
 //	GET  /telemetryz       telemetry snapshot (JSON)
 //	GET  /metricsz         telemetry snapshot (Prometheus text)
-//	GET  /eventsz          domain event ring (NDJSON), including the
-//	                       service.request access log and job.state
 //
 // Backpressure: the job queue is bounded (-queue). When it is full,
 // submissions are answered 429 with a constant Retry-After: 1 instead
@@ -106,8 +104,7 @@ func main() {
 	parallel.SetWorkers(opts.poolWidth)
 
 	// A service wants its ops surface live from the first request:
-	// telemetry, and with it the domain-event ring, is always on, and
-	// /telemetryz, /metricsz and /eventsz serve it.
+	// telemetry is always on, and /telemetryz and /metricsz serve it.
 	telemetry.SetEnabled(true)
 
 	srv := service.New(service.Config{
@@ -119,7 +116,6 @@ func main() {
 	mux := srv.Mux()
 	mux.Handle("GET /telemetryz", telemetry.Handler())
 	mux.Handle("GET /metricsz", telemetry.MetricsHandler())
-	mux.Handle("GET /eventsz", telemetry.EventsHandler())
 
 	// The service core spawns no goroutines; the daemon owns them all.
 	workerCtx, stopWorkers := context.WithCancel(context.Background())

@@ -5,14 +5,13 @@
 //
 // Usage:
 //
-//	chipgen [-seed N] [-n N] [-v] [-telemetry text|json] [-events FILE] [-atlas DIR]
+//	chipgen [-seed N] [-n N] [-v] [-telemetry text|json] [-atlas DIR]
 //
 // With -n > 1 a population summary is printed; -v additionally dumps
 // per-cluster detail for the first chip. -telemetry dumps the
-// telemetry report to stderr; -events FILE records the
-// simulation-domain event log (chip.drawn per sample) as NDJSON;
-// -atlas DIR writes the first chip's spatial export set (JSON, CSV,
-// SVG heatmaps — no fault overlay, chipgen runs no workload).
+// telemetry report to stderr; -atlas DIR writes the first chip's
+// spatial export set (JSON, CSV, SVG heatmaps — no fault overlay,
+// chipgen runs no workload).
 package main
 
 import (

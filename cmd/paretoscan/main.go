@@ -9,12 +9,11 @@
 //
 //	paretoscan -bench canneal [-flavor safe|spec] [-policy efficient|fastest|sequential]
 //	           [-seed N] [-chip N] [-qfloor Q] [-telemetry text|json]
-//	           [-events FILE] [-atlas DIR]
+//	           [-atlas DIR]
 //
 // -telemetry dumps the telemetry report (fault counts included) to
-// stderr; -events FILE records the simulation-domain event log
-// (chip.drawn, front.measured, quality.scored) as NDJSON; -atlas DIR
-// writes the scanned chip's spatial export set (no fault overlay).
+// stderr; -atlas DIR writes the scanned chip's spatial export set (no
+// fault overlay).
 package main
 
 import (

@@ -1,5 +1,6 @@
 // Package analysis is the repository's static-analysis engine: a
-// stdlib-only (go/ast + go/parser + go/types with the source importer,
+// stdlib-only (go/ast + go/parser + go/types, repo packages from
+// source and the standard library from the go command's export data,
 // no x/tools) driver plus the project-specific analyzers that turn the
 // reproduction's determinism and layering contracts into compile-time
 // invariants instead of runtime hopes.
@@ -19,7 +20,7 @@
 //	                formerly duplicated in layering_test.go)
 //	floateq         no ==/!= on floats outside an allowlist of exact
 //	                key comparisons
-//	telemetrynames  telemetry metric and event names are literals,
+//	telemetrynames  telemetry metric and stage names are literals,
 //	                match ^[a-z0-9_.]+$, and live in the catalog
 //	seedhygiene     no *mathx.RNG or worker-invariant seed reuse
 //	                across parallel worker closures

@@ -158,20 +158,18 @@ func TestTelemetryNamesGolden(t *testing.T) {
 	cfg.Catalog = &Catalog{
 		Metrics:        set("registered.name"),
 		MetricPrefixes: []string{"cache."},
-		Events:         set("chip.drawn"),
 	}
 	runGolden(t, cfg, "./"+tdata+"/telemetrynames")
 }
 
 // TestHistoryNamesGolden pins that the catalog audit covers every
 // constructor under a catalog the fixture brings along: an
-// unregistered history.* metric or event kind is a finding,
-// registered ones are clean.
+// unregistered history.* metric is a finding, registered ones are
+// clean.
 func TestHistoryNamesGolden(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Catalog = &Catalog{
 		Metrics: set("history.appends", "history.gate.regressions"),
-		Events:  set("history.appended"),
 	}
 	runGolden(t, cfg, "./"+tdata+"/historynames")
 }
@@ -212,11 +210,11 @@ func TestSuppressionBudgetTrips(t *testing.T) {
 // come out of the full analyzer suite with zero findings, exactly as
 // `go run ./cmd/accordionvet ./...` and the CI lint job see it. It also
 // keeps the catalog honest in the other direction: every exact metric
-// and event name registered there must still have an emit site, so a
-// deleted surface cannot leave stale vocabulary behind.
+// name registered there must still have an emit site, so a deleted
+// surface cannot leave stale vocabulary behind.
 func TestCleanTree(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-tree source type-check is slow; run without -short")
+		t.Skip("type-checks the whole tree; run without -short")
 	}
 	cfg, err := DefaultConfig(".")
 	if err != nil {
@@ -231,17 +229,15 @@ func TestCleanTree(t *testing.T) {
 	}
 
 	emitted := emittedNames(cfg, pkgs)
-	for kind, names := range map[string]map[string]bool{"metric": cfg.Catalog.Metrics, "event": cfg.Catalog.Events} {
-		for name := range names {
-			if !emitted[kind+" "+name] {
-				t.Errorf("catalog %s %q has no emit site under ./internal/... or ./cmd/...", kind, name)
-			}
+	for name := range cfg.Catalog.Metrics {
+		if !emitted[name] {
+			t.Errorf("catalog metric %q has no emit site under ./internal/... or ./cmd/...", name)
 		}
 	}
 }
 
 // emittedNames collects every statically resolved exact name handed to
-// a registration point in pkgs, keyed "metric <name>" or "event <name>".
+// a registration point in pkgs.
 func emittedNames(cfg *Config, pkgs []*Package) map[string]bool {
 	seen := map[string]bool{}
 	for _, pkg := range pkgs {
@@ -249,16 +245,12 @@ func emittedNames(cfg *Config, pkgs []*Package) map[string]bool {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				kind, ok := emitSite(pass, call)
-				if !ok {
+				if !ok || !emitSite(pass, call) {
 					return true
 				}
 				if lits, isPrefix, ok := resolveName(pass, call.Args[0]); ok && !isPrefix {
 					for _, lit := range lits {
-						seen[kind+" "+lit] = true
+						seen[lit] = true
 					}
 				}
 				return true

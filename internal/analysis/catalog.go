@@ -2,16 +2,15 @@ package analysis
 
 import "strings"
 
-// Catalog is the checked-in vocabulary of telemetry metric names and
-// domain event kinds. The telemetrynames analyzer refuses any
-// GetCounter/GetGauge/GetHistogram/GetSeries/NewStage or NewEvent call
-// whose name is not (a) a string literal matching ^[a-z0-9_.]+$
-// registered here, or (b) a concatenation whose literal prefix is
-// registered here. That keeps the /metricsz namespace and the
-// event-kind vocabulary (what CI smoke gates and jq pipelines key on)
-// from drifting or colliding one emit site at a time: adding a name
-// means touching this file, which means the diff shows the vocabulary
-// grew.
+// Catalog is the checked-in vocabulary of telemetry metric names. The
+// telemetrynames analyzer refuses any
+// GetCounter/GetGauge/GetHistogram/GetSeries/NewStage call whose name
+// is not (a) a string literal matching ^[a-z0-9_.]+$ registered here,
+// or (b) a concatenation whose literal prefix is registered here. That
+// keeps the /metricsz namespace and the trace's stage names (what CI
+// smoke gates and jq pipelines key on) from drifting or colliding one
+// emit site at a time: adding a name means touching this file, which
+// means the diff shows the vocabulary grew.
 type Catalog struct {
 	// Metrics are exact telemetry counter/gauge/histogram/series/stage
 	// names.
@@ -19,11 +18,6 @@ type Catalog struct {
 	// MetricPrefixes cover families with a dynamic tail, e.g. the
 	// per-cache counters "cache.<Name>.hits".
 	MetricPrefixes []string
-	// Events are exact domain event kinds.
-	Events map[string]bool
-	// EventPrefixes cover event families with a dynamic tail (none
-	// today; the event vocabulary is deliberately closed).
-	EventPrefixes []string
 }
 
 // DefaultCatalog returns the repository's registered vocabulary.
@@ -60,9 +54,7 @@ func DefaultCatalog() *Catalog {
 			"core.solver.front",
 			"core.solver.solve",
 			"experiments.attribution",
-			// the event log's and the trace buffer's self-accounting
-			"events.emitted",
-			"events.dropped",
+			// the trace buffer's self-accounting
 			"trace.dropped",
 			// accordiond job queue
 			"service.requests",
@@ -78,18 +70,6 @@ func DefaultCatalog() *Catalog {
 			"rms.",             // rms.<kernel>.run stages
 			"quality.",         // quality.<kernel>.score stages
 		},
-		Events: set(
-			"chip.drawn",
-			"front.measured",
-			"quality.scored",
-			"fault.injected",
-			"drop.triggered",
-			"field.sampled",
-			"atlas.built",
-			// accordiond ops surface
-			"service.request",
-			"job.state",
-		),
 	}
 }
 

@@ -36,10 +36,10 @@ type Config struct {
 
 	// TelemetryExempt lists module-relative packages skipped by the
 	// telemetrynames analyzer: the packages that *define* the metric
-	// and event constructors necessarily handle names as variables.
+	// constructors necessarily handle names as variables.
 	TelemetryExempt []string
 
-	// Catalog is the registered telemetry/event name vocabulary.
+	// Catalog is the registered telemetry name vocabulary.
 	Catalog *Catalog
 
 	// SuppressionBudget caps the total number of //lint:ignore

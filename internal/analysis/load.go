@@ -124,10 +124,12 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
-// Load parses and type-checks every package matching patterns,
-// resolving dependencies from source through the stdlib source
-// importer (zero-dep: no x/tools, no export data). Patterns are
-// resolved relative to cfg.ModuleRoot.
+// Load parses and type-checks every package matching patterns.
+// Patterns are resolved relative to cfg.ModuleRoot. Repo packages are
+// checked from source once each: a package a matched one imports is
+// loaded on demand and then reused. The standard library comes from
+// the gc export data the local go command provides (zero-dep: no
+// x/tools, no network), so the go command must be on PATH at run time.
 func Load(cfg *Config, patterns []string) ([]*Package, error) {
 	dirs, err := expand(cfg.ModuleRoot, patterns)
 	if err != nil {
@@ -137,16 +139,52 @@ func Load(cfg *Config, patterns []string) ([]*Package, error) {
 		return nil, fmt.Errorf("analysis: patterns %v matched no packages", patterns)
 	}
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	l := &loader{cfg: cfg, fset: fset, std: importer.ForCompiler(fset, "gc", nil), pkgs: map[string]*Package{}}
 	var pkgs []*Package
 	for _, dir := range dirs {
-		pkg, err := loadDir(cfg, fset, imp, dir)
+		pkg, err := l.load(dir)
 		if err != nil {
 			return nil, err
 		}
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
+}
+
+// loader is the one importer of a Load: it type-checks each repo
+// package once and hands the standard library to the gc importer.
+type loader struct {
+	cfg  *Config
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*Package // checked repo packages by directory
+}
+
+// Import returns a repo package from source, checking it on first use,
+// and anything else from export data.
+func (l *loader) Import(path string) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, l.cfg.ModulePath+"/")
+	if !ok {
+		return l.std.Import(path)
+	}
+	pkg, err := l.load(filepath.Join(l.cfg.ModuleRoot, filepath.FromSlash(rel)))
+	if err != nil {
+		return nil, err
+	}
+	return pkg.Types, nil
+}
+
+// load returns dir's package, checking it on first use.
+func (l *loader) load(dir string) (*Package, error) {
+	if pkg, ok := l.pkgs[dir]; ok {
+		return pkg, nil
+	}
+	pkg, err := loadDir(l.cfg, l.fset, l, dir)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[dir] = pkg
+	return pkg, nil
 }
 
 // loadDir parses dir's non-test files and type-checks them as the

@@ -6,7 +6,7 @@ import (
 )
 
 // MapIterAnalyzer guards the artifacts whose bytes are contract: golden
-// JSON/CSV/SVG files, NDJSON event logs, manifest hashes, Prometheus
+// JSON/CSV/SVG files, NDJSON run histories, manifest hashes, Prometheus
 // text. Go's map iteration order is deliberately randomized, so a
 // `range` over a map whose body writes into an encoder, string
 // builder, writer, or an escaping slice produces different bytes every

@@ -9,8 +9,7 @@ import (
 
 // TelemetryNamesAnalyzer keeps the observability vocabulary closed and
 // greppable. Every name handed to telemetry.GetCounter / GetGauge /
-// GetHistogram / GetSeries / NewStage and every kind handed to
-// NewEvent must
+// GetHistogram / GetSeries / NewStage must
 //
 //   - resolve statically: a string literal, a concatenation with a
 //     literal prefix ("cache." + name + ".hits"), or a local variable
@@ -19,21 +18,21 @@ import (
 //   - be registered in the catalog (internal/analysis/catalog.go) —
 //     exact names exactly, dynamic families by literal prefix.
 //
-// This is what keeps /metricsz names and the event-kind vocabulary
+// This is what keeps /metricsz names and the trace's stage names
 // (which CI smoke checks and jq pipelines key on) from drifting or
 // colliding: adding a metric means a visible catalog diff, and a typo
 // in an emit site fails the lint run instead of shipping a phantom
 // name.
 var TelemetryNamesAnalyzer = &Analyzer{
 	Name: "telemetrynames",
-	Doc:  "require literal, well-formed, cataloged telemetry metric and event names",
+	Doc:  "require literal, well-formed, cataloged telemetry metric names",
 	Run:  runTelemetryNames,
 }
 
 var nameRe = regexp.MustCompile(`^[a-z0-9_.]+$`)
 
 // metricFuncs name the metric registration points in
-// internal/telemetry; NewEvent is its one event registration point.
+// internal/telemetry.
 var metricFuncs = map[string]bool{
 	"GetCounter": true, "GetGauge": true, "GetHistogram": true, "GetSeries": true, "NewStage": true,
 }
@@ -49,55 +48,42 @@ func runTelemetryNames(pass *Pass) {
 	}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if kind, ok := emitSite(pass, call); ok {
-					checkName(pass, call.Args[0], kind)
-				}
+			if call, ok := n.(*ast.CallExpr); ok && emitSite(pass, call) {
+				checkName(pass, call.Args[0])
 			}
 			return true
 		})
 	}
 }
 
-// emitSite reports whether call hands a name to a registration point,
-// and whether that name is a "metric" or an "event".
-func emitSite(pass *Pass, call *ast.CallExpr) (kind string, ok bool) {
+// emitSite reports whether call hands a name to a registration point.
+func emitSite(pass *Pass, call *ast.CallExpr) bool {
 	if len(call.Args) == 0 {
-		return "", false
+		return false
 	}
 	fn := funcFor(pass.Pkg.Info, call)
 	if fn == nil || fn.Pkg() == nil {
-		return "", false
+		return false
 	}
-	if fn.Pkg().Path() != pass.Cfg.ModulePath+"/"+telemetryPkgRel {
-		return "", false
-	}
-	if fn.Name() == "NewEvent" {
-		return "event", true
-	}
-	return "metric", metricFuncs[fn.Name()]
+	return fn.Pkg().Path() == pass.Cfg.ModulePath+"/"+telemetryPkgRel && metricFuncs[fn.Name()]
 }
 
 // checkName validates one name argument against the catalog.
-func checkName(pass *Pass, arg ast.Expr, kind string) {
+func checkName(pass *Pass, arg ast.Expr) {
 	cat := pass.Cfg.Catalog
-	exact, prefixes := cat.Metrics, cat.MetricPrefixes
-	if kind == "event" {
-		exact, prefixes = cat.Events, cat.EventPrefixes
-	}
 	lits, isPrefix, ok := resolveName(pass, arg)
 	if !ok {
-		pass.Reportf(arg.Pos(), "%s name must be a string literal (or a literal-prefixed concatenation); dynamic names cannot be audited against the catalog", kind)
+		pass.Reportf(arg.Pos(), "metric name must be a string literal (or a literal-prefixed concatenation); dynamic names cannot be audited against the catalog")
 		return
 	}
 	for _, lit := range lits {
 		switch {
 		case !nameRe.MatchString(lit):
-			pass.Reportf(arg.Pos(), "%s name %q must match ^[a-z0-9_.]+$", kind, lit)
-		case isPrefix && !lookupPrefix(lit, prefixes):
-			pass.Reportf(arg.Pos(), "%s name family %q* is not registered in internal/analysis/catalog.go", kind, lit)
-		case !isPrefix && !lookupExact(lit, exact, prefixes):
-			pass.Reportf(arg.Pos(), "%s name %q is not registered in internal/analysis/catalog.go", kind, lit)
+			pass.Reportf(arg.Pos(), "metric name %q must match ^[a-z0-9_.]+$", lit)
+		case isPrefix && !lookupPrefix(lit, cat.MetricPrefixes):
+			pass.Reportf(arg.Pos(), "metric name family %q* is not registered in internal/analysis/catalog.go", lit)
+		case !isPrefix && !lookupExact(lit, cat.Metrics, cat.MetricPrefixes):
+			pass.Reportf(arg.Pos(), "metric name %q is not registered in internal/analysis/catalog.go", lit)
 		}
 	}
 }
@@ -145,9 +131,9 @@ func resolveName(pass *Pass, arg ast.Expr) (lits []string, isPrefix, ok bool) {
 
 // resolveIdent handles the local-variable idiom
 //
-//	kind := "fault.injected"
-//	if mode == Drop { kind = "drop.triggered" }
-//	telemetry.NewEvent(kind)
+//	name := "fault.injected"
+//	if mode == Drop { name = "fault.drops" }
+//	telemetry.GetCounter(name)
 //
 // by requiring every assignment to the variable in its declaring
 // package to be a plain string literal, and returns all of them so the

@@ -1,17 +1,16 @@
 // Package historynames seeds catalog violations against history-shaped
-// metric and event names, under a catalog of its own. The test's
-// catalog registers exactly: metrics "history.appends" and
-// "history.gate.regressions", event "history.appended".
+// metric names, under a catalog of its own. The test's catalog
+// registers exactly: metrics "history.appends" and
+// "history.gate.regressions".
 package historynames
 
 import "repro/internal/telemetry"
 
-// Registered emits through a counter, a gauge and an event, each under
-// a registered name; never flagged.
+// Registered emits through a counter and a gauge, each under a
+// registered name; never flagged.
 func Registered() {
 	telemetry.GetCounter("history.appends").Inc()
 	telemetry.GetGauge("history.gate.regressions").Set(0)
-	telemetry.NewEvent("history.appended").Int("metrics", 27).Emit()
 }
 
 // UnregisteredCounter counts appends under a name the catalog has
@@ -26,12 +25,6 @@ func UnregisteredCounter() {
 // gate's family too.
 func UnregisteredGauge() {
 	telemetry.GetGauge("history.gate.ghosts").Set(1) // want `metric name "history.gate.ghosts" is not registered`
-}
-
-// UnregisteredEvent emits an event kind outside the closed
-// vocabulary jq pipelines key on.
-func UnregisteredEvent() {
-	telemetry.NewEvent("history.vanished").Emit() // want `event name "history.vanished" is not registered`
 }
 
 // BadCharset uses a name outside the [a-z0-9_.] alphabet.

@@ -1,6 +1,6 @@
 // Package telemetrynames seeds catalog violations against the real
 // telemetry API. The test's catalog registers exactly:
-// metric "registered.name", metric prefix "cache.", event "chip.drawn".
+// metric "registered.name" and metric prefix "cache.".
 package telemetrynames
 
 import "repro/internal/telemetry"
@@ -8,7 +8,6 @@ import "repro/internal/telemetry"
 // Registered uses only cataloged literals; never flagged.
 func Registered() {
 	telemetry.GetCounter("registered.name").Add(1)
-	telemetry.NewEvent("chip.drawn").Emit()
 }
 
 // Unregistered uses a well-formed literal the catalog has never heard
@@ -44,16 +43,11 @@ func PrefixUnregistered(layer string) {
 // LocalVar resolves through a variable whose assignments are all
 // literal; both alternates are cataloged, so nothing fires.
 func LocalVar(drop bool) {
-	kind := "chip.drawn"
+	name := "registered.name"
 	if drop {
-		kind = "chip.drawn"
+		name = "cache.drops"
 	}
-	telemetry.NewEvent(kind).Emit()
-}
-
-// BadEvent emits an unknown event kind.
-func BadEvent() {
-	telemetry.NewEvent("ghost.event").Emit() // want `event name "ghost.event" is not registered`
+	telemetry.GetCounter(name).Inc()
 }
 
 // UnregisteredSeries declares a convergence series under a name the

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/chip"
 	"repro/internal/fault"
-	"repro/internal/telemetry"
 )
 
 // CoreCell is one core's row of the atlas.
@@ -132,11 +131,6 @@ func Build(ch *chip.Chip) *Atlas {
 	for c := range a.ClusterRows {
 		a.ClusterRows[c] = ClusterCell{Cluster: c, VddMIN: round9(ch.ClusterVddMIN(c))}
 	}
-	telemetry.NewEvent("atlas.built").
-		Int("chip", ch.Seed).
-		Int("cores", int64(n)).
-		Float("vddntv", round9(vdd)).
-		Emit()
 	return a
 }
 

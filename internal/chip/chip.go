@@ -207,7 +207,8 @@ func (f *Factory) Sample(seed int64) *Chip {
 	return f.sample(context.Background(), seed)
 }
 
-// sample is one chip.draw stage: the draw Sample and SampleCtx share.
+// sample is one chip.draw stage, the draw Sample and SampleCtx share:
+// in a traced context its event carries the chip's seed and VddNTV.
 func (f *Factory) sample(ctx context.Context, seed int64) *Chip {
 	st := stDraw.Begin(ctx).Int("seed", seed)
 	defer st.End()
@@ -254,12 +255,8 @@ func (f *Factory) sample(ctx context.Context, seed int64) *Chip {
 		})
 	}
 	ch.deriveVoltages()
+	st.Float("vddntv", ch.vddNTV)
 	telChipsDrawn.Inc()
-	telemetry.NewEvent("chip.drawn").
-		Int("seed", seed).
-		Int("cores", int64(len(ch.Cores))).
-		Float("vddntv", ch.vddNTV).
-		Emit()
 	return ch
 }
 

@@ -133,23 +133,15 @@ func TestPopulationUnmonitored(t *testing.T) {
 	}
 }
 
-// allocsPerDraw is testing.AllocsPerRun(20, draw) without the heap
-// objects made inside encoding/json: the mean count per call, rounded
-// down, after one warm-up call. It reads a memory profile that records
-// every allocation and counts the objects allocated under draws.
-//
-// Under telemetry each draw's chip.drawn event encodes its kind and
-// keys with json.Marshal, whose encoder comes from a sync.Pool; the
-// race detector drops pooled items at random, so json's share of a
-// draw varies from run to run under -race. Sample and SampleCtx emit
-// that same event through the same code, so leaving json out of both
-// compares everything else either path allocates. The event ring is
-// emptied first, so it grows alike on both sides.
+// allocsPerDraw is testing.AllocsPerRun(20, draw) counting only the
+// heap objects made under draw: the mean count per call, rounded down,
+// after one warm-up call. It reads a memory profile that records every
+// allocation and counts the objects allocated under draws, so no other
+// goroutine's allocations land in the count.
 func allocsPerDraw(draw func()) int64 {
 	const runs = 20
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	telemetry.Reset()
 	draws(1, draw)
 	before := drawObjects()
 	draws(runs, draw)
@@ -166,8 +158,8 @@ func draws(n int, draw func()) {
 	}
 }
 
-// drawObjects sums the objects allocated so far under draws and
-// outside encoding/json, after a collection publishes the profile.
+// drawObjects sums the objects allocated so far under draws, after a
+// collection publishes the profile.
 func drawObjects() int64 {
 	runtime.GC()
 	var recs []runtime.MemProfileRecord
@@ -178,16 +170,14 @@ func drawObjects() int64 {
 	}
 	var objects int64
 	for _, r := range recs[:n] {
-		underDraws, inJSON := false, false
 		frames := runtime.CallersFrames(r.Stack())
 		for more := true; more; {
 			var fr runtime.Frame
 			fr, more = frames.Next()
-			underDraws = underDraws || strings.HasSuffix(fr.Function, "chip.draws")
-			inJSON = inJSON || strings.HasPrefix(fr.Function, "encoding/json.")
-		}
-		if underDraws && !inJSON {
-			objects += r.AllocObjects
+			if strings.HasSuffix(fr.Function, "chip.draws") {
+				objects += r.AllocObjects
+				break
+			}
 		}
 	}
 	return objects

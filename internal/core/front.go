@@ -60,9 +60,10 @@ func MeasureFronts(b rms.Benchmark, seed int64) (*QualityModel, error) {
 // MeasureFrontsCtx is MeasureFronts with ctx's stages as parents: the
 // whole measurement is a core.front stage, the reference execution a
 // core.front.reference stage, and every (scenario, input) profiling
-// cell a core.front.cell stage under the pool worker that ran it. The
-// kernel runs and quality scores are rms.<name>.run and
-// quality.<name>.score stages inside the reference and the cells.
+// cell a core.front.cell stage, annotated with both, under the pool
+// worker that ran it. The kernel runs and quality scores are
+// rms.<name>.run and quality.<name>.score stages inside the reference
+// and the cells; each score's event carries its quality.
 //
 // The reference is task 0 of the cells' pool, so the cells run beside
 // it. A cell takes its run from the rms run memo and scores it as soon
@@ -94,7 +95,7 @@ func MeasureFrontsCtx(ctx context.Context, b rms.Benchmark, seed int64) (*Qualit
 			return nil, nil
 		}
 		sc, in := scenarios[(i-1)/len(sweep)], sweep[(i-1)%len(sweep)]
-		cell := stCell.Begin(wctx).Str("scenario", sc.name)
+		cell := stCell.Begin(wctx).Str("scenario", sc.name).Float("input", in)
 		defer cell.End()
 		wctx = cell.Context(wctx)
 		run, err := rms.RunMemo(wctx, b, in, b.DefaultThreads(), sc.plan, seed)
@@ -116,18 +117,8 @@ func MeasureFrontsCtx(ctx context.Context, b rms.Benchmark, seed int64) (*Qualit
 		if err != nil {
 			return nil, err
 		}
-		telemetry.NewEvent("quality.scored").
-			Str("bench", b.Name()).
-			Str("scenario", scenarios[c/len(sweep)].name).
-			Float("input", sweep[c%len(sweep)]).
-			Float("quality", q).
-			Emit()
 		qualities[c] = q
 	}
-	telemetry.NewEvent("front.measured").
-		Str("bench", b.Name()).
-		Int("cells", int64(len(qualities))).
-		Emit()
 
 	qm := &QualityModel{Benchmark: b.Name()}
 	for s, sc := range scenarios {

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -14,11 +18,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestFrontEventsWithTelemetryOn: measuring canneal's fronts with
-// telemetry on logs the front.measured event and one quality.scored
-// per cell, and no per-task drop.triggered: the Drop scenarios'
-// ledger-less notes only bump fault.drops, so the ring never fills.
-// The run memo is emptied first, so the Drop cells really run.
+// TestFrontEventsWithTelemetryOn: a traced measurement of canneal's
+// fronts records one core.front.cell event per cell, annotated with
+// its scenario and input, and one quality.canneal.score event per
+// cell, whose quality annotations are the fronts' qualities. The run
+// memo is emptied first, so every cell really runs and is scored, and
+// the Drop scenarios count fault.drops.
 func TestFrontEventsWithTelemetryOn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures canneal's fronts")
@@ -31,19 +36,53 @@ func TestFrontEventsWithTelemetryOn(t *testing.T) {
 		t.Fatal(err)
 	}
 	rms.ResetReferenceCache()
-	if _, err := MeasureFronts(b, 1); err != nil {
+	qm, err := MeasureFrontsCtx(telemetry.TraceContext(context.Background()), b, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[string]int{}
-	for _, e := range telemetry.Events() {
-		kinds[e.Kind]++
+	var buf bytes.Buffer
+	if err := telemetry.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
 	}
-	cells := 3 * len(b.Sweep())
-	if kinds["front.measured"] != 1 || kinds["quality.scored"] != cells || len(kinds) != 2 {
-		t.Errorf("logged %v, want 1 front.measured and %d quality.scored only", kinds, cells)
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
 	}
-	if d := telemetry.GetGauge("events.dropped").Value(); d != 0 {
-		t.Errorf("events.dropped = %d, want 0", d)
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	var cells int
+	var scores []float64
+	for _, e := range doc.TraceEvents {
+		switch e.Name {
+		case "core.front.cell":
+			cells++
+			_, hasScenario := e.Args["scenario"].(string)
+			_, hasInput := e.Args["input"].(float64)
+			if !hasScenario || !hasInput {
+				t.Errorf("core.front.cell args %v lack a scenario or an input", e.Args)
+			}
+		case "quality.canneal.score":
+			q, ok := e.Args["quality"].(float64)
+			if !ok {
+				t.Errorf("quality.canneal.score args %v lack a quality", e.Args)
+			}
+			scores = append(scores, q)
+		}
+	}
+	var want []float64
+	for _, f := range []*QualityFront{qm.Default, qm.Quarter, qm.Half} {
+		want = append(want, f.Quality...)
+	}
+	if n := 3 * len(b.Sweep()); cells != n || len(want) != n {
+		t.Errorf("traced %d core.front.cell events for %d front points, want %d of each", cells, len(want), n)
+	}
+	sort.Float64s(scores)
+	sort.Float64s(want)
+	if !reflect.DeepEqual(scores, want) {
+		t.Errorf("quality.canneal.score qualities %v, want the fronts' %v", scores, want)
 	}
 	if n := telemetry.GetCounter("fault.drops").Value(); n == 0 {
 		t.Error("the Drop scenarios counted no fault.drops")

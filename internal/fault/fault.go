@@ -89,9 +89,9 @@ type Plan struct {
 	// sized window instead of spacing them uniformly; it exists for the
 	// drop-pattern ablation (the paper drops uniformly).
 	Contiguous bool
-	// Ledger, when non-nil, receives (chip, cluster, core, task,
-	// iteration) provenance for every injection the kernels Note. It
-	// never affects which tasks are infected or how values corrupt.
+	// Ledger, when non-nil, charges every injection the kernels Note
+	// to the core executing its task. It never affects which tasks
+	// are infected or how values corrupt.
 	Ledger *Ledger
 }
 

@@ -76,34 +76,15 @@ func (l *Ledger) rec(slot int) *coreRecord {
 }
 
 // noteInjection records one injected fault against the core executing
-// task, and emits the fault.injected / drop.triggered domain event
-// with full (chip, cluster, core, task, iteration) provenance. iter is
-// the kernel iteration (frame, sweep, step) the fault landed in, or -1
-// for end-of-run result corruption.
-func (l *Ledger) noteInjection(mode Mode, task, iter int) {
+// task.
+func (l *Ledger) noteInjection(task int) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
-	slot := l.slotOf(task)
-	l.rec(slot).faults++
+	l.rec(l.slotOf(task)).faults++
 	l.injected++
-	ref := l.cores[slot]
-	seed := l.chipSeed
 	l.mu.Unlock()
-
-	kind := "fault.injected"
-	if mode == Drop {
-		kind = "drop.triggered"
-	}
-	telemetry.NewEvent(kind).
-		Int("chip", seed).
-		Int("cluster", int64(ref.Cluster)).
-		Int("core", int64(ref.Core)).
-		Int("task", int64(task)).
-		Int("iter", int64(iter)).
-		Str("mode", mode.String()).
-		Emit()
 }
 
 // AddDistortion charges d of the run's final output distortion to the
@@ -205,26 +186,24 @@ func (r Report) WriteJSON(w io.Writer) error {
 // The fault counters count every note, ledger or not: the tasks Drop
 // plans suppress in fault.drops, the tasks every other mode corrupts
 // in fault.injected. A default `accordion all` notes 181,160 drops and
-// 16,688 injections, too many to log one event each.
+// 16,688 injections.
 var (
 	telDrops    = telemetry.GetCounter("fault.drops")
 	telInjected = telemetry.GetCounter("fault.injected")
 )
 
-// Note records a fault injection at task (kernel iteration iter, or -1
-// for end-of-run result corruption): it bumps the mode's fault
+// Note records a fault injection at task: it bumps the mode's fault
 // counter and, when the plan carries a ledger, charges the core
-// executing task and emits the provenance event. It is the kernels'
-// single entry point: behavior-neutral by construction (it touches no
-// plan state), and without a ledger one atomic load while telemetry
-// is off.
-func (p Plan) Note(task, iter int) {
+// executing task. It is the kernels' single entry point:
+// behavior-neutral by construction (it touches no plan state), and
+// without a ledger one atomic load while telemetry is off.
+func (p Plan) Note(task int) {
 	if p.Mode == Drop {
 		telDrops.Inc()
 	} else {
 		telInjected.Inc()
 	}
 	if p.Ledger != nil {
-		p.Ledger.noteInjection(p.Mode, task, iter)
+		p.Ledger.noteInjection(task)
 	}
 }

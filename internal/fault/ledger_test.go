@@ -36,9 +36,9 @@ func TestLedgerAttribution(t *testing.T) {
 
 	// Tasks 0..7 round-robin over 4 cores; note two faults on task 0's
 	// core (slot 0) and one on task 5's (slot 1).
-	plan.Note(0, 0)
-	plan.Note(4, 1) // same slot as task 0
-	plan.Note(5, 2)
+	plan.Note(0)
+	plan.Note(4) // same slot as task 0
+	plan.Note(5)
 
 	led.AddDistortion(0, 0.3)
 	led.AddDistortion(4, 0.1) // slot 0 again -> 0.4 total
@@ -93,72 +93,33 @@ func TestLedgerAttribution(t *testing.T) {
 func TestNilLedgerSafe(t *testing.T) {
 	var led *Ledger
 	led.AddDistortion(0, 1)
-	led.noteInjection(Drop, 0, 0)
+	led.noteInjection(0)
 	rep := led.Report()
 	if rep.Injections != 0 || len(rep.Cores) != 0 {
 		t.Fatalf("nil ledger report = %+v", rep)
 	}
 	// A plan without a ledger must Note without panicking, telemetry
-	// off or on. With telemetry on it counts the note under its kind
-	// and logs no event: the per-task notes are too many to log.
+	// off or on. With telemetry on it counts the note under its kind.
 	plan, flip := DropHalf(), Plan{Mode: Flip, Num: 1, Den: 2}
-	plan.Note(3, 0)
+	plan.Note(3)
 	defer telemetry.SetEnabled(true)()
 	telemetry.Reset()
 	defer telemetry.Reset()
-	plan.Note(3, 0)
-	flip.Note(1, -1)
+	plan.Note(3)
+	flip.Note(1)
 	if n := telDrops.Value(); n != 1 {
 		t.Errorf("fault.drops = %d after one ledger-less Drop note, want 1", n)
 	}
 	if n := telInjected.Value(); n != 1 {
 		t.Errorf("fault.injected = %d after one ledger-less Flip note, want 1", n)
 	}
-	if evs := telemetry.Events(); len(evs) != 0 {
-		t.Fatalf("ledger-less Notes logged %+v, want no events", evs)
-	}
 	// Counting is one atomic add, so a -manifest or -trace run pays no
 	// allocation per task for the fault counts.
 	if allocs := testing.AllocsPerRun(1000, func() {
-		plan.Note(3, 0)
-		flip.Note(3, -1)
+		plan.Note(3)
+		flip.Note(3)
 	}); allocs != 0 {
 		t.Fatalf("ledger-less Note with telemetry on allocates %.1f per call, want 0", allocs)
-	}
-}
-
-func TestNoteEmitsProvenanceEvents(t *testing.T) {
-	defer telemetry.SetEnabled(true)()
-	telemetry.Reset()
-	defer telemetry.Reset()
-
-	led, err := NewLedger(7, testCores(2))
-	if err != nil {
-		t.Fatalf("NewLedger: %v", err)
-	}
-	plan := Plan{Mode: Flip, Num: 1, Den: 2, Ledger: led}
-	plan.Note(1, 3)
-
-	evs := telemetry.Events()
-	if len(evs) != 1 {
-		t.Fatalf("Note emitted %d events, want 1", len(evs))
-	}
-	e := evs[0]
-	if e.Kind != "fault.injected" {
-		t.Fatalf("kind = %q", e.Kind)
-	}
-	got := map[string]any{}
-	for _, a := range e.Attrs {
-		got[a.Key] = a.Value()
-	}
-	want := map[string]any{
-		"chip": int64(7), "cluster": int64(0), "core": int64(11),
-		"task": int64(1), "iter": int64(3), "mode": "flip",
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("attr %s = %v, want %v", k, got[k], v)
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/quality"
-	"repro/internal/telemetry"
 )
 
 // ValueOwner is implemented by benchmarks whose output values have a
@@ -50,7 +49,7 @@ func OwnerOfValue(b Benchmark, i, nValues, threads int) int {
 // ref must be a fault-free run at the SAME input and thread count as
 // run (not the hyper-accurate reference, whose output length can
 // differ), so the distortion measured is exactly the fault-caused
-// loss. led may be nil to only emit the quality.scored event.
+// loss. led may be nil to only measure the total.
 func Attribute(b Benchmark, run, ref Result, threads int, led *fault.Ledger) (float64, error) {
 	if threads <= 0 {
 		return 0, fmt.Errorf("rms: attribute needs a positive thread count, got %d", threads)
@@ -67,11 +66,5 @@ func Attribute(b Benchmark, run, ref Result, threads int, led *fault.Ledger) (fl
 			led.AddDistortion(OwnerOfValue(b, i, n, threads), c)
 		}
 	}
-	telemetry.NewEvent("quality.scored").
-		Str("bench", b.Name()).
-		Int("values", int64(n)).
-		Int("threads", int64(threads)).
-		Float("distortion", total).
-		Emit()
 	return total, nil
 }

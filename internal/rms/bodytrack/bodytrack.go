@@ -164,10 +164,11 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 			sum := 0.0
 			for i := 0; i < p; i++ {
 				t := owner(i)
-				if plan.Infected(t) && plan.Active() && (i == 0 || owner(i-1) != t) {
-					plan.Note(t, f*layers+l)
+				infected := plan.Infected(t)
+				if infected && plan.Active() && (i == 0 || owner(i-1) != t) {
+					plan.Note(t)
 				}
-				if plan.Mode == fault.Drop && plan.Infected(t) {
+				if plan.Mode == fault.Drop && infected {
 					weights[i] = 0 // weight computation prevented
 					continue
 				}
@@ -177,7 +178,7 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 					d2 += diff * diff
 				}
 				w := math.Exp(-beta * d2 / (2 * b.obsSigma * b.obsSigma))
-				if plan.Active() && plan.Mode != fault.Drop && plan.Infected(t) {
+				if plan.Active() && plan.Mode != fault.Drop && infected {
 					// A corrupted weight is still just a number the
 					// reduction consumes; the application's range check
 					// clamps it so one bogus particle cannot overflow

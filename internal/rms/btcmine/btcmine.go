@@ -139,12 +139,12 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 		lo := uint64(t) * volume / uint64(threads)
 		hi := uint64(t+1) * volume / uint64(threads)
 		if plan.Mode == fault.Drop && plan.Infected(t) {
-			plan.Note(t, -1)
+			plan.Note(t)
 			continue // the shard is never searched
 		}
 		corrupted := plan.Active() && plan.Mode != fault.Drop && plan.Infected(t)
 		if corrupted {
-			plan.Note(t, -1)
+			plan.Note(t)
 		}
 		ops += float64(hi - lo) // one hash per nonce; integer sums below 2^53 are exact
 		for nonce := lo; nonce < hi; nonce++ {

@@ -225,7 +225,7 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 		for t := 0; t < threads; t++ {
 			infected := plan.Infected(t)
 			if infected {
-				plan.Note(t, step)
+				plan.Note(t)
 			}
 			if infected && plan.Mode == fault.Drop {
 				continue // swap() suppressed for dropped threads

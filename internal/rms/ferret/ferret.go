@@ -211,18 +211,18 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 	ops := 0.0
 
 	out := make([]float64, 0, len(b.db.Queries)*TopN)
-	for qi, query := range b.db.Queries {
+	for _, query := range b.db.Queries {
 		q := workload.Coarsen(query, nRegions)
 		var top ranking
 		// Data-parallel phase: each task scans one database shard.
 		for t := 0; t < threads; t++ {
 			if plan.Mode == fault.Drop && plan.Infected(t) {
-				plan.Note(t, qi)
+				plan.Note(t)
 				continue // shard results never reach the control core
 			}
 			corrupt := plan.Active() && plan.Mode != fault.Drop && plan.Infected(t)
 			if corrupt {
-				plan.Note(t, qi)
+				plan.Note(t)
 			}
 			lo, hi := t*nImages/threads, (t+1)*nImages/threads
 			for i := lo; i < hi; i++ {

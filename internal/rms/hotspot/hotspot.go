@@ -130,7 +130,7 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 			// leaves its cells stale for this iteration (footnote 1).
 			if plan.Mode == fault.Drop && plan.Infected((t+it)%threads) {
 				if y == 0 || rowOwner(y-1) != t {
-					plan.Note((t+it)%threads, it)
+					plan.Note((t + it) % threads)
 				}
 				// The equation is not solved for these cells; copy the
 				// stale values forward.
@@ -171,7 +171,7 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 			t := rowOwner(y)
 			if plan.Infected(t) {
 				if y == 0 || rowOwner(y-1) != t {
-					plan.Note(t, -1)
+					plan.Note(t)
 				}
 				for x := 0; x < w; x++ {
 					out[y*w+x] = clampTemp(plan.CorruptValue(out[y*w+x], t))

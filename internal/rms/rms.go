@@ -151,13 +151,17 @@ func Run(ctx context.Context, b Benchmark, input float64, threads int, plan faul
 }
 
 // Quality is b.Quality timed as one call of the kernel's
-// quality.<name>.score stage, at Run's cost.
+// quality.<name>.score stage, at Run's cost. In a traced context the
+// call's event carries the score as its quality annotation.
 func Quality(ctx context.Context, b Benchmark, run, ref Result) (float64, error) {
 	if !telemetry.On() {
 		return b.Quality(run, ref)
 	}
-	defer stagesOf(b.Name()).score.Begin(ctx).End()
-	return b.Quality(run, ref)
+	st := stagesOf(b.Name()).score.Begin(ctx)
+	defer st.End()
+	q, err := b.Quality(run, ref)
+	st.Float("quality", q)
+	return q, err
 }
 
 // refKey identifies one reference execution: kernels are deterministic

@@ -130,7 +130,7 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 		for y := 0; y < h; y++ {
 			if plan.Mode == fault.Drop && plan.Infected((rowOwner(y)+it)%threads) {
 				if y == 0 || rowOwner(y-1) != rowOwner(y) {
-					plan.Note((rowOwner(y)+it)%threads, it)
+					plan.Note((rowOwner(y) + it) % threads)
 				}
 				continue // derivatives/ICOV/coefficients skipped
 			}
@@ -191,7 +191,7 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 			t := rowOwner(y)
 			if plan.Infected(t) {
 				if y == 0 || rowOwner(y-1) != t {
-					plan.Note(t, -1)
+					plan.Note(t)
 				}
 				for x := 0; x < w; x++ {
 					out[y*w+x] = mathx.Clamp(plan.CorruptValue(out[y*w+x], t), 0, 255)

@@ -177,7 +177,7 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 		// Slices are per-frame task sets, so uniformly dropped tasks
 		// rotate across slice positions from frame to frame.
 		if plan.Mode == fault.Drop && plan.Infected((t+frame)%threads) {
-			plan.Note((t+frame)%threads, frame)
+			plan.Note((t + frame) % threads)
 			// Macroblock encoding prohibited: the decoder conceals the
 			// missing block from the co-located block of the previous
 			// decoded frame (mid-gray on the first frame).
@@ -233,7 +233,7 @@ func (b *Benchmark) Run(input float64, threads int, plan fault.Plan, seed int64)
 		ops += 2 * blockSize * blockSize * blockSize
 		corrupt := plan.Active() && plan.Mode != fault.Drop && plan.Infected(t)
 		if corrupt {
-			plan.Note(t, frame)
+			plan.Note(t)
 		}
 		for y := 0; y < blockSize; y++ {
 			for x := 0; x < blockSize; x++ {

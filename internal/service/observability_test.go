@@ -74,11 +74,11 @@ func TestScopedManifestSum(t *testing.T) {
 	req := func(chipSeed int64) Request {
 		return Request{Experiments: []string{"table2", "fig5b"}, Chips: 2, Seed: 41, ChipSeed: chipSeed}
 	}
-	j1, _, err := srv.Admit(req(7001))
+	j1, err := srv.Admit(req(7001))
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, _, err := srv.Admit(req(7002))
+	j2, err := srv.Admit(req(7002))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestScopedManifestAfterReset(t *testing.T) {
 	experiments.ResetCaches()
 	srv, _ := startServer(t, Config{QueueDepth: 4, Workers: 2})
 
-	j, _, err := srv.Admit(Request{Experiments: []string{"table2"}, Chips: 2, Seed: 43, ChipSeed: 7003})
+	j, err := srv.Admit(Request{Experiments: []string{"table2"}, Chips: 2, Seed: 43, ChipSeed: 7003})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestScopedManifestAfterReset(t *testing.T) {
 	// next identical job re-misses with a fresh scope.
 	<-j.Done()
 	experiments.ResetCaches()
-	j2, _, err := srv.Admit(Request{Experiments: []string{"table2"}, Chips: 2, Seed: 44, ChipSeed: 7003})
+	j2, err := srv.Admit(Request{Experiments: []string{"table2"}, Chips: 2, Seed: 44, ChipSeed: 7003})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,62 +142,6 @@ func TestScopedManifestAfterReset(t *testing.T) {
 	}
 	if chip, ok := st.Manifest.Metrics["counter.cache.experiments.RepresentativeChip.misses"]; !ok || chip != 1 {
 		t.Errorf("post-reset job's chip misses = %v, %v; want exactly its own re-miss", chip, ok)
-	}
-	telemetry.Reset()
-}
-
-// TestAccessLogEvents checks the NDJSON access log: a /run round trip
-// emits a service.request event carrying the job id, coalesced flag,
-// status and byte count, and the job's lifecycle emits the
-// queued→running→done transitions.
-func TestAccessLogEvents(t *testing.T) {
-	defer telemetry.SetEnabled(true)()
-	telemetry.Reset()
-	_, ts := startServer(t, Config{QueueDepth: 4, Workers: 1})
-
-	resp, _ := postJSON(t, ts.URL+"/run", reqBody(21))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /run: status %d", resp.StatusCode)
-	}
-	id := resp.Header.Get("X-Job-Id")
-
-	attrs := func(e telemetry.Event) map[string]any {
-		m := map[string]any{}
-		for _, a := range e.Attrs {
-			m[a.Key] = a.Value()
-		}
-		return m
-	}
-	var sawRequest bool
-	var states []string
-	for _, e := range telemetry.Events() {
-		m := attrs(e)
-		switch e.Kind {
-		case "service.request":
-			if m["job"] == id && m["path"] == "/run" {
-				sawRequest = true
-				if m["status"] != int64(200) {
-					t.Errorf("access-log status = %v, want 200", m["status"])
-				}
-				if m["coalesced"] != int64(0) {
-					t.Errorf("access-log coalesced = %v, want 0", m["coalesced"])
-				}
-				if b, ok := m["bytes"].(int64); !ok || b <= 0 {
-					t.Errorf("access-log bytes = %v, want > 0", m["bytes"])
-				}
-			}
-		case "job.state":
-			if m["job"] == id {
-				states = append(states, m["state"].(string))
-			}
-		}
-	}
-	if !sawRequest {
-		t.Error("no service.request event for the /run round trip")
-	}
-	if want := []string{StateQueued, StateRunning, StateDone}; len(states) != 3 ||
-		states[0] != want[0] || states[1] != want[1] || states[2] != want[2] {
-		t.Errorf("job.state sequence = %v, want %v", states, want)
 	}
 	telemetry.Reset()
 }

@@ -151,13 +151,13 @@ func New(cfg Config) *Server {
 func (s *Server) Workers() int { return s.cfg.Workers }
 
 // Admit normalizes req and either attaches it to the identical
-// in-flight (or retained) job — request coalescing, reported by the
-// second return — or enqueues a new job. It returns ErrQueueFull when
-// the bounded queue has no slot and ErrDraining once Shutdown has
+// in-flight (or retained) job — request coalescing, counted in
+// service.coalesced — or enqueues a new job. It returns ErrQueueFull
+// when the bounded queue has no slot and ErrDraining once Shutdown has
 // begun; validation errors come from Normalize. Admit never blocks.
-func (s *Server) Admit(req Request) (*Job, bool, error) {
+func (s *Server) Admit(req Request) (*Job, error) {
 	if err := req.Normalize(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	id := req.JobID()
 	s.requests.Inc()
@@ -165,11 +165,11 @@ func (s *Server) Admit(req Request) (*Job, bool, error) {
 	defer s.mu.Unlock()
 	if s.draining {
 		s.rejected.Inc()
-		return nil, false, ErrDraining
+		return nil, ErrDraining
 	}
 	if j, ok := s.jobs[id]; ok {
 		s.coalesced.Inc()
-		return j, true, nil
+		return j, nil
 	}
 	j := &Job{
 		id:       id,
@@ -183,14 +183,12 @@ func (s *Server) Admit(req Request) (*Job, bool, error) {
 	case s.queue <- j:
 	default:
 		s.rejected.Inc()
-		return nil, false, ErrQueueFull
+		return nil, ErrQueueFull
 	}
 	s.jobs[id] = j
 	s.inflightN++
 	s.inflight.Set(s.inflightN)
-	telemetry.NewEvent("job.state").Str("job", id).Str("state", StateQueued).
-		Int("queue_len", int64(len(s.queue))).Emit()
-	return j, false, nil
+	return j, nil
 }
 
 // Worker runs jobs until the context is cancelled or the queue is
@@ -225,8 +223,6 @@ func (s *Server) run(ctx context.Context, j *Job) {
 	}
 	j.state = StateRunning
 	j.started = s.cfg.Now()
-	telemetry.NewEvent("job.state").Str("job", j.id).Str("state", StateRunning).
-		Int("queued_ms", j.started.Sub(j.enqueued).Milliseconds()).Emit()
 	s.mu.Unlock()
 
 	ctx = telemetry.NewScopeContext(ctx, j.scope)
@@ -277,15 +273,10 @@ func (s *Server) finish(j *Job, body []byte, err error, rec *history.Record) {
 	s.inflight.Set(s.inflightN)
 	s.latency.Observe(j.finished.Sub(j.enqueued).Nanoseconds())
 	var runNs int64
-	queued := j.finished.Sub(j.enqueued)
 	if !j.started.IsZero() {
 		runNs = j.finished.Sub(j.started).Nanoseconds()
-		queued = j.started.Sub(j.enqueued)
 	}
 	s.runtime.Observe(runNs)
-	telemetry.NewEvent("job.state").Str("job", j.id).Str("state", j.state).
-		Int("queued_ms", queued.Milliseconds()).
-		Int("run_ms", runNs/int64(time.Millisecond)).Emit()
 	close(j.done)
 	// Retention: failed jobs are always forgotten (a retry should
 	// re-execute); completed jobs stay addressable until the retention
@@ -366,7 +357,6 @@ func (s *Server) failPending(err error) {
 		j.finished = s.cfg.Now()
 		j.err = err
 		s.inflightN--
-		telemetry.NewEvent("job.state").Str("job", id).Str("state", StateFailed).Emit()
 		close(j.done)
 		delete(s.jobs, id)
 	}
@@ -381,7 +371,7 @@ func (s *Server) failPending(err error) {
 //	GET  /jobs/{id}/result the completed job's response bytes
 //	GET  /healthz         liveness + drain state
 //
-// The daemon mounts /telemetryz, /metricsz and /eventsz beside these.
+// The daemon mounts /telemetryz and /metricsz beside these.
 func (s *Server) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /run", s.handleRun)
@@ -406,16 +396,14 @@ func decodeRequest(body io.Reader) (Request, error) {
 }
 
 // admitHTTP decodes, normalizes and admits the request body, writing
-// the mapped error response (400/429/503) on failure. The second
-// return reports coalescing for the access log.
-func (s *Server) admitHTTP(w http.ResponseWriter, r *http.Request) (*Job, bool, bool) {
+// the mapped error response (400/429/503) and returning nil on failure.
+func (s *Server) admitHTTP(w http.ResponseWriter, r *http.Request) *Job {
 	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		n := writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding request: %w", err))
-		s.logRequest(r, nil, false, http.StatusBadRequest, n)
-		return nil, false, false
+		writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding request: %w", err))
+		return nil
 	}
-	j, coalesced, err := s.Admit(req)
+	j, err := s.Admit(req)
 	var status int
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -427,18 +415,17 @@ func (s *Server) admitHTTP(w http.ResponseWriter, r *http.Request) (*Job, bool, 
 	case err != nil:
 		status = http.StatusBadRequest
 	default:
-		return j, coalesced, true
+		return j
 	}
-	n := writeError(w, status, err)
-	s.logRequest(r, nil, false, status, n)
-	return nil, false, false
+	writeError(w, status, err)
+	return nil
 }
 
 // handleRun is the synchronous path: admit, wait, answer with the
 // deterministic response bytes.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	j, coalesced, ok := s.admitHTTP(w, r)
-	if !ok {
+	j := s.admitHTTP(w, r)
+	if j == nil {
 		return
 	}
 	select {
@@ -447,23 +434,21 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	case <-j.Done():
 	}
-	status, n := s.writeResult(w, j)
-	s.logRequest(r, j, coalesced, status, n)
+	s.writeResult(w, j)
 }
 
 // handleSubmit is the asynchronous path: admit and answer immediately
 // with the job status; poll /jobs/{id} for completion.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	j, coalesced, ok := s.admitHTTP(w, r)
-	if !ok {
+	j := s.admitHTTP(w, r)
+	if j == nil {
 		return
 	}
 	status := http.StatusAccepted
 	if st := s.statusOf(j); st.State == StateDone || st.State == StateFailed {
 		status = http.StatusOK
 	}
-	n := writeJSON(w, status, s.statusOf(j))
-	s.logRequest(r, j, coalesced, status, n)
+	writeJSON(w, status, s.statusOf(j))
 }
 
 // JobStatus is the /jobs/{id} document. Manifest is the job's run
@@ -522,8 +507,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Lookup(r.PathValue("id"))
 	if !ok {
-		n := writeError(w, http.StatusNotFound, errors.New("service: unknown or evicted job"))
-		s.logRequest(r, nil, false, http.StatusNotFound, n)
+		writeError(w, http.StatusNotFound, errors.New("service: unknown or evicted job"))
 		return
 	}
 	s.mu.Lock()
@@ -531,28 +515,27 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	if state == StateQueued || state == StateRunning {
 		setRetryAfter(w)
-		n := writeError(w, http.StatusAccepted, errors.New("service: job still "+state))
-		s.logRequest(r, j, false, http.StatusAccepted, n)
+		writeError(w, http.StatusAccepted, errors.New("service: job still "+state))
 		return
 	}
-	status, n := s.writeResult(w, j)
-	s.logRequest(r, j, false, status, n)
+	s.writeResult(w, j)
 }
 
 // writeResult answers with a terminal job's outcome: the deterministic
-// response bytes, or the execution error. It returns the HTTP status
-// and body size for the access log.
-func (s *Server) writeResult(w http.ResponseWriter, j *Job) (int, int) {
+// response bytes, or the execution error. Like writeJSON and
+// writeError it drops the body's write error: a failed write means the
+// client is gone, and there is no one left to answer.
+func (s *Server) writeResult(w http.ResponseWriter, j *Job) {
 	s.mu.Lock()
 	body, err := j.resp, j.err
 	s.mu.Unlock()
 	if err != nil {
-		return http.StatusInternalServerError, writeError(w, http.StatusInternalServerError, err)
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.Header().Set("X-Job-Id", j.id)
-	n, _ := w.Write(body)
-	return http.StatusOK, n
+	w.Write(body)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -574,53 +557,29 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// logRequest emits one "service.request" access-log event: the NDJSON
-// line downstream tooling joins against job.state transitions. Nil job
-// means the request never produced one (decode error, backpressure,
-// unknown id). The event is one atomic load when logging is off.
-func (s *Server) logRequest(r *http.Request, j *Job, coalesced bool, status, bytes int) {
-	b := telemetry.NewEvent("service.request")
-	if b == nil {
-		return
-	}
-	b.Str("method", r.Method).Str("path", r.URL.Path).
-		Int("status", int64(status)).Int("bytes", int64(bytes))
-	if j != nil {
-		st := s.statusOf(j)
-		var co int64
-		if coalesced {
-			co = 1
-		}
-		b.Str("job", j.id).Int("coalesced", co).
-			Int("queued_ms", st.QueuedMs).Int("run_ms", st.RunMs)
-	}
-	b.Emit()
-}
-
 // setRetryAfter advertises the client backoff on 429, 503 and 202
 // answers: a constant second, Retry-After's smallest useful value.
 func setRetryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
 }
 
-func writeJSON(w http.ResponseWriter, status int, doc any) int {
+func writeJSON(w http.ResponseWriter, status int, doc any) {
 	data, err := json.Marshal(doc)
 	if err != nil {
-		return writeError(w, http.StatusInternalServerError, err)
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
-	n, _ := w.Write(append(data, '\n'))
-	return n
+	w.Write(append(data, '\n'))
 }
 
-func writeError(w http.ResponseWriter, status int, err error) int {
+func writeError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
 	doc := struct {
 		Error string `json:"error"`
 	}{Error: err.Error()}
 	data, _ := json.Marshal(doc)
-	n, _ := w.Write(append(data, '\n'))
-	return n
+	w.Write(append(data, '\n'))
 }

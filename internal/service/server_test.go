@@ -107,7 +107,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		t.Errorf("coalesced submit: status %d, want 202", resp.StatusCode)
 	}
 
-	if _, _, err := srv.Admit(Request{Experiments: []string{"fig1a"}, Chips: 2, Seed: 103}); !errors.Is(err, ErrQueueFull) {
+	if _, err := srv.Admit(Request{Experiments: []string{"fig1a"}, Chips: 2, Seed: 103}); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("Admit on full queue = %v, want ErrQueueFull", err)
 	}
 }
@@ -209,7 +209,7 @@ func TestGracefulShutdownDrain(t *testing.T) {
 
 	jobs := make([]*Job, 0, 3)
 	for seed := int64(21); seed < 24; seed++ {
-		j, _, err := srv.Admit(Request{Experiments: []string{"fig1a"}, Chips: 2, Seed: seed})
+		j, err := srv.Admit(Request{Experiments: []string{"fig1a"}, Chips: 2, Seed: seed})
 		if err != nil {
 			t.Fatalf("admit seed %d: %v", seed, err)
 		}
@@ -235,7 +235,7 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	if !srv.Draining() {
 		t.Error("Draining() = false after Shutdown")
 	}
-	if _, _, err := srv.Admit(Request{Experiments: []string{"fig1a"}, Chips: 2, Seed: 99}); !errors.Is(err, ErrDraining) {
+	if _, err := srv.Admit(Request{Experiments: []string{"fig1a"}, Chips: 2, Seed: 99}); !errors.Is(err, ErrDraining) {
 		t.Errorf("Admit while draining = %v, want ErrDraining", err)
 	}
 	resp, _ := postJSON(t, ts.URL+"/run", reqBody(98))
@@ -262,7 +262,7 @@ func TestGracefulShutdownDrain(t *testing.T) {
 // started), queued jobs fail instead of leaving waiters blocked.
 func TestShutdownDeadline(t *testing.T) {
 	srv := New(Config{QueueDepth: 4, Workers: 1})
-	j, _, err := srv.Admit(Request{Experiments: []string{"fig1a"}, Chips: 2, Seed: 31})
+	j, err := srv.Admit(Request{Experiments: []string{"fig1a"}, Chips: 2, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}

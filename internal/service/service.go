@@ -36,9 +36,10 @@ import (
 const SchemaVersion = 1
 
 // Float64 is a float64 whose JSON encoding follows the repository's
-// NDJSON event-log convention for non-finite values: NaN and the
-// infinities, which JSON cannot carry as numbers, become the strings
-// "NaN", "+Inf" and "-Inf" and round-trip back to the same bits.
+// convention for non-finite values, which trace annotations share: NaN
+// and the infinities, which JSON cannot carry as numbers, become the
+// strings "NaN", "+Inf" and "-Inf" and round-trip back to the same
+// bits.
 type Float64 float64
 
 // MarshalJSON encodes finite values as numbers and non-finite values

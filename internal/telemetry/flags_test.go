@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -23,7 +21,7 @@ func parseFlags(t *testing.T, args ...string) *Flags {
 	return f
 }
 
-// TestRegisterFlags: one helper registers all three shared flags, each
+// TestRegisterFlags: one helper registers both shared flags, each
 // parsed into its own field.
 func TestRegisterFlags(t *testing.T) {
 	for _, tc := range []struct {
@@ -31,7 +29,6 @@ func TestRegisterFlags(t *testing.T) {
 		want        Flags
 	}{
 		{"telemetry", "json", Flags{Mode: "json"}},
-		{"events", "out.ndjson", Flags{Events: "out.ndjson"}},
 		{"atlas", "atlas", Flags{Atlas: "atlas"}},
 	} {
 		t.Run(tc.flag, func(t *testing.T) {
@@ -92,42 +89,6 @@ func TestFlagsStartReports(t *testing.T) {
 func TestFlagsStartInvalid(t *testing.T) {
 	if _, err := parseFlags(t, "-telemetry", "xml").Start(); err == nil {
 		t.Fatal("Start accepted -telemetry xml")
-	}
-}
-
-// TestFlagsEventsFile: -events alone turns telemetry on, and finish
-// writes the event log to the file and no report.
-func TestFlagsEventsFile(t *testing.T) {
-	defer SetEnabled(false)()
-	Reset()
-	defer Reset()
-	path := filepath.Join(t.TempDir(), "events.ndjson")
-	finish, err := parseFlags(t, "-events", path).Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !On() {
-		t.Fatal("-events did not enable telemetry")
-	}
-	NewEvent("chip.drawn").Int("seed", 3).Emit()
-	var report bytes.Buffer
-	if err := finish(&report); err != nil {
-		t.Fatalf("finish: %v", err)
-	}
-	if report.Len() != 0 {
-		t.Fatalf("-events alone reported %q", report.String())
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("open dump: %v", err)
-	}
-	defer f.Close()
-	evs, err := ParseNDJSON(f)
-	if err != nil {
-		t.Fatalf("parse dump: %v", err)
-	}
-	if len(evs) != 1 || evs[0].Kind != "chip.drawn" {
-		t.Fatalf("dump holds %+v", evs)
 	}
 }
 

@@ -204,7 +204,7 @@ func Handler() http.Handler {
 
 // noCache serves what write renders under contentType, with caching
 // disabled so a live scrape never sees a stale snapshot. The
-// /telemetryz, /metricsz and /eventsz endpoints share it.
+// /telemetryz and /metricsz endpoints share it.
 func noCache(contentType string, write func(io.Writer) error) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", contentType)

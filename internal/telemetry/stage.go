@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,6 +109,20 @@ func (t Timing) Int(key string, v int64) Timing {
 	return t
 }
 
+// Float annotates the call's trace event with a float. NaN and ±Inf,
+// which JSON numbers cannot carry, export as the strings "NaN", "+Inf"
+// and "-Inf".
+func (t Timing) Float(key string, v float64) Timing {
+	if t.node != nil {
+		var val any = v
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			val = strconv.FormatFloat(v, 'g', -1, 64)
+		}
+		t.node.args = append(t.node.args, arg{key, val})
+	}
+	return t
+}
+
 // Str annotates the call's trace event with a string.
 func (t Timing) Str(key, v string) Timing {
 	if t.node != nil {
@@ -141,7 +157,8 @@ func (t Timing) End() time.Duration {
 	return d
 }
 
-// arg is one annotation on a trace event: an int64 or a string.
+// arg is one annotation on a trace event: an int64, a finite float64
+// or a string.
 type arg struct {
 	Key string
 	Val any

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -293,7 +294,7 @@ func TestStageDisabledOverhead(t *testing.T) {
 	root, child := NewStage("test.disabled.root"), NewStage("test.disabled.child")
 	traced := TraceContext(context.Background())
 	allocs := testing.AllocsPerRun(1000, func() {
-		r := root.Begin(traced).Int("k", 3)
+		r := root.Begin(traced).Int("k", 3).Float("f", 0.5)
 		ctx := r.Context(traced)
 		c := child.Begin(ctx).Str("s", "v")
 		child.BeginLane(c.Context(ctx)).Int("k", 4).End()
@@ -333,7 +334,7 @@ func TestStageUntracedNoAlloc(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	allocs := testing.AllocsPerRun(1000, func() {
-		tm := st.Begin(ctx).Int("k", 1).Str("s", "v")
+		tm := st.Begin(ctx).Int("k", 1).Str("s", "v").Float("f", 0.5)
 		_ = tm.Context(ctx)
 		tm.End()
 		st.BeginLane(ctx).End()
@@ -418,5 +419,38 @@ func TestChromeExport(t *testing.T) {
 	}
 	if category("chip.draw") != "chip" || category("run") != "run" {
 		t.Error("category derivation broken")
+	}
+}
+
+// TestTraceFloatArgs: Float annotations export as JSON numbers, and
+// the non-finite values JSON cannot carry as the strings "NaN", "+Inf"
+// and "-Inf", so the file still parses.
+func TestTraceFloatArgs(t *testing.T) {
+	traceOn(t)
+	NewStage("test.float").Begin(TraceContext(context.Background())).
+		Float("q", 0.75).Float("nan", math.NaN()).
+		Float("pinf", math.Inf(1)).Float("ninf", math.Inf(-1)).
+		End()
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("export is not valid JSON: %v\n%s", err, buf.Bytes())
+	}
+	if len(doc.TraceEvents) == 0 || doc.TraceEvents[0].Ph != "X" {
+		t.Fatalf("export holds no X event: %s", buf.Bytes())
+	}
+	args := doc.TraceEvents[0].Args
+	for key, want := range map[string]any{"q": 0.75, "nan": "NaN", "pinf": "+Inf", "ninf": "-Inf"} {
+		if args[key] != want {
+			t.Errorf("arg %s = %#v, want %#v", key, args[key], want)
+		}
 	}
 }

@@ -4,18 +4,19 @@
 // streaming mean/CI95 series, all hanging off one process-wide
 // registry that Capture() reads without stopping the world; the
 // Stage, the one timing primitive: each stage call feeds its histogram
-// and, under a traced context, a Chrome trace event; and the event log
-// of simulation-domain events, exported as NDJSON.
+// and, under a traced context, a Chrome trace event, whose annotations
+// carry the simulation facts the stage computed (a chip's VddNTV, a
+// front cell's input, a score's quality).
 //
 // Design constraints, in order:
 //
 //  1. Near-zero cost when off. Recording is gated on one atomic load of
 //     the package-wide Enabled switch, the process's only observability
 //     switch; a disabled Counter.Add, Histogram.Observe, Gauge.Set,
-//     Series.Observe, Stage.Begin, NewEvent or Monitored performs no
-//     allocation and no time.Now call. Hot layers (the parallel pool,
-//     the memo caches, the chip factory) therefore instrument
-//     unconditionally and let the switch decide.
+//     Series.Observe, Stage.Begin or Monitored performs no allocation
+//     and no time.Now call. Hot layers (the parallel pool, the memo
+//     caches, the chip factory) therefore instrument unconditionally
+//     and let the switch decide.
 //  2. Race-free under fire. Counters, gauges and histograms are fixed
 //     sets of atomics; a series observation takes that series' own
 //     lock, and a traced stage call takes one to append its event. The
@@ -26,8 +27,7 @@
 //     interpolated within the winning bucket and clamped to the
 //     observed min/max. A Series is five scalars. The trace buffer
 //     holds at most 524,288 events and counts the rest in the
-//     trace.dropped gauge; the event ring grows on demand to 65,536
-//     events and counts its overwrites in events.dropped.
+//     trace.dropped gauge.
 //
 // Metric handles are nil-safe: calling Add/Set/Observe on a nil metric
 // (or End on the zero Timing) is a no-op, so optional instrumentation
@@ -339,12 +339,11 @@ func GetHistogramWithUnit(name, unit string) *Histogram {
 }
 
 // Reset zeroes every registered metric in place and discards the
-// recorded trace and domain events. Metric identities are preserved —
+// recorded trace. Metric identities are preserved —
 // pointers held by instrumented packages stay valid — so it is safe to
 // call between runs or tests.
 func Reset() {
 	traceBuf.reset()
-	eventLog.reset()
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	for _, c := range reg.counters {

@@ -280,13 +280,3 @@ func (s *CirculantSampler) SampleTo(dst []float64, rng *mathx.RNG) {
 	}
 	st.End()
 }
-
-// emitFieldSampled records the domain event for one SampleField call.
-func emitFieldSampled(w, h int, path string) {
-	telemetry.NewEvent("field.sampled").
-		Int("w", int64(w)).
-		Int("h", int64(h)).
-		Int("points", int64(w*h)).
-		Str("path", path).
-		Emit()
-}

@@ -305,9 +305,7 @@ func SampleField(w, h int, fp FieldParams, rng *mathx.RNG) (*mathx.Grid2D, error
 		if err != nil {
 			return nil, err
 		}
-		g := s.SampleGrid(rng)
-		emitFieldSampled(w, h, "circulant")
-		return g, nil
+		return s.SampleGrid(rng), nil
 	}
 	pts := make([]Point, 0, w*h)
 	for y := 0; y < h; y++ {
@@ -325,6 +323,5 @@ func SampleField(w, h int, fp FieldParams, rng *mathx.RNG) (*mathx.Grid2D, error
 	dev := s.Sample(rng)
 	g := mathx.NewGrid2D(w, h)
 	copy(g.V, dev)
-	emitFieldSampled(w, h, "dense")
 	return g, nil
 }
