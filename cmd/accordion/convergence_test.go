@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -19,51 +16,6 @@ func freshTelemetry(t *testing.T) {
 	t.Cleanup(telemetry.SetEnabled(true))
 	telemetry.Reset()
 	t.Cleanup(telemetry.Reset)
-}
-
-// TestWriteConvergence: convergence.json is {"series": [...]} and each
-// series carries the nine documented keys.
-func TestWriteConvergence(t *testing.T) {
-	freshTelemetry(t)
-	s := telemetry.GetSeries("test.convergence.json", "GHz")
-	s.Observe(1.5)
-	s.Observe(2.5)
-	path := filepath.Join(t.TempDir(), "convergence.json")
-	if err := writeConvergence(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string][]map[string]any
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("convergence.json is not a {\"series\": [...]} document: %v\n%s", err, data)
-	}
-	if len(doc) != 1 || doc["series"] == nil {
-		t.Fatalf("convergence.json top level = %v, want only series", doc)
-	}
-	var found map[string]any
-	for _, s := range doc["series"] {
-		if s["name"] == "test.convergence.json" {
-			found = s
-		}
-	}
-	if found == nil {
-		t.Fatal("series missing from convergence.json")
-	}
-	keys := []string{"name", "unit", "count", "mean", "std", "ci95_half_width", "rel_ci95", "min", "max"}
-	if len(found) != len(keys) {
-		t.Errorf("series has %d keys, want %d: %v", len(found), len(keys), found)
-	}
-	for _, key := range keys {
-		if _, ok := found[key]; !ok {
-			t.Errorf("convergence.json series missing key %q", key)
-		}
-	}
-	if found["count"].(float64) != 2 || found["ci95_half_width"].(float64) <= 0 {
-		t.Fatalf("series = %v, want count 2 and a positive ci95_half_width", found)
-	}
 }
 
 // TestProgressLine: the -progress line reports done/target, an ETA,

@@ -2,10 +2,9 @@
 //
 // Usage:
 //
-//	accordion [-seed N] [-chip N] [-chips N] [-j N] [-telemetry text|json]
-//	          [-trace FILE] [-atlas DIR] [-manifest FILE]
-//	          [-convergence FILE] [-progress] [-pprof addr]
-//	          [-history DIR]
+//	accordion [-seed N] [-chip N] [-chips N] [-j N] [-format text|csv]
+//	          [-out DIR] [-telemetry text|json] [-trace FILE] [-atlas DIR]
+//	          [-manifest FILE] [-progress] [-pprof addr] [-history DIR]
 //	          [list | all | <experiment id>...]
 //	accordion -verify-manifest FILE
 //
@@ -19,16 +18,21 @@
 // output is byte-identical to a sequential -j 1 run, in the order the
 // ids were given.
 //
-// Observability: telemetry has one switch, which -telemetry, -trace,
-// -manifest, -convergence, -progress, -history and -pprof each turn
-// on. -telemetry text|json dumps the report (pool utilization, cache
-// hit rates, fault counts, chip-draw latency, per-runner stage
-// timings, convergence series) to stderr after the run, so stdout
-// stays a clean artifact stream. -trace FILE records every stage of
-// the run as a hierarchy (run → runner → worker → chip draw / front
-// measurement / solver sweep) and exports it as Chrome trace-event
-// JSON loadable in Perfetto (https://ui.perfetto.dev). Each chip.draw
-// event carries the chip's seed and vddntv, each core.front.cell its
+// Observability: a run is observed one way. -telemetry, -trace,
+// -manifest, -progress and -history each turn telemetry's one switch
+// on and run the experiments under a traced context, so every stage
+// call is a trace event and each distinct chip drawn feeds the four
+// Monte-Carlo convergence series (chip.fmax_ghz, chip.vddmin_v,
+// chip.power_w, chip.err_rate) once. -pprof turns on only the switch,
+// so a profile shows the program's own cost and not the observer's.
+// -telemetry text|json dumps the report (pool utilization, cache hit
+// rates, fault counts, chip-draw latency, per-runner stage timings,
+// the convergence series' mean, std and CI95) to stderr after the
+// run, so stdout stays a clean artifact stream. -trace FILE exports
+// the run's stages as a hierarchy (run → runner → worker → chip draw /
+// front measurement / solver sweep) in Chrome trace-event JSON
+// loadable in Perfetto (https://ui.perfetto.dev). Each chip.draw event
+// carries the chip's seed and vddntv, each core.front.cell its
 // scenario and input, and each quality.<kernel>.score its quality.
 // -manifest FILE writes the run document (internal/history's Record)
 // as indented JSON: the full flag set, toolchain and VCS identity,
@@ -40,29 +44,26 @@
 // mismatch (paths resolve relative to the current directory, as
 // recorded). It says how many files it checked and how many in-memory
 // artifacts it could not.
-// -convergence FILE runs the experiments under a monitored context, so
-// each distinct chip drawn feeds the telemetry series of its summary
-// metrics, and dumps their streaming mean/CI95 statistics as JSON;
-// -progress additionally prints a chips-done/ETA/CI line to stderr
-// every two seconds.
-// -atlas DIR runs the hotspot fault-attribution pass on the
-// representative chip and writes the per-chip spatial export set —
-// atlas.json, atlas.csv, one atlas_<metric>.svg heatmap per metric,
-// and ledger.json with the per-core distortion breakdown. -pprof
-// <addr> serves net/http/pprof plus the /telemetryz JSON endpoint and
-// the /metricsz Prometheus text endpoint for live scraping. With all
-// of these off, the run is byte-identical to one without the
-// observability tier.
+// -progress prints a chips-done/ETA/CI line to stderr every two
+// seconds. -atlas DIR runs the hotspot fault-attribution pass on the
+// representative chip, inside the run's trace, and writes the per-chip
+// spatial export set — atlas.json, atlas.csv, one atlas_<metric>.svg
+// heatmap per metric, and ledger.json with the per-core distortion
+// breakdown. -pprof <addr> serves net/http/pprof plus the /telemetryz
+// JSON endpoint for live scraping. With all of these off, the run is
+// byte-identical to one without the observability tier.
 //
 // Run history: -history DIR appends the same run document to the
 // store's records.ndjson, one line per completed run — runner wall
 // times, telemetry counters and quantiles, cache hit rates,
 // convergence CI widths and artifact hashes, all stamped with the
 // binary's VCS revision and the worker-pool width (-j), which is the
-// record's parallelism. It also traces the run and records each
-// stage's self time as layer.<stage>.self_ns (rms.<kernel>.run,
+// record's parallelism. Its metrics include each stage's self time
+// from the trace, as layer.<stage>.self_ns (rms.<kernel>.run,
 // quality.<kernel>.score, core.front.cell, ...), so a record says
 // which layer the run spent its time in and which bytes it produced.
+// -manifest and -history record the same metrics for the same ids.
+// `accordionhist list -dir DIR` shows the store.
 // `accordionhist check` gates the store's newest record against its
 // baseline window (see the README's "Run history & regression gate"
 // section). Function-level profiles stay one toolchain command away:
@@ -74,7 +75,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -106,10 +106,9 @@ func main() {
 		obs        = telemetry.RegisterFlags(flag.CommandLine)
 		tracePath  = flag.String("trace", "", "record stages and write a Chrome trace-event JSON file (open in Perfetto)")
 		maniPath   = flag.String("manifest", "", "write the run document (flags, versions, metrics, artifact SHA-256s) as indented JSON")
-		convPath   = flag.String("convergence", "", "monitor Monte-Carlo convergence and write the statistics as JSON")
 		progress   = flag.Bool("progress", false, "print chips-done/ETA/CI-width progress lines to stderr during the run")
 		verifyMani = flag.String("verify-manifest", "", "re-hash the files a run document lists and exit non-zero on mismatch")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, /telemetryz and /metricsz on this address (e.g. localhost:6060)")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and /telemetryz on this address (e.g. localhost:6060)")
 		histDir    = flag.String("history", "", "append the run document (telemetry, convergence, runner timings, per-stage self times, artifact SHA-256s) to this run-history store")
 	)
 	flag.Parse()
@@ -152,19 +151,20 @@ func main() {
 	if err != nil {
 		fail(2, "%v", err)
 	}
-	// The run document reports cache hit rates and runner times, a
-	// trace is made of stage calls, and convergence statistics are
-	// telemetry series, all of which telemetry records, so recording
-	// must be on even without a -telemetry dump.
-	monitor := *convPath != "" || *progress || *histDir != ""
-	if *pprofAddr != "" || *maniPath != "" || *tracePath != "" || monitor {
+	// An observed run is traced: its report, trace and run document
+	// read the stages' times and the convergence series, which the
+	// traced context's chips feed once per distinct seed. -pprof turns
+	// on only the switch, so a profile shows the program's own cost.
+	ctx := context.Background()
+	if obs.Mode != "" || *tracePath != "" || *maniPath != "" || *histDir != "" || *progress {
 		telemetry.SetEnabled(true)
+		ctx = telemetry.TraceContext(ctx)
 	}
 	if *pprofAddr != "" {
+		telemetry.SetEnabled(true)
 		// net/http/pprof registered its handlers on the default mux at
-		// import; /telemetryz and /metricsz join them there.
+		// import; /telemetryz joins them there.
 		http.Handle("/telemetryz", telemetry.Handler())
-		http.Handle("/metricsz", telemetry.MetricsHandler())
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "accordion: pprof server: %v\n", err)
@@ -185,15 +185,6 @@ func main() {
 		args = experiments.IDs()
 	}
 
-	ctx := context.Background()
-	if *tracePath != "" || *histDir != "" {
-		// A -history record's per-stage self times are read from the
-		// trace.
-		ctx = telemetry.TraceContext(ctx)
-	}
-	if monitor {
-		ctx = telemetry.MonitorContext(ctx)
-	}
 	run := stRun.Begin(ctx).Int("experiments", int64(len(args)))
 	ctx = run.Context(ctx)
 
@@ -233,28 +224,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "accordion: %v\n", err)
 		}
 	}
-	// finishObservability ends the run stage, writes every enabled
-	// observability artifact and the -telemetry report, and fills and
-	// writes the run document; called on the error path too, so a
-	// failed run still leaves its trace, convergence report and
-	// manifest (with the error as its note) behind.
+	// finishObservability runs the -atlas pass inside the run stage,
+	// ends the stage, writes every enabled observability artifact and
+	// the -telemetry report, and fills and writes the run document;
+	// called on the error path too, so a failed run still leaves its
+	// trace and manifest (with the error as its note) behind.
 	finishObservability := func(results []experiments.RunResult) {
 		stopProgress()
-		run.End()
-		if *tracePath != "" {
-			if err := writeTrace(*tracePath); err != nil {
-				fmt.Fprintf(os.Stderr, "accordion: trace: %v\n", err)
-			} else {
-				addFile("trace.json", *tracePath)
-			}
-		}
-		if *convPath != "" {
-			if err := writeConvergence(*convPath); err != nil {
-				fmt.Fprintf(os.Stderr, "accordion: convergence: %v\n", err)
-			} else {
-				addFile("convergence.json", *convPath)
-			}
-		}
 		if obs.Atlas != "" {
 			paths, err := writeAtlas(ctx, obs.Atlas, cfg)
 			if err != nil {
@@ -262,6 +238,14 @@ func main() {
 			}
 			for _, p := range paths {
 				addFile(filepath.Base(p), p)
+			}
+		}
+		run.End()
+		if *tracePath != "" {
+			if err := writeTrace(*tracePath); err != nil {
+				fmt.Fprintf(os.Stderr, "accordion: trace: %v\n", err)
+			} else {
+				addFile("trace.json", *tracePath)
 			}
 		}
 		if err := finishObs(os.Stderr); err != nil {
@@ -322,12 +306,9 @@ func main() {
 	finishObservability(results)
 
 	if *histDir != "" {
-		st := history.Store{Dir: *histDir}
-		if err := st.Append(rec); err != nil {
+		if err := (history.Store{Dir: *histDir}).Append(rec); err != nil {
 			fail(1, "%v", err)
 		}
-		fmt.Fprintf(os.Stderr, "accordion: appended %s record (%d metrics) to %s\n",
-			rec.CompatKey(), len(rec.Metrics), st.Path())
 	}
 }
 
@@ -400,26 +381,6 @@ func writeAtlas(ctx context.Context, dir string, cfg experiments.Config) ([]stri
 		return nil, err
 	}
 	return append(paths, ledgerPath), nil
-}
-
-// writeConvergence dumps the Monte-Carlo convergence statistics, the
-// telemetry snapshot's series, as the indented convergence.json
-// document: {"series": [...]}, one entry per series, sorted by name.
-func writeConvergence(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	doc := struct {
-		Series []telemetry.SeriesSnapshot `json:"series"`
-	}{telemetry.Capture().Series}
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // progressLine formats the one-line mid-run progress report the

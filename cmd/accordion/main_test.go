@@ -91,6 +91,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-selfprofile", "table2"}, 2},
 		{[]string{"-history-margin", "0.5", "table2"}, 2},
 		{[]string{"-events", "x", "table2"}, 2},
+		{[]string{"-convergence", "x", "table2"}, 2},
 		{[]string{"-out", existing, "table2"}, 1},
 		{[]string{"-verify-manifest", bare}, 1},
 		{[]string{"-verify-manifest", oldManifest}, 1},
@@ -107,14 +108,17 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestObservabilityKeepsStdout: -trace, -telemetry, -manifest,
-// -convergence and -history leave stdout byte-identical; the trace is
-// one tree under the run stage with worker lanes and chip draws under
-// fig5a; -telemetry's report counts the chips drawn; the history
-// record carries each stage's self time and the hash of each stdout
-// block, and equals the -manifest document of the same run; and the
-// manifest verifies, saying that its three stdout hashes had no file
-// to check.
+// TestObservabilityKeepsStdout: -trace, -atlas, -telemetry, -manifest,
+// -progress and -history leave stdout byte-identical; the trace is one
+// tree under the run stage with worker lanes, chip draws under fig5a
+// and the -atlas pass; a -history append writes nothing to stderr, so
+// -telemetry's report is the only thing there, and it counts the chips
+// drawn and the four chip series; the history record carries each
+// stage's self time and the hash of each stdout block, and equals the
+// -manifest document of the same run; a -manifest run alone records
+// the same metrics, self times and convergence series included; and
+// the manifest verifies, saying that its three stdout hashes had no
+// file to check.
 func TestObservabilityKeepsStdout(t *testing.T) {
 	dir := t.TempDir()
 	ids := []string{"fig1a", "fig5a", "table2"}
@@ -132,32 +136,45 @@ func TestObservabilityKeepsStdout(t *testing.T) {
 	}
 	var report []byte
 	for _, flags := range [][]string{
-		{"-trace", "trace.json"},
-		{"-telemetry", "json"},
+		{"-trace", "trace.json", "-atlas", "atlas"},
+		{"-telemetry", "json", "-history", "hist2"},
 		{"-manifest", "manifest.json"},
-		{"-convergence", "convergence.json"},
+		{"-progress"},
 		{"-history", "hist", "-manifest", "doc.json"},
 	} {
 		got, stderr := run(flags...)
 		if !bytes.Equal(got, plain) {
 			t.Errorf("stdout with %q differs from the plain run", flags)
 		}
-		if flags[0] == "-telemetry" {
+		switch flags[0] {
+		case "-telemetry":
 			report = stderr
+		case "-history":
+			// A -history append is silent.
+			if len(stderr) > 0 {
+				t.Errorf("accordion %q wrote to stderr:\n%s", flags, stderr)
+			}
 		}
 	}
 
 	checkTrace(t, filepath.Join(dir, "trace.json"), ids)
 	checkRecord(t, filepath.Join(dir, "hist", "records.ndjson"), filepath.Join(dir, "doc.json"), ids)
+	checkManifestOnly(t, filepath.Join(dir, "manifest.json"), filepath.Join(dir, "doc.json"))
 
+	// json.Unmarshal refuses trailing data, so stderr holds the one
+	// report and nothing else.
 	var doc struct {
 		Counters []struct {
 			Name  string `json:"name"`
 			Value int64  `json:"value"`
 		} `json:"counters"`
+		Series []struct {
+			Name  string `json:"name"`
+			Count int64  `json:"count"`
+		} `json:"series"`
 	}
 	if err := json.Unmarshal(report, &doc); err != nil {
-		t.Fatalf("-telemetry json report is not JSON: %v\n%s", err, report)
+		t.Fatalf("-telemetry json stderr is not one JSON document: %v\n%s", err, report)
 	}
 	drawn := int64(-1)
 	for _, c := range doc.Counters {
@@ -167,6 +184,15 @@ func TestObservabilityKeepsStdout(t *testing.T) {
 	}
 	if drawn <= 0 {
 		t.Errorf("-telemetry json reports chip.factory.chips_drawn = %d, want > 0", drawn)
+	}
+	observed := map[string]int64{}
+	for _, s := range doc.Series {
+		observed[s.Name] = s.Count
+	}
+	for _, name := range []string{"chip.fmax_ghz", "chip.vddmin_v", "chip.power_w", "chip.err_rate"} {
+		if observed[name] <= 0 {
+			t.Errorf("-telemetry json reports %s with %d observations, want > 0", name, observed[name])
+		}
 	}
 
 	stdout, stderr, code := accordion(t, dir, "-verify-manifest", "manifest.json")
@@ -274,11 +300,48 @@ func checkRecord(t *testing.T, path, manifest string, ids []string) {
 	}
 }
 
+// checkManifestOnly checks that the run document of a -manifest run
+// records the same metric names as that of a -history -manifest run
+// of the same ids, among them the run stage's self time and the chip
+// series' counts.
+func checkManifestOnly(t *testing.T, manifest, withHistory string) {
+	t.Helper()
+	names := func(path string) map[string]bool {
+		t.Helper()
+		rec, err := history.ReadRecord(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]bool{}
+		for name := range rec.Metrics {
+			out[name] = true
+		}
+		return out
+	}
+	alone, both := names(manifest), names(withHistory)
+	for _, name := range []string{"layer.run.self_ns", "converge.chip.fmax_ghz.count"} {
+		if !alone[name] {
+			t.Errorf("-manifest document lacks %s", name)
+		}
+	}
+	for name := range both {
+		if !alone[name] {
+			t.Errorf("-manifest document lacks %s, which the -history run recorded", name)
+		}
+	}
+	for name := range alone {
+		if !both[name] {
+			t.Errorf("-manifest document records %s, which the -history run did not", name)
+		}
+	}
+}
+
 // checkTrace reads a Chrome trace and checks its tree: one parentless
 // run event, every parent present, one experiments.run.<id> per id
-// under it, parallel.worker events each on a lane of its own, and
-// chip.draw events under fig5a's runner, each carrying its seed and
-// vddntv.
+// under it, parallel.worker events each on a lane of its own, chip.draw
+// events under fig5a's runner, each carrying its seed and vddntv, and
+// the -atlas pass's one experiments.attribution event with its two
+// hotspot runs.
 func checkTrace(t *testing.T, path string, ids []string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -354,6 +417,10 @@ func checkTrace(t *testing.T, path string, ids []string) {
 	}
 	if count["parallel.worker"] == 0 || count["chip.draw"] == 0 {
 		t.Errorf("trace lacks worker lanes or chip draws: %v", count)
+	}
+	if count["experiments.attribution"] != 1 || count["rms.hotspot.run"] != 2 {
+		t.Errorf("%d experiments.attribution and %d rms.hotspot.run events, want 1 and 2",
+			count["experiments.attribution"], count["rms.hotspot.run"])
 	}
 	if t.Failed() {
 		t.Logf("event counts: %s", strings.TrimSpace(fmt.Sprint(count)))

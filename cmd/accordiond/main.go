@@ -18,7 +18,6 @@
 //	GET  /jobs/<id>/result a completed job's response bytes
 //	GET  /healthz          liveness and drain state (ok or draining)
 //	GET  /telemetryz       telemetry snapshot (JSON)
-//	GET  /metricsz         telemetry snapshot (Prometheus text)
 //
 // Backpressure: the job queue is bounded (-queue). When it is full,
 // submissions are answered 429 with a constant Retry-After: 1 instead
@@ -104,7 +103,9 @@ func main() {
 	parallel.SetWorkers(opts.poolWidth)
 
 	// A service wants its ops surface live from the first request:
-	// telemetry is always on, and /telemetryz and /metricsz serve it.
+	// telemetry is always on, and /telemetryz serves it. No request
+	// runs under a traced context, so jobs record no trace events and
+	// feed no convergence series.
 	telemetry.SetEnabled(true)
 
 	srv := service.New(service.Config{
@@ -115,7 +116,6 @@ func main() {
 	})
 	mux := srv.Mux()
 	mux.Handle("GET /telemetryz", telemetry.Handler())
-	mux.Handle("GET /metricsz", telemetry.MetricsHandler())
 
 	// The service core spawns no goroutines; the daemon owns them all.
 	workerCtx, stopWorkers := context.WithCancel(context.Background())

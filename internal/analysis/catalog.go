@@ -7,10 +7,10 @@ import "strings"
 // GetCounter/GetGauge/GetHistogram/GetSeries/NewStage call whose name
 // is not (a) a string literal matching ^[a-z0-9_.]+$ registered here,
 // or (b) a concatenation whose literal prefix is registered here. That
-// keeps the /metricsz namespace and the trace's stage names (what CI
-// smoke gates and jq pipelines key on) from drifting or colliding one
-// emit site at a time: adding a name means touching this file, which
-// means the diff shows the vocabulary grew.
+// keeps the telemetry snapshot's names and the trace's stage names
+// (what CI smoke gates and jq pipelines key on) from drifting or
+// colliding one emit site at a time: adding a name means touching this
+// file, which means the diff shows the vocabulary grew.
 type Catalog struct {
 	// Metrics are exact telemetry counter/gauge/histogram/series/stage
 	// names.

@@ -18,11 +18,11 @@ import (
 //   - be registered in the catalog (internal/analysis/catalog.go) —
 //     exact names exactly, dynamic families by literal prefix.
 //
-// This is what keeps /metricsz names and the trace's stage names
-// (which CI smoke checks and jq pipelines key on) from drifting or
-// colliding: adding a metric means a visible catalog diff, and a typo
-// in an emit site fails the lint run instead of shipping a phantom
-// name.
+// This is what keeps the telemetry snapshot's names and the trace's
+// stage names (which CI smoke checks and jq pipelines key on) from
+// drifting or colliding: adding a metric means a visible catalog diff,
+// and a typo in an emit site fails the lint run instead of shipping a
+// phantom name.
 var TelemetryNamesAnalyzer = &Analyzer{
 	Name: "telemetrynames",
 	Doc:  "require literal, well-formed, cataloged telemetry metric names",

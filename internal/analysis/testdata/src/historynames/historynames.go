@@ -15,7 +15,7 @@ func Registered() {
 
 // UnregisteredCounter counts appends under a name the catalog has
 // never heard of — the drift the audit exists to catch: a phantom
-// history.* metric would ship a /metricsz family the regression gate
+// history.* metric would ship a snapshot name the regression gate
 // and CI smoke never learn to read.
 func UnregisteredCounter() {
 	telemetry.GetCounter("history.phantom_appends").Inc() // want `metric name "history.phantom_appends" is not registered`

@@ -260,17 +260,17 @@ func (f *Factory) sample(ctx context.Context, seed int64) *Chip {
 	return ch
 }
 
-// SampleCtx is Sample under the observability tier: in a traced
-// context the chip.draw stage records a trace event under ctx's
-// current stage, so population draws nest under their pool worker,
-// and in a context descending from telemetry.MonitorContext the first
-// draw of each seed streams the chip's summary metrics into the
-// Monte-Carlo convergence series. The seed identifies the chip because
-// every factory in the tree is built from DefaultConfig, so two
-// experiments drawing the same seeds add no observations. With
-// telemetry off the check is one atomic load; with it on, any other
-// context costs one lookup. The chip returned is bit-identical to
-// Sample(seed) regardless.
+// SampleCtx is Sample under the observability tier: in a context
+// descending from telemetry.TraceContext the chip.draw stage records a
+// trace event under ctx's current stage, so population draws nest
+// under their pool worker, and the first draw of each seed streams the
+// chip's summary metrics into the Monte-Carlo convergence series. The
+// seed identifies the chip because every factory in the tree is built
+// from DefaultConfig, so two experiments drawing the same seeds add no
+// observations. An untraced context never pays for SummaryMetrics,
+// which keeps accordiond and library callers off it: with telemetry
+// off the check is one atomic load, and with it on one lookup. The
+// chip returned is bit-identical to Sample(seed) regardless.
 func (f *Factory) SampleCtx(ctx context.Context, seed int64) *Chip {
 	ch := f.sample(ctx, seed)
 	if telemetry.Monitored(ctx, seed) {
@@ -291,9 +291,8 @@ func (f *Factory) Population(seed int64, n int) []*Chip {
 // PopulationCtx is Population with cancellation: it returns early with
 // the context's error if ctx is cancelled mid-draw. Each draw goes
 // through SampleCtx, so a traced run shows one chip.draw event per chip
-// under the pool worker that drew it, and a monitored context feeds
-// every chip of the population it has not seen yet to the convergence
-// series.
+// under the pool worker that drew it and feeds every chip of the
+// population it has not seen yet to the convergence series.
 func (f *Factory) PopulationCtx(ctx context.Context, seed int64, n int) ([]*Chip, error) {
 	return parallel.Map(ctx, n, func(wctx context.Context, i int) (*Chip, error) {
 		return f.SampleCtx(wctx, mathx.SplitSeed(seed, int64(i))), nil

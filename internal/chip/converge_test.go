@@ -1,7 +1,6 @@
 package chip
 
 import (
-	"bytes"
 	"context"
 	"runtime"
 	"strings"
@@ -14,7 +13,8 @@ import (
 var chipSeries = []*telemetry.Series{serFmax, serVddMIN, serPower, serErrRate}
 
 // monitoredRun turns telemetry on with every metric zeroed and returns
-// a fresh monitored context and the factory under test.
+// a fresh traced context, which monitors its chips, and the factory
+// under test.
 func monitoredRun(t *testing.T) (context.Context, *Factory) {
 	t.Helper()
 	t.Cleanup(telemetry.SetEnabled(true))
@@ -24,11 +24,11 @@ func monitoredRun(t *testing.T) (context.Context, *Factory) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return telemetry.MonitorContext(context.Background()), f
+	return telemetry.TraceContext(context.Background()), f
 }
 
 // TestPopulationConvergence: a fixed-seed population drawn under a
-// telemetry.MonitorContext reports CI95 half-widths for all four chip
+// telemetry.TraceContext reports CI95 half-widths for all four chip
 // metrics, and the series see exactly one observation per chip.
 func TestPopulationConvergence(t *testing.T) {
 	ctx, f := monitoredRun(t)
@@ -54,7 +54,7 @@ func TestPopulationConvergence(t *testing.T) {
 }
 
 // TestMonitoredChipCountedOnce: drawing the same population twice under
-// one monitored context, as fig5a and the population runner do in one
+// one traced context, as fig5a and the population runner do in one
 // accordion run, observes each distinct chip once.
 func TestMonitoredChipCountedOnce(t *testing.T) {
 	ctx, f := monitoredRun(t)
@@ -71,9 +71,8 @@ func TestMonitoredChipCountedOnce(t *testing.T) {
 	}
 }
 
-// TestChipSeriesInTelemetry: after a monitored population draw the
-// four chip series are in the telemetry snapshot, and /metricsz
-// renders them.
+// TestChipSeriesInTelemetry: after a traced population draw the four
+// chip series are in the telemetry snapshot, each in its unit.
 func TestChipSeriesInTelemetry(t *testing.T) {
 	ctx, f := monitoredRun(t)
 	const n = 4
@@ -92,23 +91,9 @@ func TestChipSeriesInTelemetry(t *testing.T) {
 			t.Errorf("captured %s = %+v (present=%v), want %d observations in %s", want.name, s, ok, n, want.unit)
 		}
 	}
-	var prom bytes.Buffer
-	if err := telemetry.Capture().WriteProm(&prom); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`chip_fmax_ghz{unit="GHz",stat="count"} 4`,
-		`chip_vddmin_v{unit="V",stat="ci95"} `,
-		`chip_power_w{unit="W",stat="mean"} `,
-		`chip_err_rate{unit="p/cycle",stat="std"} `,
-	} {
-		if !strings.Contains(prom.String(), want) {
-			t.Errorf("/metricsz text missing %q", want)
-		}
-	}
 }
 
-// TestPopulationUnmonitored: with telemetry on but no monitor context,
+// TestPopulationUnmonitored: with telemetry on but no traced context,
 // a population observes no chip, and a draw allocates exactly what a
 // plain Sample does: no chip pays for SummaryMetrics unasked, which is
 // what keeps accordiond and library callers off it.
@@ -120,16 +105,16 @@ func TestPopulationUnmonitored(t *testing.T) {
 	}
 	for _, s := range chipSeries {
 		if n := s.Count(); n != 0 {
-			t.Errorf("%s observed %d chips without a monitor context", s.Name(), n)
+			t.Errorf("%s observed %d chips without a traced context", s.Name(), n)
 		}
 	}
 	plain := allocsPerDraw(func() { f.Sample(7) })
 	if viaCtx := allocsPerDraw(func() { f.SampleCtx(ctx, 7) }); viaCtx != plain {
 		t.Errorf("an unmonitored SampleCtx allocates %d objects, a plain Sample %d", viaCtx, plain)
 	}
-	// A fresh monitor per draw, so every draw is a first draw.
-	if m := allocsPerDraw(func() { f.SampleCtx(telemetry.MonitorContext(ctx), 7) }); m <= plain {
-		t.Errorf("a monitored SampleCtx allocates %d objects, want more than a plain Sample's %d", m, plain)
+	// A fresh traced context per draw, so every draw is a first draw.
+	if m := allocsPerDraw(func() { f.SampleCtx(telemetry.TraceContext(ctx), 7) }); m <= plain {
+		t.Errorf("a traced SampleCtx allocates %d objects, want more than a plain Sample's %d", m, plain)
 	}
 }
 
@@ -183,7 +168,7 @@ func drawObjects() int64 {
 	return objects
 }
 
-// TestMonitoredTelemetryOff: a monitored context asks nothing of a
+// TestMonitoredTelemetryOff: a traced context asks nothing of a
 // process whose telemetry is off: the draw observes no chip and
 // allocates exactly what a plain Sample does.
 func TestMonitoredTelemetryOff(t *testing.T) {
@@ -193,7 +178,7 @@ func TestMonitoredTelemetryOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := telemetry.MonitorContext(context.Background())
+	ctx := telemetry.TraceContext(context.Background())
 	if _, err := f.PopulationCtx(ctx, 2014, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +189,7 @@ func TestMonitoredTelemetryOff(t *testing.T) {
 	}
 	plain := testing.AllocsPerRun(20, func() { f.Sample(7) })
 	if m := testing.AllocsPerRun(20, func() { f.SampleCtx(ctx, 7) }); m != plain {
-		t.Errorf("a monitored SampleCtx with telemetry off allocates %.0f objects, a plain Sample %.0f", m, plain)
+		t.Errorf("a traced SampleCtx with telemetry off allocates %.0f objects, a plain Sample %.0f", m, plain)
 	}
 }
 

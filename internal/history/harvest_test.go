@@ -25,7 +25,7 @@ func sampleTelemetry() telemetry.Snapshot {
 		},
 		Gauges: []telemetry.GaugeSnapshot{{Name: "service.inflight", Value: 3}},
 		Histograms: []telemetry.HistogramSnapshot{
-			{Name: "service.latency_ns", Unit: "ns", Count: 100, Mean: 1.5e6,
+			{Name: "service.latency_ns", Count: 100, Mean: 1.5e6,
 				P50: 1_200_000, P95: 2_500_000, P99: 3_000_000, Max: 4_000_000},
 			{Name: "empty.histogram", Count: 0},
 		},

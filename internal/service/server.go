@@ -371,7 +371,7 @@ func (s *Server) failPending(err error) {
 //	GET  /jobs/{id}/result the completed job's response bytes
 //	GET  /healthz         liveness + drain state
 //
-// The daemon mounts /telemetryz and /metricsz beside these.
+// The daemon mounts /telemetryz beside these.
 func (s *Server) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /run", s.handleRun)

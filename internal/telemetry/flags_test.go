@@ -91,39 +91,3 @@ func TestFlagsStartInvalid(t *testing.T) {
 		t.Fatal("Start accepted -telemetry xml")
 	}
 }
-
-// TestHistogramUnitRendering: a non-time histogram renders with its
-// own unit in text output and carries it in the snapshot.
-func TestHistogramUnitRendering(t *testing.T) {
-	defer SetEnabled(true)()
-	h := GetHistogramWithUnit("test.unit.bytes", "B")
-	h.reset()
-	h.Observe(4096)
-	if h.Unit() != "B" {
-		t.Fatalf("unit = %q, want B", h.Unit())
-	}
-	s := Capture()
-	var found bool
-	for _, hs := range s.Histograms {
-		if hs.Name == "test.unit.bytes" {
-			found = true
-			if hs.Unit != "B" {
-				t.Fatalf("snapshot unit = %q, want B", hs.Unit)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("histogram missing from snapshot")
-	}
-	var buf bytes.Buffer
-	if err := s.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "4096B") {
-		t.Fatalf("text render did not use the B unit:\n%s", buf.String())
-	}
-	// Default-unit histograms still render as durations.
-	if GetHistogram("test.unit.default").Unit() != "ns" {
-		t.Fatal("GetHistogram default unit is not ns")
-	}
-}

@@ -13,11 +13,11 @@ import (
 // disabled record path allocates nothing — not for counters, gauges,
 // histograms, series, stages and their annotations (traced context or
 // not), the per-task fault notes the kernels make without a ledger, or
-// the chip factory's monitored-context check — and records nothing: a
+// the chip factory's monitored-sample check — and records nothing: a
 // disabled stage reports no elapsed time, a disabled note never
-// reaches the fault counters, and a monitored context claims no
-// sample. It is an external test so it can drive fault.Plan.Note, the
-// hottest emit site.
+// reaches the fault counters, and a traced context claims no sample.
+// It is an external test so it can drive fault.Plan.Note, the hottest
+// emit site.
 func TestTelemetryDisabledOverhead(t *testing.T) {
 	defer telemetry.SetEnabled(false)()
 	telemetry.Reset()
@@ -29,7 +29,6 @@ func TestTelemetryDisabledOverhead(t *testing.T) {
 	drop, flip := fault.DropHalf(), fault.Plan{Mode: fault.Flip, Num: 1, Den: 2}
 	ctx := context.Background()
 	traced := telemetry.TraceContext(ctx)
-	monitored := telemetry.MonitorContext(ctx)
 	var elapsed time.Duration
 	var claimed bool
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -38,7 +37,7 @@ func TestTelemetryDisabledOverhead(t *testing.T) {
 		g.Set(9)
 		h.Observe(123)
 		sr.Observe(0.5)
-		claimed = claimed || telemetry.Monitored(monitored, 17)
+		claimed = claimed || telemetry.Monitored(traced, 17)
 		tm := st.Begin(ctx).Int("k", 1).Str("s", "v").Float("f", 0.25)
 		elapsed += tm.End()
 		tm = st.BeginLane(traced).Float("f", 0.25)

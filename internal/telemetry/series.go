@@ -93,29 +93,23 @@ func GetSeries(name, unit string) *Series {
 	return s
 }
 
-// monitorKey carries a MonitorContext's set of observed sample keys,
-// a *sync.Map.
-type monitorKey struct{}
-
-// MonitorContext returns a context under which samplers feed their
-// series: the chip factory observes each distinct chip drawn under it
-// once. Like TraceContext it asks for work the switch alone does not
-// buy — deriving a chip's summary costs more than drawing it — so only
-// a run that wants convergence statistics opens one.
-func MonitorContext(ctx context.Context) context.Context {
-	return context.WithValue(ctx, monitorKey{}, new(sync.Map))
-}
+// seenKey carries a TraceContext's set of observed sample keys, a
+// *sync.Map.
+type seenKey struct{}
 
 // Monitored reports whether the sample identified by key is one to
-// observe: telemetry is on, ctx descends from a MonitorContext, and no
-// earlier call under that MonitorContext claimed key. A run whose
+// observe: telemetry is on, ctx descends from a TraceContext, and no
+// earlier call under that TraceContext claimed key. A run whose
 // experiments draw the same sample twice therefore counts it once.
-// While telemetry is off it is one atomic load.
+// Samplers that feed a series only when Monitored says so (the chip
+// factory: deriving a chip's summary costs more than drawing it) cost
+// an untraced caller nothing. While telemetry is off it is one atomic
+// load.
 func Monitored(ctx context.Context, key int64) bool {
 	if !enabled.Load() {
 		return false
 	}
-	seen, _ := ctx.Value(monitorKey{}).(*sync.Map)
+	seen, _ := ctx.Value(seenKey{}).(*sync.Map)
 	if seen == nil {
 		return false
 	}

@@ -22,12 +22,9 @@ type GaugeSnapshot struct {
 }
 
 // HistogramSnapshot is one histogram's point-in-time reading: the
-// moments plus interpolated quantiles, all in the histogram's own
-// unit, which the Unit field names ("ns" unless the histogram was
-// registered with GetHistogramWithUnit).
+// moments plus interpolated quantiles, all in nanoseconds.
 type HistogramSnapshot struct {
 	Name  string  `json:"name"`
-	Unit  string  `json:"unit"`
 	Count int64   `json:"count"`
 	Sum   int64   `json:"sum"`
 	Min   int64   `json:"min"`
@@ -41,8 +38,7 @@ type HistogramSnapshot struct {
 // SeriesSnapshot is one series' point-in-time reading. CI95 is the
 // 95% confidence-interval half-width of the mean (normal
 // approximation); RelCI95 is CI95/|mean|. Both, and Std, are zero
-// until two observations exist. These nine fields are also the
-// schema of the convergence.json document cmd/accordion writes.
+// until two observations exist.
 type SeriesSnapshot struct {
 	Name    string  `json:"name"`
 	Unit    string  `json:"unit"`
@@ -119,14 +115,10 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// fmtUnit renders a histogram value in its unit: nanoseconds become a
-// rounded duration a human can scan, anything else stays a plain
-// number with the unit appended.
-func fmtUnit(v int64, unit string) string {
-	if unit == "ns" || unit == "" {
-		return time.Duration(v).Round(time.Microsecond).String()
-	}
-	return fmt.Sprintf("%d%s", v, unit)
+// fmtNs renders a histogram value, in nanoseconds, as a rounded
+// duration a human can scan.
+func fmtNs(v int64) string {
+	return time.Duration(v).Round(time.Microsecond).String()
 }
 
 // WriteText renders the snapshot as an aligned human-readable report:
@@ -173,9 +165,8 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		b.WriteString("-- histograms (count mean p50 p95 p99 max)\n")
 		for _, h := range s.Histograms {
 			fmt.Fprintf(&b, "%-*s  n=%d  mean=%s  p50=%s  p95=%s  p99=%s  max=%s\n",
-				width, h.Name, h.Count, fmtUnit(int64(h.Mean), h.Unit),
-				fmtUnit(h.P50, h.Unit), fmtUnit(h.P95, h.Unit),
-				fmtUnit(h.P99, h.Unit), fmtUnit(h.Max, h.Unit))
+				width, h.Name, h.Count, fmtNs(int64(h.Mean)),
+				fmtNs(h.P50), fmtNs(h.P95), fmtNs(h.P99), fmtNs(h.Max))
 		}
 	}
 	if len(s.Series) > 0 {
@@ -197,19 +188,13 @@ func (s Snapshot) WriteText(w io.Writer) error {
 
 // Handler returns the /telemetryz endpoint: a point-in-time Capture()
 // rendered as JSON, so scripts and CI scrape the same numbers the
-// -telemetry flag prints.
+// -telemetry flag prints. Caching is disabled so a live scrape never
+// sees a stale snapshot.
 func Handler() http.Handler {
-	return noCache("application/json", func(w io.Writer) error { return Capture().WriteJSON(w) })
-}
-
-// noCache serves what write renders under contentType, with caching
-// disabled so a live scrape never sees a stale snapshot. The
-// /telemetryz and /metricsz endpoints share it.
-func noCache(contentType string, write func(io.Writer) error) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", contentType)
+		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Cache-Control", "no-cache")
-		if err := write(w); err != nil {
+		if err := Capture().WriteJSON(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -69,10 +69,12 @@ var spanIDs, laneIDs atomic.Uint64
 
 type traceKey struct{}
 
-// TraceContext returns a context whose stages record trace events. It
-// opens the root of a trace on a fresh lane: the first stage begun
-// under it becomes a parentless event on that lane.
+// TraceContext returns a context whose stages record trace events and
+// whose samplers feed their series (Monitored). It opens the root of a
+// trace on a fresh lane, where the first stage begun under it becomes
+// a parentless event, and an empty set of observed sample keys.
 func TraceContext(ctx context.Context) context.Context {
+	ctx = context.WithValue(ctx, seenKey{}, new(sync.Map))
 	return context.WithValue(ctx, traceKey{}, &traceNode{tid: laneIDs.Add(1)})
 }
 
@@ -180,8 +182,8 @@ type event struct {
 const traceCap = 1 << 19
 
 // telTraceDropped counts the events the full buffer discarded, so a
-// /metricsz scrape shows trace_dropped > 0 whenever the trace export
-// is missing events. Only the trace buffer writes it.
+// snapshot shows trace.dropped > 0 whenever the trace export is
+// missing events. Only the trace buffer writes it.
 var telTraceDropped = GetGauge("trace.dropped")
 
 // traceBuffer holds every finished traced call. Traced runs record a

@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"math"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -195,8 +193,7 @@ func TestTraceBounded(t *testing.T) {
 }
 
 // TestTraceDroppedGauge: the buffer's drop count is the registry's
-// trace.dropped gauge, so a /metricsz scrape shows it, and Reset
-// zeroes it.
+// trace.dropped gauge, so a snapshot shows it, and Reset zeroes it.
 func TestTraceDroppedGauge(t *testing.T) {
 	traceOn(t)
 	traceBuf.limit = 1
@@ -210,10 +207,14 @@ func TestTraceDroppedGauge(t *testing.T) {
 	if v := GetGauge("trace.dropped").Value(); v != over {
 		t.Fatalf("trace.dropped gauge = %d, want %d", v, over)
 	}
-	rec := httptest.NewRecorder()
-	MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metricsz", nil))
-	if !strings.Contains(rec.Body.String(), "trace_dropped 7") {
-		t.Fatalf("/metricsz missing trace_dropped:\n%s", rec.Body.String())
+	var captured int64 = -1
+	for _, g := range Capture().Gauges {
+		if g.Name == "trace.dropped" {
+			captured = g.Value
+		}
+	}
+	if captured != over {
+		t.Fatalf("snapshot's trace.dropped = %d, want %d", captured, over)
 	}
 	Reset()
 	if v := GetGauge("trace.dropped").Value(); v != 0 {

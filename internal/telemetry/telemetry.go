@@ -6,7 +6,10 @@
 // Stage, the one timing primitive: each stage call feeds its histogram
 // and, under a traced context, a Chrome trace event, whose annotations
 // carry the simulation facts the stage computed (a chip's VddNTV, a
-// front cell's input, a score's quality).
+// front cell's input, a score's quality). TraceContext is the one
+// context that asks for more than the switch buys: under it stages
+// record trace events and samplers feed their series, each distinct
+// sample once (Monitored).
 //
 // Design constraints, in order:
 //
@@ -121,14 +124,11 @@ func (g *Gauge) reset() { g.v.Store(0) }
 // bit length is b, i.e. the power-of-two range [2^(b-1), 2^b).
 const histBuckets = 64
 
-// Histogram accumulates int64 observations into power-of-two buckets.
-// Memory is constant; recording is five atomic operations and no
-// allocation. Each histogram carries a unit label ("ns" unless
-// registered otherwise) that the renderers use; the unit never affects
-// recording.
+// Histogram accumulates int64 observations, nanoseconds, into
+// power-of-two buckets. Memory is constant; recording is five atomic
+// operations and no allocation.
 type Histogram struct {
 	name    string
-	unit    string
 	count   atomic.Int64
 	sum     atomic.Int64
 	min     atomic.Int64 // math.MaxInt64 until the first observation
@@ -138,9 +138,6 @@ type Histogram struct {
 
 // Name returns the histogram's registered name.
 func (h *Histogram) Name() string { return h.name }
-
-// Unit returns the histogram's unit label.
-func (h *Histogram) Unit() string { return h.unit }
 
 // bucketOf maps a non-negative value to its power-of-two bucket.
 func bucketOf(v int64) int {
@@ -207,7 +204,6 @@ func (h *Histogram) reset() {
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Name:  h.name,
-		Unit:  h.unit,
 		Count: h.count.Load(),
 		Sum:   h.sum.Load(),
 		Max:   h.max.Load(),
@@ -314,16 +310,8 @@ func GetGauge(name string) *Gauge {
 }
 
 // GetHistogram returns the process-wide histogram registered under
-// name, creating it on first use with the default nanosecond unit.
+// name, creating it on first use.
 func GetHistogram(name string) *Histogram {
-	return GetHistogramWithUnit(name, "ns")
-}
-
-// GetHistogramWithUnit is GetHistogram for non-time histograms: the
-// unit labels the renderers' output ("bytes", "chips", ...). The unit
-// is fixed at first registration; later calls under any unit return
-// the original histogram.
-func GetHistogramWithUnit(name, unit string) *Histogram {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	if reg.histograms == nil {
@@ -331,7 +319,7 @@ func GetHistogramWithUnit(name, unit string) *Histogram {
 	}
 	h, ok := reg.histograms[name]
 	if !ok {
-		h = &Histogram{name: name, unit: unit}
+		h = &Histogram{name: name}
 		h.min.Store(math.MaxInt64)
 		reg.histograms[name] = h
 	}

@@ -384,7 +384,8 @@ func TestWriteText(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"telemetry (enabled)", "test.text.counter", "test.text.hist", "p95=", "-- series", "test.text.series"} {
+	// Histograms count nanoseconds and render as durations.
+	for _, want := range []string{"telemetry (enabled)", "test.text.counter", "test.text.hist", "max=1µs", "-- series", "test.text.series"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text render missing %q:\n%s", want, out)
 		}
@@ -409,6 +410,36 @@ func TestHandler(t *testing.T) {
 	}
 	if !parsed.Enabled {
 		t.Fatal("handler snapshot reports disabled")
+	}
+}
+
+// TestTelemetryzHandlerDisabled: /telemetryz also serves while
+// disabled, with enabled=false in the JSON document.
+func TestTelemetryzHandlerDisabled(t *testing.T) {
+	defer SetEnabled(false)()
+	rec := httptest.NewRecorder()
+	Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/telemetryz", nil))
+	if rec.Code != 200 {
+		t.Fatalf("status = %d, want 200 while disabled", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("content-type = %q, want application/json", ct)
+	}
+	if !strings.Contains(rec.Body.String(), `"enabled": false`) {
+		t.Error("/telemetryz did not report enabled: false while disabled")
+	}
+}
+
+// TestEndpointCacheHeaders: /telemetryz must disable caching and
+// declare its content type, so a proxy never serves a stale snapshot.
+func TestEndpointCacheHeaders(t *testing.T) {
+	rec := httptest.NewRecorder()
+	Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/telemetryz", nil))
+	if cc := rec.Header().Get("Cache-Control"); cc != "no-cache" {
+		t.Errorf("/telemetryz Cache-Control = %q, want no-cache", cc)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("/telemetryz Content-Type = %q", ct)
 	}
 }
 
