@@ -14,7 +14,7 @@
 //
 //	POST /run              submit a request and wait for its response
 //	POST /jobs             submit without waiting (202 + job status)
-//	GET  /jobs/<id>        job status, timings, the job's run document
+//	GET  /jobs/<id>        job status: state, queue wait, run time
 //	GET  /jobs/<id>/result a completed job's response bytes
 //	GET  /healthz          liveness and drain state (ok or draining)
 //	GET  /telemetryz       telemetry snapshot (JSON)

@@ -133,7 +133,7 @@ func DefaultConfig(startDir string) (*Config, error) {
 			"experiments": {"baseline", "chip", "core", "fault", "mathx", "parallel", "power",
 				"rms", "rms/bodytrack", "rms/btcmine", "rms/canneal", "rms/ferret",
 				"rms/hotspot", "rms/srad", "rms/xh264", "sim", "tech", "telemetry", "variation"},
-			"service": {"experiments", "history", "telemetry"},
+			"service": {"experiments", "telemetry"},
 			"history": {"mathx", "telemetry"},
 		},
 		// Substrate purity: the numeric substrate and the device models

@@ -96,7 +96,10 @@ func TestChipSeriesInTelemetry(t *testing.T) {
 // TestPopulationUnmonitored: with telemetry on but no traced context,
 // a population observes no chip, and a draw allocates exactly what a
 // plain Sample does: no chip pays for SummaryMetrics unasked, which is
-// what keeps accordiond and library callers off it.
+// what keeps accordiond and library callers off it. The objects made
+// under SummaryMetrics show which draws pay for it: a first draw under
+// a traced context does; an untraced draw, and a draw repeating a
+// seed its traced context already observed, do not.
 func TestPopulationUnmonitored(t *testing.T) {
 	_, f := monitoredRun(t)
 	ctx := context.Background()
@@ -108,33 +111,50 @@ func TestPopulationUnmonitored(t *testing.T) {
 			t.Errorf("%s observed %d chips without a traced context", s.Name(), n)
 		}
 	}
-	plain := allocsPerDraw(func() { f.Sample(7) })
-	if viaCtx := allocsPerDraw(func() { f.SampleCtx(ctx, 7) }); viaCtx != plain {
+	plain := allocsUnder(drawsFrame, func() { f.Sample(7) })
+	if viaCtx := allocsUnder(drawsFrame, func() { f.SampleCtx(ctx, 7) }); viaCtx != plain {
 		t.Errorf("an unmonitored SampleCtx allocates %d objects, a plain Sample %d", viaCtx, plain)
 	}
+	const summary = "chip.(*Chip).SummaryMetrics"
+	if n := allocsUnder(summary, func() { f.SampleCtx(ctx, 7) }); n != 0 {
+		t.Errorf("an untraced SampleCtx allocates %d objects in SummaryMetrics, want 0", n)
+	}
 	// A fresh traced context per draw, so every draw is a first draw.
-	if m := allocsPerDraw(func() { f.SampleCtx(telemetry.TraceContext(ctx), 7) }); m <= plain {
-		t.Errorf("a traced SampleCtx allocates %d objects, want more than a plain Sample's %d", m, plain)
+	if n := allocsUnder(summary, func() { f.SampleCtx(telemetry.TraceContext(ctx), 7) }); n == 0 {
+		t.Error("a first traced SampleCtx allocates nothing in SummaryMetrics, want its summary computed")
+	}
+	// One traced context: after the warm-up draw, every draw repeats
+	// an observed seed.
+	traced := telemetry.TraceContext(ctx)
+	if n := allocsUnder(summary, func() { f.SampleCtx(traced, 7) }); n != 0 {
+		t.Errorf("a repeated-seed traced SampleCtx allocates %d objects in SummaryMetrics, want 0", n)
 	}
 }
 
-// allocsPerDraw is testing.AllocsPerRun(20, draw) counting only the
-// heap objects made under draw: the mean count per call, rounded down,
-// after one warm-up call. It reads a memory profile that records every
-// allocation and counts the objects allocated under draws, so no other
-// goroutine's allocations land in the count.
-func allocsPerDraw(draw func()) int64 {
+// drawsFrame is the frame allocsUnder counts to take in every object
+// a draw makes.
+const drawsFrame = "chip.draws"
+
+// allocsUnder is testing.AllocsPerRun(20, draw) counting only the
+// heap objects made under the function named frame (a suffix of its
+// full name): the mean count per call, rounded down, after one
+// warm-up call. It reads a memory profile that records every
+// allocation and counts only the objects whose stack passes through
+// frame inside draws, so no other goroutine's allocations land in the
+// count.
+func allocsUnder(frame string, draw func()) int64 {
 	const runs = 20
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 	draws(1, draw)
-	before := drawObjects()
+	before := objectsUnder(frame)
 	draws(runs, draw)
-	return (drawObjects() - before) / runs
+	return (objectsUnder(frame) - before) / runs
 }
 
-// draws calls draw n times; drawObjects counts the objects allocated
-// under its frame, which keeps the profile reading's own out.
+// draws calls draw n times; objectsUnder counts only the objects
+// allocated under its frame, which keeps the profile reading's own
+// out.
 //
 //go:noinline
 func draws(n int, draw func()) {
@@ -143,9 +163,9 @@ func draws(n int, draw func()) {
 	}
 }
 
-// drawObjects sums the objects allocated so far under draws, after a
-// collection publishes the profile.
-func drawObjects() int64 {
+// objectsUnder sums the objects allocated so far under frame within
+// draws, after a collection publishes the profile.
+func objectsUnder(frame string) int64 {
 	runtime.GC()
 	var recs []runtime.MemProfileRecord
 	n, ok := runtime.MemProfile(nil, true)
@@ -156,11 +176,15 @@ func drawObjects() int64 {
 	var objects int64
 	for _, r := range recs[:n] {
 		frames := runtime.CallersFrames(r.Stack())
+		under := false
 		for more := true; more; {
 			var fr runtime.Frame
 			fr, more = frames.Next()
-			if strings.HasSuffix(fr.Function, "chip.draws") {
-				objects += r.AllocObjects
+			under = under || strings.HasSuffix(fr.Function, frame)
+			if strings.HasSuffix(fr.Function, drawsFrame) {
+				if under {
+					objects += r.AllocObjects
+				}
 				break
 			}
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -17,40 +16,39 @@ var digestPath = filepath.Join("testdata", "digests.txt")
 
 // TestExperimentDigests pins the bytes of all experiments, including the
 // solver- and kernel-driven ones the golden files leave out, so an
-// optimization of the hot path cannot move any number unnoticed.
+// optimization of the hot path cannot move any number unnoticed. It
+// reads the cold render it shares with TestParallelEquivalence.
 // Regenerate with `make golden` (UPDATE_GOLDEN=1) after an intentional
 // model change.
 func TestExperimentDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	results, err := RunMany(context.Background(), DefaultConfig(), IDs())
-	if err != nil {
-		t.Fatal(err)
+	run := sharedColdRender()
+	if run.err != nil {
+		t.Fatal(run.err)
 	}
-	got := digestLines(t, results)
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(digestPath, got, 0o644); err != nil {
+		if err := os.WriteFile(digestPath, run.lines, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	checkDigests(t, got)
+	checkDigests(t, run.lines)
 }
 
 // digestLines renders each result on its own and returns one
 // "<id> <hex>" line per result, in digestPath's format.
-func digestLines(t *testing.T, results []RunResult) []byte {
-	t.Helper()
+func digestLines(results []RunResult) ([]byte, error) {
 	var got bytes.Buffer
 	for _, r := range results {
 		var buf bytes.Buffer
 		if err := RenderAll(&buf, []RunResult{r}); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		fmt.Fprintf(&got, "%s %x\n", r.ID, sha256.Sum256(buf.Bytes()))
 	}
-	return got.Bytes()
+	return got.Bytes(), nil
 }
 
 // checkDigests fails t unless got, digestLines of a run of every id at

@@ -178,12 +178,10 @@ const repChipsMax = 8
 
 // RepresentativeChip returns the chip sample all single-chip
 // experiments use. The sample is memoized per ChipSeed and shared
-// between concurrently running experiments. The context carries only
-// telemetry attribution (the cache's hit/miss counters tally into the
-// job scope of whichever service request asked), never cancellation of
-// the sample itself.
-func RepresentativeChip(ctx context.Context, cfg Config) (*chip.Chip, error) {
-	return repChips.DoCtx(ctx, cfg.ChipSeed, func() (*chip.Chip, error) {
+// between concurrently running experiments. The context is unused: the
+// sample is neither cancelled nor traced as a stage of the caller.
+func RepresentativeChip(_ context.Context, cfg Config) (*chip.Chip, error) {
+	return repChips.Do(cfg.ChipSeed, func() (*chip.Chip, error) {
 		return chip.New(chip.DefaultConfig(), cfg.ChipSeed)
 	})
 }
@@ -212,7 +210,7 @@ const frontsMax = repChipsMax * 7
 // trace span, so the core.front spans attribute to that runner;
 // memo-hit callers pay nothing and record nothing.
 func MeasuredFronts(ctx context.Context, b rms.Benchmark, seed int64) (*core.QualityModel, error) {
-	return fronts.DoCtx(ctx, frontKey{b.Name(), seed}, func() (*core.QualityModel, error) {
+	return fronts.Do(frontKey{b.Name(), seed}, func() (*core.QualityModel, error) {
 		return core.MeasureFrontsCtx(ctx, b, seed)
 	})
 }

@@ -47,15 +47,26 @@ func (k countingKernel) Run(input float64, threads int, plan fault.Plan, seed in
 	return k.Benchmark.Run(input, threads, plan, seed)
 }
 
+// repeats lists the counted kernel runs that executed more than once.
+func (c *runCounter) repeats() []string {
+	var repeats []string
+	for args, n := range c.runs {
+		if n > 1 {
+			repeats = append(repeats, fmt.Sprintf("%+v ran %d times", args, n))
+		}
+	}
+	sort.Strings(repeats)
+	return repeats
+}
+
 // countKernelRuns empties every cache and installs counting wrappers
 // around all seven kernels in the kernels memo, so every runner's
 // kernel runs are counted.
-func countKernelRuns(t *testing.T) *runCounter {
-	t.Helper()
+func countKernelRuns() (*runCounter, error) {
 	ResetCaches()
 	all, err := AllKernels()
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	kernels.Reset()
 	c := &runCounter{runs: map[runArgs]int{}}
@@ -63,14 +74,51 @@ func countKernelRuns(t *testing.T) *runCounter {
 	for i, b := range all {
 		wrapped[i] = countingKernel{b, c}
 	}
-	install := func(set string, ks []rms.Benchmark) {
-		if _, err := kernels.Do(set, func() ([]rms.Benchmark, error) { return ks, nil }); err != nil {
-			t.Fatal(err)
-		}
+	install := func(set string, ks []rms.Benchmark) error {
+		_, err := kernels.Do(set, func() ([]rms.Benchmark, error) { return ks, nil })
+		return err
 	}
-	install("table3", wrapped[:len(wrapped)-1]) // AllBenchmarks: all but btcmine
-	install("all", wrapped)
-	return c
+	if err := install("table3", wrapped[:len(wrapped)-1]); err != nil { // AllBenchmarks: all but btcmine
+		return nil, err
+	}
+	return c, install("all", wrapped)
+}
+
+// coldRender is one RunAll of every id from cold caches: each id's
+// digest line, in digestPath's format, and the kernel runs that
+// executed more than once.
+type coldRender struct {
+	workers int
+	lines   []byte
+	repeats []string
+	err     error
+}
+
+// sharedColdRender is the one cold render at width 8 that
+// TestExperimentDigests and TestParallelEquivalence share: whichever
+// runs first pays for it, once per test process.
+var sharedColdRender = sync.OnceValue(func() coldRender { return renderCold(8) })
+
+// renderCold runs RunAll from cold caches on a pool of the given
+// width, counting every kernel run. It empties the kernels memo when
+// it finishes, so no counting wrapper stays there, and leaves the
+// other caches warm for the tests that follow.
+func renderCold(workers int) coldRender {
+	defer parallel.SetWorkers(workers)()
+	defer kernels.Reset()
+	run := coldRender{workers: workers}
+	counter, err := countKernelRuns()
+	if err != nil {
+		run.err = err
+		return run
+	}
+	results, err := RunAll(context.Background(), DefaultConfig())
+	if err == nil {
+		run.lines, err = digestLines(results)
+	}
+	run.err = err
+	run.repeats = counter.repeats()
+	return run
 }
 
 // TestParallelEquivalence is the engine's acceptance test: every
@@ -78,9 +126,10 @@ func countKernelRuns(t *testing.T) *runCounter {
 // wide one, must match its pinned digest — across every parallel path
 // (population draws, quality-front profiling, the corruption fan-outs,
 // solver sweeps, the experiment driver itself, and all the caches they
-// share) — and no kernel run may execute twice in one RunAll. One
-// RunAll per width renders all of IDs(); each subtest checks one group
-// of ids at both widths.
+// share) — and no kernel run may execute twice in one RunAll. It
+// renders width 1 itself and reads width 8 from the cold render
+// TestExperimentDigests shares; each subtest checks one group of ids
+// at both widths.
 func TestParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
@@ -104,50 +153,31 @@ func TestParallelEquivalence(t *testing.T) {
 		t.Fatalf("the cases cover %v, want each of %v once", grouped, all)
 	}
 
-	defer ResetCaches()
-	widths := []int{1, 8}
-	got := make([]map[string]string, len(widths))
-	for i, workers := range widths {
-		got[i] = renderAllCounted(t, workers)
+	runs := []coldRender{renderCold(1), sharedColdRender()}
+	got := make([]map[string]string, len(runs))
+	for i, run := range runs {
+		if run.err != nil {
+			t.Fatalf("width %d: %v", run.workers, run.err)
+		}
+		if len(run.repeats) > 0 {
+			t.Errorf("width %d: %d distinct kernel runs repeated:\n%s",
+				run.workers, len(run.repeats), strings.Join(run.repeats, "\n"))
+		}
+		got[i] = digestsByID(run.lines)
 	}
 	want := digestsByID(readDigests(t))
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			for _, id := range c.ids {
-				for i, workers := range widths {
+				for i, run := range runs {
 					if got[i][id] != want[id] {
 						t.Errorf("%s at width %d drifted from %s: digest %s, want %s; if intentional, run `make golden` and update EXPERIMENTS.md",
-							id, workers, digestPath, got[i][id], want[id])
+							id, run.workers, digestPath, got[i][id], want[id])
 					}
 				}
 			}
 		})
 	}
-}
-
-// renderAllCounted runs RunAll from cold caches on a pool of the given
-// width, fails t if any kernel run repeats, and returns each id's
-// digest.
-func renderAllCounted(t *testing.T, workers int) map[string]string {
-	t.Helper()
-	defer parallel.SetWorkers(workers)()
-	counter := countKernelRuns(t)
-	results, err := RunAll(context.Background(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var repeats []string
-	for args, n := range counter.runs {
-		if n > 1 {
-			repeats = append(repeats, fmt.Sprintf("%+v ran %d times", args, n))
-		}
-	}
-	sort.Strings(repeats)
-	if len(repeats) > 0 {
-		t.Errorf("width %d: %d of %d distinct kernel runs repeated:\n%s",
-			workers, len(repeats), len(counter.runs), strings.Join(repeats, "\n"))
-	}
-	return digestsByID(digestLines(t, results))
 }
 
 // TestRunManyOrdersResults pins that results come back in argument

@@ -12,14 +12,14 @@ import (
 
 // RunResult is one experiment's outcome under RunMany: the tables it
 // produced, or the error that stopped it, plus the runner's wall time
-// (a run document's runner.<id>.wall_ms).
+// (an accordion run document's runner.<id>.wall_ms).
 type RunResult struct {
 	ID     string
 	Tables []*Table
 	Err    error
 	// Elapsed is the runner's experiments.run.<id> stage time. It is
-	// zero while telemetry is off; the -manifest and -history paths and
-	// accordiond, which read it, all run with telemetry on.
+	// zero while telemetry is off; accordion's -manifest and -history
+	// paths, which read it, run with telemetry on.
 	Elapsed time.Duration
 }
 

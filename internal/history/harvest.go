@@ -17,7 +17,7 @@ import (
 //	hist.<name>.{count,mean,p50,p95,p99,max} telemetry histograms
 //	converge.<series>.{count,mean,std,ci95}  telemetry series
 //	cache.<name>.hit_rate                    derived from cache.<name>.{hits,misses}
-//	runner.<id>.wall_ms                      per-experiment wall times (accordion, accordiond jobs)
+//	runner.<id>.wall_ms                      accordion's per-experiment wall times
 //	layer.<stage>.self_ns                    accordion's per-stage self times, from its trace
 //	bench.<dotted json path>                 numeric leaves of a benchmark result
 //

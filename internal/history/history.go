@@ -15,10 +15,10 @@
 // (document.go): the resolved flag map and a SHA-256 of every artifact
 // the run wrote, each stdout block included. `accordion -manifest FILE`
 // writes the same value as indented JSON that `-history DIR` appends,
-// `accordion -verify-manifest FILE` re-hashes its files, and
-// accordiond's /jobs/<id> status carries one per job. So a record says
-// which bytes a run produced, not only what it cost. On top of the
-// store sit:
+// and `accordion -verify-manifest FILE` re-hashes its files. So a
+// record says which bytes a run produced, not only what it cost. A
+// daemon's numbers reach the store as a `/telemetryz` scrape passed
+// to `accordionhist append -telemetry`. On top of the store sit:
 //
 //   - Check: the regression gate. The newest record is compared
 //     against a baseline window of earlier records sharing its
@@ -69,7 +69,7 @@ const Schema = 1
 // them.
 type Record struct {
 	Schema      int    `json:"schema"`
-	Tool        string `json:"tool"` // accordion | accordiond | benchmark
+	Tool        string `json:"tool"` // accordion, or accordionhist append's -tool
 	Kind        string `json:"kind"` // run | bench
 	StartUnixNs int64  `json:"start_unix_ns,omitempty"`
 	WallMs      int64  `json:"wall_ms,omitempty"`

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -15,6 +14,8 @@ import (
 //
 // The zero value is ready to use. Values are shared between callers:
 // cache only immutable results, or have callers copy before mutating.
+// Do is the one entry point and takes no context: a computation that
+// needs one, as a trace parent, closes over it in fn.
 //
 // A cache constructed with a Name reports telemetry: Do hits and misses
 // plus evictions (failed computations dropped, entries pushed out by
@@ -64,20 +65,6 @@ func (c *Cache[K, V]) initMetrics() {
 // re-raised (as a *PanicError) on every waiting caller and the entry is
 // forgotten.
 func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, error) {
-	return c.do(nil, key, fn)
-}
-
-// DoCtx is Do with per-scope telemetry attribution: when ctx carries a
-// telemetry.Scope (the accordiond server installs one per job), the
-// cache's hit/miss counters are additionally tallied into that scope,
-// so a job's run document can report the cache traffic that job
-// itself generated rather than the process-wide totals. The context is
-// used only for attribution — cancellation still belongs to fn.
-func (c *Cache[K, V]) DoCtx(ctx context.Context, key K, fn func() (V, error)) (V, error) {
-	return c.do(telemetry.ScopeFrom(ctx), key, fn)
-}
-
-func (c *Cache[K, V]) do(sc *telemetry.Scope, key K, fn func() (V, error)) (V, error) {
 	c.mu.Lock()
 	c.initMetrics()
 	if c.entries == nil {
@@ -85,7 +72,7 @@ func (c *Cache[K, V]) do(sc *telemetry.Scope, key K, fn func() (V, error)) (V, e
 	}
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
-		c.hits.IncScoped(sc)
+		c.hits.Inc()
 		<-e.done
 		if e.caught != nil {
 			panic(e.caught)
@@ -107,7 +94,7 @@ func (c *Cache[K, V]) do(sc *telemetry.Scope, key K, fn func() (V, error)) (V, e
 	if evicted > 0 {
 		c.evicted.Add(int64(evicted))
 	}
-	c.misses.IncScoped(sc)
+	c.misses.Inc()
 
 	func() {
 		defer func() {

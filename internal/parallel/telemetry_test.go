@@ -147,51 +147,6 @@ func TestCacheUnnamedNoTelemetry(t *testing.T) {
 	}
 }
 
-// TestCacheDoCtxScopeAttribution: DoCtx tallies hits/misses into the
-// telemetry scope the context carries, so per-job run documents can
-// report a job's own cache traffic. A ctx without a scope behaves like
-// Do.
-func TestCacheDoCtxScopeAttribution(t *testing.T) {
-	defer telemetry.SetEnabled(true)()
-	telemetry.Reset()
-	c := Cache[int, int]{Name: "test.memo.scoped"}
-	scA, scB := telemetry.NewScope(), telemetry.NewScope()
-	ctxA := telemetry.NewScopeContext(context.Background(), scA)
-	ctxB := telemetry.NewScopeContext(context.Background(), scB)
-
-	if _, err := c.DoCtx(ctxA, 1, func() (int, error) { return 10, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.DoCtx(ctxB, 1, func() (int, error) { t.Error("recompute"); return 0, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.DoCtx(context.Background(), 1, func() (int, error) { return 0, nil }); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := scA.CounterValue("cache.test.memo.scoped.misses"); got != 1 {
-		t.Errorf("scope A misses = %d, want 1", got)
-	}
-	if got := scA.CounterValue("cache.test.memo.scoped.hits"); got != 0 {
-		t.Errorf("scope A hits = %d, want 0", got)
-	}
-	if got := scB.CounterValue("cache.test.memo.scoped.hits"); got != 1 {
-		t.Errorf("scope B hits = %d, want 1", got)
-	}
-
-	// Global counters saw every call, scoped or not: the scopeless
-	// third call's hit lands only in the globals.
-	hits := telemetry.GetCounter("cache.test.memo.scoped.hits")
-	misses := telemetry.GetCounter("cache.test.memo.scoped.misses")
-	if hits.Value() != 2 || misses.Value() != 1 {
-		t.Errorf("global hits/misses = %d/%d, want 2/1", hits.Value(), misses.Value())
-	}
-	scoped := scA.CounterValue("cache.test.memo.scoped.hits") + scB.CounterValue("cache.test.memo.scoped.hits")
-	if unattributed := hits.Value() - scoped; unattributed != 1 {
-		t.Errorf("unattributed hits = %d, want exactly the scopeless call", unattributed)
-	}
-}
-
 // TestCacheMaxBound: a bounded cache holds at most Max entries, evicts
 // the oldest inserted first (counted as evictions), recomputes an
 // evicted key on its next call, and still delivers an evicted in-flight

@@ -199,14 +199,11 @@ func Reference(b Benchmark, seed int64) (Result, error) {
 	return ReferenceCtx(context.Background(), b, seed)
 }
 
-// ReferenceCtx is Reference under ctx's telemetry: the memo cache's
-// hit/miss counters tally into the telemetry scope ctx carries (if
-// any), so a service job's run document reports the baseline runs
-// that job itself triggered, and the run that fills the memo is an
-// rms.<name>.run stage under ctx's stage call. The context carries
-// attribution only, never cancellation of the baseline run.
+// ReferenceCtx is Reference under ctx's trace: the run that fills the
+// memo is an rms.<name>.run stage under ctx's stage call. The context
+// is the stage parent only, never cancellation of the baseline run.
 func ReferenceCtx(ctx context.Context, b Benchmark, seed int64) (Result, error) {
-	res, err := refCache.DoCtx(ctx, refKeyOf(b, seed), func() (Result, error) {
+	res, err := refCache.Do(refKeyOf(b, seed), func() (Result, error) {
 		return Run(ctx, b, b.HyperInput(), b.DefaultThreads(), fault.Plan{}, seed)
 	})
 	if err != nil {
@@ -257,10 +254,9 @@ type Memo struct {
 
 // RunMemo returns b's run at (input, threads, plan, seed). The first
 // call for those arguments executes it through Run under ctx's stage
-// call; later and concurrent callers share that run, and the memo's
-// hits and misses tally into ctx's telemetry scope as well. A plan
-// that carries a Ledger bypasses the memo, since its run's point is
-// the notes it makes.
+// call; later and concurrent callers share that run. A plan that
+// carries a Ledger bypasses the memo, since its run's point is the
+// notes it makes.
 func RunMemo(ctx context.Context, b Benchmark, input float64, threads int, plan fault.Plan, seed int64) (*Memo, error) {
 	run := func() (*Memo, error) {
 		res, err := Run(ctx, b, input, threads, plan, seed)
@@ -272,7 +268,7 @@ func RunMemo(ctx context.Context, b Benchmark, input float64, threads int, plan 
 	if plan.Ledger != nil {
 		return run()
 	}
-	return runCache.DoCtx(ctx, runKey{b.Name(), input, threads, plan, seed}, run)
+	return runCache.Do(runKey{b.Name(), input, threads, plan, seed}, run)
 }
 
 // Score returns the run's quality against ref, which must be the

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/history"
 	"repro/internal/telemetry"
 )
 
@@ -65,12 +64,6 @@ type Job struct {
 	finished time.Time
 	resp     []byte
 	err      error
-	manifest *history.Record
-	// scope attributes telemetry recorded while this job executes —
-	// most importantly the memo caches' hit/miss counters — to this
-	// job, so its run document reports its own cache traffic rather
-	// than the process-wide totals.
-	scope *telemetry.Scope
 }
 
 // ID returns the job's identifier (the canonical request hash).
@@ -177,7 +170,6 @@ func (s *Server) Admit(req Request) (*Job, error) {
 		done:     make(chan struct{}),
 		state:    StateQueued,
 		enqueued: s.cfg.Now(),
-		scope:    telemetry.NewScope(),
 	}
 	select {
 	case s.queue <- j:
@@ -209,11 +201,7 @@ func (s *Server) Worker(ctx context.Context) {
 	}
 }
 
-// run executes one job and records its outcome, latency, and run
-// document. The job's telemetry scope rides the context so the memo
-// caches attribute their hits and misses to this job; the document
-// then reports the job's own cache traffic, not the process-wide
-// totals.
+// run executes one job and records its outcome and latency.
 func (s *Server) run(ctx context.Context, j *Job) {
 	s.mu.Lock()
 	if j.state != StateQueued {
@@ -225,36 +213,18 @@ func (s *Server) run(ctx context.Context, j *Job) {
 	j.started = s.cfg.Now()
 	s.mu.Unlock()
 
-	ctx = telemetry.NewScopeContext(ctx, j.scope)
-	resp, results, err := Execute(ctx, j.req)
+	resp, err := Execute(ctx, j.req)
 	var body []byte
 	if err == nil {
 		body, err = resp.Encode()
 	}
-	// The job's run document leaves wall_ms unset, since run_ms is in
-	// the status and this package reads no clock of its own.
-	rec := history.NewRecord("accordiond", "run")
-	for _, r := range results {
-		if r.Err == nil {
-			rec.Set("runner."+r.ID+".wall_ms", float64(r.Elapsed.Milliseconds()))
-		}
-	}
-	// The job's own cache traffic, from its scope: concurrent jobs'
-	// documents each report what their own execution incurred, and the
-	// per-job counts sum to the global delta.
-	rec.AddTelemetry(telemetry.Snapshot{Counters: j.scope.Counters()})
-	if err == nil {
-		rec.AddArtifactBytes("response:"+j.id, body)
-	} else {
-		rec.Note = err.Error()
-	}
-	s.finish(j, body, err, &rec)
+	s.finish(j, body, err)
 }
 
 // finish moves a job to its terminal state exactly once; late arrivals
 // (a worker completing a job a shutdown deadline already failed) are
 // dropped.
-func (s *Server) finish(j *Job, body []byte, err error, rec *history.Record) {
+func (s *Server) finish(j *Job, body []byte, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j.state == StateDone || j.state == StateFailed {
@@ -263,7 +233,6 @@ func (s *Server) finish(j *Job, body []byte, err error, rec *history.Record) {
 	j.finished = s.cfg.Now()
 	j.resp = body
 	j.err = err
-	j.manifest = rec
 	if err != nil {
 		j.state = StateFailed
 	} else {
@@ -367,7 +336,7 @@ func (s *Server) failPending(err error) {
 //
 //	POST /run             submit and wait; the body is the Response
 //	POST /jobs            submit without waiting; the body is a status
-//	GET  /jobs/{id}       job status (timings, run document when done)
+//	GET  /jobs/{id}       job status: state, queue wait and run time
 //	GET  /jobs/{id}/result the completed job's response bytes
 //	GET  /healthz         liveness + drain state
 //
@@ -451,17 +420,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, s.statusOf(j))
 }
 
-// JobStatus is the /jobs/{id} document. Manifest is the job's run
-// document, the type `accordion -manifest` writes.
+// JobStatus is the /jobs/{id} document.
 type JobStatus struct {
-	Schema   int             `json:"schema"`
-	JobID    string          `json:"job_id"`
-	Kind     string          `json:"kind"`
-	State    string          `json:"state"`
-	QueuedMs int64           `json:"queued_ms"`
-	RunMs    int64           `json:"run_ms,omitempty"`
-	Error    string          `json:"error,omitempty"`
-	Manifest *history.Record `json:"manifest,omitempty"`
+	Schema   int    `json:"schema"`
+	JobID    string `json:"job_id"`
+	Kind     string `json:"kind"`
+	State    string `json:"state"`
+	QueuedMs int64  `json:"queued_ms"`
+	RunMs    int64  `json:"run_ms,omitempty"`
+	Error    string `json:"error,omitempty"`
 }
 
 // statusOf snapshots a job under the lock.
@@ -487,7 +454,6 @@ func (s *Server) statusOf(j *Job) JobStatus {
 		} else {
 			st.QueuedMs = j.finished.Sub(j.enqueued).Milliseconds()
 		}
-		st.Manifest = j.manifest
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()

@@ -3,8 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -140,11 +138,21 @@ func TestRunDeterministicBytes(t *testing.T) {
 }
 
 // TestJobStatusAndManifest follows the async path end to end: submit,
-// wait, read status (with the run document) and the result bytes, and
-// check they match the synchronous answer and the document's hash of
-// them.
+// wait, read the status and the result bytes, and check they match
+// the synchronous answer. A finished job's status is its timings and
+// state, with no run document: the JSON has queued_ms and run_ms and
+// no manifest key. The injected clock steps 5 ms per reading, so the
+// job's wait and run read exactly one step each.
 func TestJobStatusAndManifest(t *testing.T) {
-	_, ts := startServer(t, Config{QueueDepth: 4, Workers: 1})
+	var mu sync.Mutex
+	clock := time.Unix(0, 0)
+	now := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		clock = clock.Add(5 * time.Millisecond)
+		return clock
+	}
+	_, ts := startServer(t, Config{QueueDepth: 4, Workers: 1, Now: now})
 
 	resp, body := postJSON(t, ts.URL+"/run", reqBody(11))
 	if resp.StatusCode != http.StatusOK {
@@ -166,8 +174,20 @@ func TestJobStatusAndManifest(t *testing.T) {
 	if st.State != StateDone || st.JobID != id || st.Kind != KindExperiments {
 		t.Errorf("status = %+v, want done/%s/%s", st, id, KindExperiments)
 	}
-	if st.Manifest == nil {
-		t.Fatal("completed job status carries no run document")
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(statusBody, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["manifest"]; ok {
+		t.Errorf("finished job status carries a manifest: %s", statusBody)
+	}
+	if st.QueuedMs != 5 || st.RunMs != 5 {
+		t.Errorf("status queued_ms/run_ms = %d/%d, want 5/5 from the stepped clock: %s", st.QueuedMs, st.RunMs, statusBody)
+	}
+	for _, k := range []string{"queued_ms", "run_ms"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("finished job status has no %s: %s", k, statusBody)
+		}
 	}
 
 	resp, resultBody := getJSON(t, ts.URL+"/jobs/"+id+"/result")
@@ -176,16 +196,6 @@ func TestJobStatusAndManifest(t *testing.T) {
 	}
 	if !bytes.Equal(resultBody, body) {
 		t.Errorf("/jobs/%s/result differs from the /run body", id)
-	}
-	sum := sha256.Sum256(resultBody)
-	var hashed bool
-	for _, a := range st.Manifest.Artifacts {
-		if a.Name == "response:"+id {
-			hashed = a.SHA256 == hex.EncodeToString(sum[:]) && a.Bytes == int64(len(resultBody))
-		}
-	}
-	if !hashed {
-		t.Errorf("run document's response:%s artifact does not hash the result bytes: %+v", id, st.Manifest.Artifacts)
 	}
 
 	resp, _ = getJSON(t, ts.URL+"/jobs/nope")

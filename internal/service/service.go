@@ -235,9 +235,9 @@ type Attribution struct {
 // Response is the deterministic answer to a Request: it echoes the
 // normalized request (so a response is self-describing) and carries
 // either the rendered experiment tables or the attribution ledger.
-// Nothing time- or load-dependent is allowed in here — timings, cache
-// statistics, and the run document live in the job status, never in
-// the response body.
+// Nothing time- or load-dependent is allowed in here — timings live in
+// the job status and cache statistics on /telemetryz, never in the
+// response body.
 type Response struct {
 	Schema      int          `json:"schema"`
 	JobID       string       `json:"job_id"`
@@ -258,11 +258,10 @@ func (r *Response) Encode() ([]byte, error) {
 }
 
 // Execute runs a normalized request to completion on the calling
-// goroutine and returns the response plus the per-runner results (for
-// the job's run document; nil for attribution requests). The response
-// depends only on the request: experiments run through the same
-// deterministic drivers the CLI uses, in the order the ids were given.
-func Execute(ctx context.Context, req Request) (*Response, []experiments.RunResult, error) {
+// goroutine and returns its response. The response depends only on
+// the request: experiments run through the same deterministic drivers
+// the CLI uses, in the order the ids were given.
+func Execute(ctx context.Context, req Request) (*Response, error) {
 	resp := &Response{
 		Schema:  req.Schema,
 		JobID:   req.JobID(),
@@ -274,10 +273,10 @@ func Execute(ctx context.Context, req Request) (*Response, []experiments.RunResu
 	case KindExperiments:
 		results, err := experiments.RunMany(ctx, cfg, req.Experiments)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := experiments.FirstErr(results); err != nil {
-			return nil, results, err
+			return nil, err
 		}
 		resp.Results = make([]Result, 0, len(results))
 		for _, r := range results {
@@ -290,16 +289,16 @@ func Execute(ctx context.Context, req Request) (*Response, []experiments.RunResu
 					err = t.Render(&buf)
 				}
 				if err != nil {
-					return nil, results, err
+					return nil, err
 				}
 			}
 			resp.Results = append(resp.Results, Result{ID: r.ID, Output: buf.String()})
 		}
-		return resp, results, nil
+		return resp, nil
 	case KindAttribution:
 		res, err := experiments.RunAttribution(ctx, cfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		rep := res.Report
 		att := &Attribution{
@@ -325,7 +324,7 @@ func Execute(ctx context.Context, req Request) (*Response, []experiments.RunResu
 			})
 		}
 		resp.Attribution = att
-		return resp, nil, nil
+		return resp, nil
 	}
-	return nil, nil, fmt.Errorf("service: unknown kind %q (request not normalized?)", req.Kind)
+	return nil, fmt.Errorf("service: unknown kind %q (request not normalized?)", req.Kind)
 }

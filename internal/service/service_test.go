@@ -195,7 +195,7 @@ func TestExecuteDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() []byte {
-		resp, _, err := Execute(context.Background(), req)
+		resp, err := Execute(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestExecuteAttributionFloor(t *testing.T) {
 	if err := base.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	resp, _, err := Execute(context.Background(), base)
+	resp, err := Execute(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestExecuteAttributionFloor(t *testing.T) {
 
 	nan := base
 	nan.DistortionFloor = Float64(math.NaN())
-	respNaN, _, err := Execute(context.Background(), nan)
+	respNaN, err := Execute(context.Background(), nan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestExecuteAttributionFloor(t *testing.T) {
 
 	floored := base
 	floored.DistortionFloor = Float64(math.Inf(1))
-	respInf, _, err := Execute(context.Background(), floored)
+	respInf, err := Execute(context.Background(), floored)
 	if err != nil {
 		t.Fatal(err)
 	}

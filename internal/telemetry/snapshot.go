@@ -207,8 +207,8 @@ type CacheCounts struct {
 	Hits, Misses int64
 }
 
-// Caches pairs the memo caches' cache.<name>.{hits,misses} counters,
-// from a Capture or a Scope, into one entry per cache, sorted by name.
+// Caches pairs the memo caches' cache.<name>.{hits,misses} counters
+// of a Capture into one entry per cache, sorted by name.
 func Caches(counters []CounterSnapshot) []CacheCounts {
 	byName := map[string]CacheCounts{}
 	for _, c := range counters {
